@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import marking as marking_mod
-from .boundary_flow import build_network, max_flow, min_cut
+from .boundary_flow import build_network, max_flow
 from .errors import (
     AreaLawError,
     CertificateError,
@@ -87,12 +87,10 @@ def _load_marginal(path: str):
 
 def cmd_area(args) -> int:
     marginal = _load_marginal(args.graph)
-    network = build_network(marginal)
-    flow = max_flow(network)
-    cut = min_cut(network)
+    flow = max_flow(build_network(marginal))
     print(f"boundary area X = {flow.value}")
-    print(f"min cut (source side): {list(cut.source_side)}  "
-          f"capacity {cut.capacity}  tied: {cut.tied}")
+    print(f"min cut (source side): {list(flow.cut)}  "
+          f"capacity {flow.value}  tied: {flow.cut_tied}")
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "area",
@@ -140,8 +138,18 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _simulate_report(marginal, args, seed: int) -> dict:
-    q_list = tuple(float(q) for q in args.q.split(","))
+def _parse_orders(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(q) for q in text.split(","))
+    except ValueError as exc:
+        raise ValidationError(
+            f"--q expects comma-separated numbers, got {text!r}"
+        ) from exc
+
+
+def _simulate_report(marginal, args, seed: int):
+    """The simulate report and the prediction it contains."""
+    q_list = _parse_orders(args.q)
     mc = run_experiment(
         marginal, args.N, args.samples, seed, q_list=q_list, jobs=args.jobs,
     )
@@ -168,13 +176,13 @@ def _simulate_report(marginal, args, seed: int) -> dict:
             for i, spectrum in enumerate(mc.spectra):
                 for j, value in enumerate(spectrum):
                     fh.write(f"{i},{j},{float(value)!r}\n")
-    return report
+    return report, prediction
 
 
 def cmd_simulate(args) -> int:
     marginal = _load_marginal(args.graph)
     seed = args.seed if args.seed is not None else secrets.randbits(32)
-    report = _simulate_report(marginal, args, seed)
+    report, _ = _simulate_report(marginal, args, seed)
     mc = report["mc"]
     print(f"samples: {mc['samples']}  seed: {seed}")
     print(f"mean H = {_fmt(mc['mean_H_nats'], args.bits)}  "
@@ -186,10 +194,9 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     marginal = _load_marginal(args.graph)
     seed = args.seed if args.seed is not None else secrets.randbits(32)
-    report = _simulate_report(marginal, args, seed)
+    report, prediction = _simulate_report(marginal, args, seed)
     report["command"] = "verify"
     mc = report["mc"]
-    prediction = predict_entropy(marginal, args.N)
     mean = mc["mean_H_nats"]
     tolerance = max(3.0 * mc["stderr_H"], args.slack)
 

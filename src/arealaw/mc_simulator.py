@@ -3,7 +3,10 @@
 A state is the tensor product of one maximally entangled pair per edge with
 an independent Haar-random unitary applied at each vertex; a marginal traces
 out the selected legs.  Construction is a dense vector plus axis permutation
-and per-vertex reshaped matrix application; no tensor-network engine.
+and per-vertex reshaped matrix application; no tensor-network engine.  The
+reduced density matrix is never formed: every spectrum is the squared
+singular values of the state reshaped to (surviving x traced).  One routine
+summarises a spectrum and one builds the ``MCReport`` from the summaries.
 
 Determinism contract: every sample derives its own generator from
 ``(seed, sample_index)`` and every vertex from ``(seed, sample_index,
@@ -33,22 +36,58 @@ DEFAULT_HAAR_DIM_LIMIT = 4096
 EIGENVALUE_CLIP_REL = 1e-12
 RANK_THRESHOLD_REL = 1e-9
 
-#: Reduced density matrices are materialised only up to this dimension;
-#: larger states keep the pure-state factor, which carries the same spectrum.
-MATRIX_MATERIALIZE_LIMIT = 4096
-
 NUMERICS_DISCLAIMER = (
     "deterministic for fixed (seed, inputs, build); floating-point "
     "eigensolvers may differ across platforms or BLAS builds"
 )
 
 
+def _env_limit(name: str, default: int) -> int:
+    """Positive integer guard from the environment, read at call time."""
+    raw = os.environ.get(name, str(default))
+    if not (raw.isdecimal() and int(raw) >= 1):
+        raise ValidationError(f"{name} must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
 def state_dim_limit() -> int:
-    return int(os.environ.get("AREALAW_STATE_DIM_LIMIT", DEFAULT_STATE_DIM_LIMIT))
+    return _env_limit("AREALAW_STATE_DIM_LIMIT", DEFAULT_STATE_DIM_LIMIT)
 
 
 def haar_dim_limit() -> int:
-    return int(os.environ.get("AREALAW_HAAR_DIM_LIMIT", DEFAULT_HAAR_DIM_LIMIT))
+    return _env_limit("AREALAW_HAAR_DIM_LIMIT", DEFAULT_HAAR_DIM_LIMIT)
+
+
+def _check_haar_dim(dim: int, what: str = "Haar dimension") -> None:
+    limit = haar_dim_limit()
+    if dim > limit:
+        raise ResourceGuardError(
+            f"{what} {dim} exceeds the guard {limit} "
+            "(set AREALAW_HAAR_DIM_LIMIT to override)"
+        )
+
+
+def _state_dims(marginal: Marginal, N: int) -> tuple[int, ...]:
+    """Leg dimensions of the dense state, once ``N`` and the total state
+    dimension have passed their guards."""
+    if N < 2:
+        raise ValidationError("N must be at least 2")
+    dims = leg_dimensions(marginal, N)
+    total = math.prod(dims)
+    limit = state_dim_limit()
+    if total > limit:
+        raise ResourceGuardError(
+            f"state dimension {total} exceeds the guard {limit} "
+            "(set AREALAW_STATE_DIM_LIMIT to override)"
+        )
+    return dims
+
+
+def _renyi_orders(q_list: Sequence[float]) -> tuple[float, ...]:
+    orders = tuple(float(q) for q in q_list)
+    if not all(0.0 <= q < math.inf for q in orders):
+        raise ValidationError("Renyi orders must be finite and non-negative")
+    return orders
 
 
 def ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -65,14 +104,9 @@ def haar_unitary(dim: int, rng: np.random.Generator,
     correction); without it the factorization is not measure-correct.
     ``size`` stacks independent samples along a leading axis.
     """
-    limit = haar_dim_limit()
     if dim < 1:
         raise ValidationError("unitary dimension must be positive")
-    if dim > limit:
-        raise ResourceGuardError(
-            f"Haar dimension {dim} exceeds the guard {limit} "
-            "(set AREALAW_HAAR_DIM_LIMIT to override)"
-        )
+    _check_haar_dim(dim)
     shape = (dim, dim) if size is None else (size, dim, dim)
     z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)
@@ -91,8 +125,8 @@ class ReducedState:
     """Reduced density operator of a pure graph state.
 
     ``factor`` is the pure state reshaped to (surviving x traced); the
-    density matrix is ``factor @ factor^dagger`` and is materialised in
-    ``matrix`` only for small surviving dimensions.
+    density matrix is ``factor @ factor^dagger`` and is never formed, since
+    the factor's singular values carry its whole spectrum.
     """
 
     factor: np.ndarray
@@ -100,7 +134,6 @@ class ReducedState:
     surviving_legs: tuple[int, ...]
     traced_legs: tuple[int, ...]
     flags: tuple[str, ...]
-    matrix: np.ndarray | None
 
     @property
     def dim(self) -> int:
@@ -122,7 +155,8 @@ class MCReport:
     stderr_H: float
     per_sample_H: tuple[float, ...]
     renyi_mean: dict[float, float]
-    spectra: tuple[np.ndarray, ...] | None
+    ranks: tuple[int, ...]
+    spectra: tuple[np.ndarray, ...]
     seed: int
     N: int
     q_list: tuple[float, ...]
@@ -186,17 +220,9 @@ def build_reduced_state(marginal: Marginal, N: int, unitaries=None,
     in the flags, as is the single-vertex fast path, which replaces
     "fixed state + Haar unitary" by a uniformly random state vector.
     """
-    if N < 2:
-        raise ValidationError("N must be at least 2")
     g = marginal.graph
-    dims = leg_dimensions(marginal, N)
+    dims = _state_dims(marginal, N)
     total = math.prod(dims)
-    limit = state_dim_limit()
-    if total > limit:
-        raise ResourceGuardError(
-            f"state dimension {total} exceeds the guard {limit} "
-            "(set AREALAW_STATE_DIM_LIMIT to override)"
-        )
     spec = _resolve_unitary_spec(marginal, unitaries)
     traced = sorted(marginal.completed_traced_legs())
     surviving = [l for l in range(g.n_legs) if l not in set(traced)]
@@ -256,18 +282,12 @@ def build_reduced_state(marginal: Marginal, N: int, unitaries=None,
     norm = np.linalg.norm(factor) ** 2
     if abs(norm - 1.0) > 1e-10:
         raise ValidationError(f"state normalization drifted to {norm}")
-
-    matrix = None
-    if ds <= MATRIX_MATERIALIZE_LIMIT:
-        rho = factor @ factor.conj().T
-        matrix = (rho + rho.conj().T) / 2.0
     return ReducedState(
         factor=factor,
         dims=tuple(dims[l] for l in surviving),
         surviving_legs=tuple(surviving),
         traced_legs=tuple(traced),
         flags=tuple(flags),
-        matrix=matrix,
     )
 
 
@@ -291,13 +311,19 @@ def _spectrum_from_factor(factor: np.ndarray) -> np.ndarray:
 
 def spectral_report(state: ReducedState,
                     q_list: Sequence[float] = (0.0, 1.0, 2.0)) -> SpectralReport:
-    """Spectrum, von Neumann and Renyi entropies of a reduced state.
+    """Spectrum, von Neumann and Renyi entropies of a reduced state."""
+    return _summarize_spectrum(_spectrum_from_factor(state.factor), q_list)
+
+
+def _summarize_spectrum(eig: np.ndarray,
+                        q_list: Sequence[float]) -> SpectralReport:
+    """Entropies and rank of a descending spectrum of unit trace.
 
     Eigenvalues below ``EIGENVALUE_CLIP_REL`` (relative to the largest) are
-    clamped to zero; the numerical rank uses ``RANK_THRESHOLD_REL``.
+    clamped to zero in place; the numerical rank uses ``RANK_THRESHOLD_REL``.
     ``q = 1`` is the von Neumann entropy, ``q = 0`` is ``ln rank``.
     """
-    eig = _spectrum_from_factor(state.factor)
+    q_list = _renyi_orders(q_list)
     top = eig[0] if eig.size else 0.0
     eig[eig < EIGENVALUE_CLIP_REL * top] = 0.0
     rank = int(np.count_nonzero(eig > RANK_THRESHOLD_REL * top))
@@ -305,9 +331,6 @@ def spectral_report(state: ReducedState,
     entropy = float(-np.sum(positive * np.log(positive))) if positive.size else 0.0
     renyi: dict[float, float] = {}
     for q in q_list:
-        q = float(q)
-        if q < 0:
-            raise ValidationError("Renyi order must be non-negative")
         if q == 0.0:
             renyi[q] = math.log(rank) if rank else 0.0
         elif q == 1.0:
@@ -325,25 +348,45 @@ def _experiment_sample(payload):
         marginal, N, None, rng,
         skip_traced=skip_traced, skip_surviving=skip_surviving,
     )
-    report = spectral_report(state, q_list)
-    return index, report.entropy, report.renyi, report.eigenvalues, state.flags
+    return spectral_report(state, q_list), state.flags
+
+
+def _mc_report(reports: Sequence[SpectralReport], flags: tuple[str, ...],
+               seed: int, N: int, q_list: tuple[float, ...]) -> MCReport:
+    """Aggregate per-sample summaries, in sample order, with exact sums."""
+    samples = len(reports)
+    entropies = tuple(r.entropy for r in reports)
+    mean = math.fsum(entropies) / samples
+    if samples > 1:
+        var = math.fsum((h - mean) ** 2 for h in entropies) / (samples - 1)
+        stderr = math.sqrt(var / samples)
+    else:
+        stderr = 0.0
+    return MCReport(
+        samples=samples, mean_H=mean, stderr_H=stderr, per_sample_H=entropies,
+        renyi_mean={
+            q: math.fsum(r.renyi[q] for r in reports) / samples for q in q_list
+        },
+        ranks=tuple(r.rank for r in reports),
+        spectra=tuple(r.eigenvalues for r in reports),
+        seed=seed, N=N, q_list=q_list, flags=flags,
+    )
 
 
 def run_experiment(marginal: Marginal, N: int, samples: int, seed: int,
                    q_list: Sequence[float] = (0.0, 1.0, 2.0), *,
-                   jobs: int = 1, store_spectra: bool = True,
-                   skip_traced: bool = True,
+                   jobs: int = 1, skip_traced: bool = True,
                    skip_surviving: bool = True) -> MCReport:
     """Estimate the mean entanglement entropy of a marginal.
 
     Per-sample generators derive from ``(seed, sample_index)``, so reports
-    are reproducible and independent of ``jobs``.  Guards are checked before
-    any sampling starts.
+    are reproducible and independent of ``jobs``.  Inputs and guards are
+    checked before any sampling starts.
     """
     if samples < 1:
         raise ValidationError("need at least one sample")
+    q_list = _renyi_orders(q_list)
     _check_guards(marginal, N)
-    q_list = tuple(float(q) for q in q_list)
     payloads = [
         (marginal, N, seed, i, q_list, skip_traced, skip_surviving)
         for i in range(samples)
@@ -353,49 +396,21 @@ def run_experiment(marginal: Marginal, N: int, samples: int, seed: int,
             raw = list(pool.map(_experiment_sample, payloads))
     else:
         raw = [_experiment_sample(p) for p in payloads]
-    raw.sort(key=lambda item: item[0])
-
-    entropies = [item[1] for item in raw]
-    mean = math.fsum(entropies) / samples
-    if samples > 1:
-        var = math.fsum((h - mean) ** 2 for h in entropies) / (samples - 1)
-        stderr = math.sqrt(var / samples)
-    else:
-        stderr = 0.0
-    renyi_mean = {
-        q: math.fsum(item[2][q] for item in raw) / samples for q in q_list
-    }
-    flags = tuple(sorted(set(flag for item in raw for flag in item[4])))
-    spectra = tuple(item[3] for item in raw) if store_spectra else None
-    return MCReport(
-        samples=samples, mean_H=mean, stderr_H=stderr,
-        per_sample_H=tuple(entropies), renyi_mean=renyi_mean,
-        spectra=spectra, seed=seed, N=N, q_list=q_list, flags=flags,
-    )
+    flags = tuple(sorted(set(flag for _, sample_flags in raw
+                             for flag in sample_flags)))
+    return _mc_report([report for report, _ in raw], flags, seed, N, q_list)
 
 
 def _check_guards(marginal: Marginal, N: int) -> None:
-    if N < 2:
-        raise ValidationError("N must be at least 2")
+    dims = _state_dims(marginal, N)
     g = marginal.graph
-    dims = leg_dimensions(marginal, N)
-    total = math.prod(dims)
-    if total > state_dim_limit():
-        raise ResourceGuardError(
-            f"state dimension {total} exceeds the guard {state_dim_limit()}"
-        )
-    single_vertex_fast = len(g.vertices) == 1
-    if single_vertex_fast:
-        return
+    if len(g.vertices) == 1:
+        return  # the single-vertex fast path samples a vector, not a unitary
     for v in g.vertices:
         if marginal.s(v) == 0 or marginal.t(v) == 0:
             continue  # skipped vertices never sample a unitary
         vdim = math.prod(dims[l] for l in g.legs_of(v))
-        if vdim > haar_dim_limit():
-            raise ResourceGuardError(
-                f"vertex {v!r} needs a Haar unitary of dimension {vdim}, "
-                f"above the guard {haar_dim_limit()}"
-            )
+        _check_haar_dim(vdim, f"vertex {v!r} Haar dimension")
 
 
 @dataclass(frozen=True)
@@ -415,8 +430,6 @@ def empirical_vs_mp(report: MCReport, c: float, rescale: float,
     rescaled eigenvalue (zeros included, carrying the atom); ``rescale`` is
     the case-prescribed power of ``N``.
     """
-    if report.spectra is None:
-        raise ValidationError("report was produced without stored spectra")
     orders = tuple(range(1, max_p + 1))
     empirical = []
     theoretical = []
@@ -440,12 +453,8 @@ def sample_wishart_spectrum(dim_system: int, dim_environment: int,
     Identical in distribution to the marginal of a uniformly random
     bipartite pure state with these two dimensions.
     """
-    g = ginibre(dim_system, dim_environment, rng)
-    sv = np.linalg.svd(g, compute_uv=False)
-    eig = np.zeros(dim_system)
-    eig[: sv.shape[0]] = sv ** 2
+    eig = _spectrum_from_factor(ginibre(dim_system, dim_environment, rng))
     eig /= eig.sum()
-    eig[::-1].sort()
     return eig
 
 
@@ -458,36 +467,10 @@ def wishart_experiment(dim_system: int, dim_environment: int, samples: int,
         raise ValidationError("both dimensions must be at least 2")
     if samples < 1:
         raise ValidationError("need at least one sample")
-    q_list = tuple(float(q) for q in q_list)
-    entropies = []
-    spectra = []
-    renyi_acc = {q: [] for q in q_list}
-    for i in range(samples):
-        rng = np.random.default_rng([seed, i])
-        eig = sample_wishart_spectrum(dim_system, dim_environment, rng)
-        spectra.append(eig)
-        top = eig[0]
-        positive = eig[eig > EIGENVALUE_CLIP_REL * top]
-        h = float(-np.sum(positive * np.log(positive)))
-        entropies.append(h)
-        rank = int(np.count_nonzero(eig > RANK_THRESHOLD_REL * top))
-        for q in q_list:
-            if q == 0.0:
-                renyi_acc[q].append(math.log(rank))
-            elif q == 1.0:
-                renyi_acc[q].append(h)
-            else:
-                renyi_acc[q].append(float(np.log(np.sum(positive ** q)) / (1.0 - q)))
-    mean = math.fsum(entropies) / samples
-    if samples > 1:
-        var = math.fsum((h - mean) ** 2 for h in entropies) / (samples - 1)
-        stderr = math.sqrt(var / samples)
-    else:
-        stderr = 0.0
-    return MCReport(
-        samples=samples, mean_H=mean, stderr_H=stderr,
-        per_sample_H=tuple(entropies),
-        renyi_mean={q: math.fsum(v) / samples for q, v in renyi_acc.items()},
-        spectra=tuple(spectra), seed=seed, N=dim_system,
-        q_list=q_list, flags=("wishart_path",),
-    )
+    q_list = _renyi_orders(q_list)
+    reports = [
+        _summarize_spectrum(sample_wishart_spectrum(
+            dim_system, dim_environment, np.random.default_rng([seed, i])), q_list)
+        for i in range(samples)
+    ]
+    return _mc_report(reports, ("wishart_path",), seed, dim_system, q_list)

@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .boundary_flow import build_network, max_flow
 from .errors import UnknownCaseError, ValidationError
 from .graph_model import Marginal, is_adapted
@@ -85,6 +83,8 @@ def _mp_quadrature(c: float, f) -> float:
     """Integrate ``f`` against the continuous part of ``pi_c`` using the
     edge-singularity-aware substitution ``x = 1 + c + 2 sqrt(c) cos(theta)``;
     the atom at zero contributes nothing for the integrands used here."""
+    from scipy.integrate import quad  # test oracle only; not a runtime dependency
+
     root = math.sqrt(c)
 
     def integrand(theta: float) -> float:
@@ -247,7 +247,6 @@ def predict_entropy(marginal: Marginal, N: int) -> EntropyPrediction:
     if N < 2:
         raise ValidationError("N must be at least 2")
     g = marginal.graph
-    X = max_flow(build_network(marginal)).value
 
     if is_adapted(marginal):
         edges = crossing_edges(marginal)
@@ -301,6 +300,6 @@ def predict_entropy(marginal: Marginal, N: int) -> EntropyPrediction:
         )
 
     return EntropyPrediction(
-        case="generic", leading_area=X, leading_offset=0.0,
-        correction=None, exact=False,
+        case="generic", leading_area=max_flow(build_network(marginal)).value,
+        leading_offset=0.0, correction=None, exact=False,
     )

@@ -27,12 +27,7 @@ from .errors import (
 )
 from .graph_model import Edge, Graph, Marginal, TraceSpec, resolve_trace
 from .marking import Marking, marking_from_flow
-from .mc_simulator import (
-    RANK_THRESHOLD_REL,
-    build_reduced_state,
-    run_experiment,
-    spectral_report,
-)
+from .mc_simulator import build_reduced_state, run_experiment, spectral_report
 
 
 @dataclass(frozen=True)
@@ -300,13 +295,8 @@ def certify(instance: TransportInstance, N: int | None = None,
                 f"H_{q} = {value} differs from Y3 ln N = {target}"
             )
 
-    mc = run_experiment(routed, N, haar_samples, seed,
-                        q_list=(0.0, 1.0), store_spectra=True)
-    ranks = []
-    for spectrum in mc.spectra:
-        top = spectrum[0]
-        ranks.append(int(np.count_nonzero(spectrum > RANK_THRESHOLD_REL * top)))
-    rank_max = max(ranks)
+    mc = run_experiment(routed, N, haar_samples, seed, q_list=(0.0, 1.0))
+    rank_max = max(mc.ranks)
     if rank_max > expected_rank:
         raise CertificateError(
             f"a Haar sample reached rank {rank_max} above the bound {expected_rank}"
@@ -316,6 +306,6 @@ def certify(instance: TransportInstance, N: int | None = None,
         rank=report.rank, eigenvalue_deviation=deviation,
         renyi=report.renyi,
         haar_samples=haar_samples, haar_rank_max=rank_max,
-        haar_ranks_all_equal=all(r == expected_rank for r in ranks),
+        haar_ranks_all_equal=all(r == expected_rank for r in mc.ranks),
         haar_mean_H=mc.mean_H, plan=plan,
     )

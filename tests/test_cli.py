@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import arealaw
 from arealaw.cli import REPORT_SCHEMA, main
 
 from conftest import doc
@@ -220,6 +225,36 @@ def test_guard_exit_code(write_doc):
     # 8^10 legs dimension exceeds the default state guard
     assert main(["simulate", "-g", graph, "-N", "8", "-n", "1",
                  "--seed", "0"]) == 4
+
+
+@pytest.mark.parametrize("variable", ["AREALAW_STATE_DIM_LIMIT",
+                                      "AREALAW_HAAR_DIM_LIMIT"])
+def test_bad_guard_environment_exit_code(write_doc, capsys, monkeypatch, variable):
+    graph = write_doc("bh.json", black_hole2_doc())
+    monkeypatch.setenv(variable, "abc")
+    assert main(["simulate", "-g", graph, "-N", "2", "-n", "1",
+                 "--seed", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and variable in err
+
+
+@pytest.mark.parametrize("orders", ["0,x", "0,", "-1", "nan"])
+def test_bad_renyi_orders_exit_code(write_doc, capsys, orders):
+    graph = write_doc("bh.json", black_hole2_doc())
+    assert main(["simulate", "-g", graph, "-N", "2", "-n", "1", "--seed", "0",
+                 "--q", orders]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("input error:")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(arealaw.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, arealaw.cli; assert 'scipy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_missing_file_exit_code(tmp_path):

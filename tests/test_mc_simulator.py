@@ -13,6 +13,7 @@ from arealaw import (
     spectral_report,
     wishart_experiment,
 )
+from arealaw import mc_simulator
 from arealaw.mc_simulator import ginibre, leg_dimensions, sample_wishart_spectrum
 
 from conftest import (
@@ -56,11 +57,26 @@ def test_haar_first_entry_moment():
 
 
 def test_haar_guard(monkeypatch):
+    monkeypatch.delenv("AREALAW_HAAR_DIM_LIMIT", raising=False)
+    assert mc_simulator.haar_dim_limit() == 4096
+    # the guard fires before any allocation: the generator is never touched
+    with pytest.raises(ResourceGuardError, match="AREALAW_HAAR_DIM_LIMIT"):
+        haar_unitary(4097, None)
     rng = np.random.default_rng(3)
+    monkeypatch.setenv("AREALAW_HAAR_DIM_LIMIT", "8")
     with pytest.raises(ResourceGuardError):
-        haar_unitary(5000, rng)
-    monkeypatch.setenv("AREALAW_HAAR_DIM_LIMIT", "8000")
-    haar_unitary(4097, rng)  # no raise once overridden
+        haar_unitary(9, rng)
+    monkeypatch.setenv("AREALAW_HAAR_DIM_LIMIT", "16")
+    assert haar_unitary(9, rng).shape == (9, 9)  # no raise once overridden
+
+
+@pytest.mark.parametrize("variable", ["AREALAW_STATE_DIM_LIMIT",
+                                      "AREALAW_HAAR_DIM_LIMIT"])
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
+def test_bad_guard_values_are_input_errors(monkeypatch, variable, value):
+    monkeypatch.setenv(variable, value)
+    with pytest.raises(ValidationError, match=variable):
+        run_experiment(black_hole(traced=[0, 2]), 2, samples=1, seed=0)
 
 
 def test_state_dim_guard(monkeypatch):
@@ -109,9 +125,7 @@ def test_reduced_state_invariants():
         m = random_marginal(rng, max_vertices=3, max_edges=3)
         state = build_reduced_state(m, 2, rng=rng)
         assert abs(np.linalg.norm(state.factor) ** 2 - 1.0) < 1e-10
-        if state.matrix is not None:
-            assert np.abs(state.matrix - state.matrix.conj().T).max() < 1e-12
-            assert abs(np.trace(state.matrix).real - 1.0) < 1e-10
+        assert abs(spectral_report(state).eigenvalues.sum() - 1.0) < 1e-10
         dims = leg_dimensions(m, 2)
         expected = math.prod(dims[l] for l in state.surviving_legs) if \
             state.surviving_legs else 1
@@ -182,6 +196,7 @@ def test_run_experiment_adapted_zero_variance():
     report = run_experiment(adapted_five(), 2, samples=2, seed=1)
     assert report.stderr_H == 0.0
     assert report.per_sample_H[0] == report.per_sample_H[1]
+    assert report.ranks == (32, 32)
     assert report.mean_H == pytest.approx(5.0 * math.log(2), abs=1e-10)
 
 
@@ -241,6 +256,16 @@ def test_guards_before_sampling():
         run_experiment(single_loop(), 4, samples=0, seed=0)
 
 
+def test_negative_renyi_order_rejected_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(mc_simulator, "build_reduced_state", no_sampling)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="Renyi"):
+            run_experiment(single_loop(), 4, samples=2, seed=0, q_list=(0.0, bad))
+
+
 def test_empirical_vs_mp_single_loop():
     report = run_experiment(single_loop(s=1), 64, samples=20, seed=4)
     result = empirical_vs_mp(report, c=1.0, rescale=64.0, max_p=4)
@@ -262,6 +287,20 @@ def test_wishart_experiment_page_values():
     assert abs(r256.mean_H - (math.log(64) - 0.125)) <= 0.02
     with pytest.raises(ValidationError):
         wishart_experiment(1, 64, samples=5, seed=0)
+    with pytest.raises(ValidationError, match="Renyi"):
+        wishart_experiment(4, 8, 2, 0, q_list=(-1.0,))
+
+
+def test_wishart_summary_matches_spectral_report():
+    # both routes share one spectrum summary: clipped spectra, ranks, Renyi
+    report = wishart_experiment(6, 3, samples=3, seed=3, q_list=(0.0, 1.0, 2.0))
+    assert report.ranks == (3, 3, 3)
+    for spectrum, h in zip(report.spectra, report.per_sample_H):
+        assert spectrum[3:].tolist() == [0.0, 0.0, 0.0]
+        assert abs(spectrum.sum() - 1.0) < 1e-12
+        assert h == pytest.approx(-float(np.sum(spectrum[:3] * np.log(spectrum[:3]))))
+    assert report.renyi_mean[0.0] == pytest.approx(math.log(3))
+    assert report.renyi_mean[1.0] == report.mean_H
 
 
 def test_ginibre_shape_and_scale():
