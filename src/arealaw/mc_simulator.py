@@ -2,11 +2,14 @@
 
 A state is the tensor product of one maximally entangled pair per edge with
 an independent Haar-random unitary applied at each vertex; a marginal traces
-out the selected legs.  Construction is a dense vector plus axis permutation
-and per-vertex reshaped matrix application; no tensor-network engine.  The
-reduced density matrix is never formed: every spectrum is the squared
-singular values of the state reshaped to (surviving x traced).  One routine
-summarises a spectrum and one builds the ``MCReport`` from the summaries.
+out the selected legs.  The state is a tensor network shaped like the graph,
+built by one ``einsum`` contraction of the vertex unitaries along the edges
+straight into its (surviving x traced) factor; the greedy contraction order
+keeps every intermediate within the size of the state or of the largest
+unitary.  The reduced density matrix is never formed: every spectrum is
+``eigvalsh`` of the smaller Gram matrix of the factor, the only
+min(ds, dt)^2 matrix built.  One routine summarises a spectrum and one
+builds the ``MCReport`` from the summaries.
 
 Determinism contract: every sample derives its own generator from
 ``(seed, sample_index)`` and every vertex from ``(seed, sample_index,
@@ -124,15 +127,14 @@ def leg_dimensions(marginal: Marginal, N: int) -> tuple[int, ...]:
 class ReducedState:
     """Reduced density operator of a pure graph state.
 
-    ``factor`` is the pure state reshaped to (surviving x traced); the
-    density matrix is ``factor @ factor^dagger`` and is never formed, since
-    the factor's singular values carry its whole spectrum.
+    ``factor`` is the pure state contracted straight into (surviving x
+    traced) shape; the density matrix is ``factor @ factor^dagger`` and is
+    never formed, since the smaller Gram matrix of the factor carries its
+    whole nonzero spectrum.
     """
 
     factor: np.ndarray
-    dims: tuple[int, ...]             # surviving leg dimensions
     surviving_legs: tuple[int, ...]
-    traced_legs: tuple[int, ...]
     flags: tuple[str, ...]
 
     @property
@@ -159,7 +161,6 @@ class MCReport:
     spectra: tuple[np.ndarray, ...]
     seed: int
     N: int
-    q_list: tuple[float, ...]
     flags: tuple[str, ...]
     disclaimer: str = NUMERICS_DISCLAIMER
 
@@ -175,18 +176,6 @@ class MCReport:
             "flags": list(self.flags),
             "numerics": self.disclaimer,
         }
-
-
-def _apply_on_axes(psi: np.ndarray, axes: Sequence[int],
-                   matrix: np.ndarray) -> np.ndarray:
-    """Apply ``matrix`` on the grouped ``axes`` of ``psi``."""
-    n = psi.ndim
-    rest = [a for a in range(n) if a not in axes]
-    perm = list(axes) + rest
-    shaped = psi.transpose(perm)
-    inner_shape = shaped.shape
-    shaped = matrix @ shaped.reshape(matrix.shape[0], -1)
-    return shaped.reshape(inner_shape).transpose(np.argsort(perm))
 
 
 def _resolve_unitary_spec(marginal: Marginal, unitaries) -> dict[str, object]:
@@ -219,13 +208,21 @@ def build_reduced_state(marginal: Marginal, N: int, unitaries=None,
     ``skip_surviving`` is set (spectrum-invariant).  Both skips are recorded
     in the flags, as is the single-vertex fast path, which replaces
     "fixed state + Haar unitary" by a uniformly random state vector.
+
+    Otherwise the state is one ``einsum`` contraction of the vertex
+    unitaries, each reshaped to (out legs..., in legs...), along the edges:
+    both in-slots of an edge share one label (a loop takes the diagonal),
+    a leg whose vertex has no unitary is its edge's in-slot itself, and an
+    edge with neither endpoint acted on is an identity.  Output labels come
+    in (surviving, traced) order, so the result reshapes to the factor.
     """
     g = marginal.graph
     dims = _state_dims(marginal, N)
-    total = math.prod(dims)
     spec = _resolve_unitary_spec(marginal, unitaries)
     traced = sorted(marginal.completed_traced_legs())
     surviving = [l for l in range(g.n_legs) if l not in set(traced)]
+    ds = math.prod(dims[l] for l in surviving)
+    dt = math.prod(dims[l] for l in traced)
     if rng is None:
         rng = np.random.default_rng()
     streams = rng.spawn(len(g.vertices) + 1)
@@ -237,19 +234,15 @@ def build_reduced_state(marginal: Marginal, N: int, unitaries=None,
     if (vector_fast_path and len(g.vertices) == 1
             and needs_sampling == list(g.vertices)):
         # a Haar unitary applied to any fixed vector is a uniform vector
-        vec = ginibre(total, 1, streams[-1])[:, 0]
+        vec = ginibre(ds * dt, 1, streams[-1])[:, 0]
         psi = (vec / np.linalg.norm(vec)).reshape(dims)
+        factor = psi.transpose(surviving + traced).reshape(ds, dt)
         flags.append("vector_path")
     else:
-        vec = np.ones(1, dtype=complex)
-        for e in g.edges:
-            d = e.d * N
-            vec = np.kron(vec, np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d))
-        psi = vec.reshape(dims)
+        acted: dict[str, np.ndarray] = {}
         for slot, v in enumerate(g.vertices):
             action = spec[v]
-            legs = g.legs_of(v)
-            vdim = math.prod(dims[l] for l in legs)
+            vdim = math.prod(dims[l] for l in g.legs_of(v))
             if isinstance(action, str):
                 if action == "identity":
                     flags.append(f"identity:{v}")
@@ -262,7 +255,7 @@ def build_reduced_state(marginal: Marginal, N: int, unitaries=None,
                 if all_surviving and skip_surviving:
                     flags.append(f"skipped_surviving:{v}")
                     continue
-                matrix = haar_unitary(vdim, streams[slot])
+                acted[v] = haar_unitary(vdim, streams[slot])
             else:
                 matrix = np.asarray(action, dtype=complex)
                 if matrix.shape != (vdim, vdim):
@@ -273,30 +266,45 @@ def build_reduced_state(marginal: Marginal, N: int, unitaries=None,
                 defect = np.abs(matrix.conj().T @ matrix - np.eye(vdim)).max()
                 if defect > 1e-8:
                     raise ValidationError(f"matrix for vertex {v!r} is not unitary")
-            psi = _apply_on_axes(psi, list(legs), matrix)
-
-    ds = math.prod(dims[l] for l in surviving) if surviving else 1
-    dt = math.prod(dims[l] for l in traced) if traced else 1
-    factor = psi.transpose(surviving + traced).reshape(ds, dt)
+                acted[v] = matrix
+        # labels: leg l's output is l, edge e's shared in-slot is n_legs + e
+        operands: list = []
+        for v, matrix in acted.items():
+            legs = g.legs_of(v)
+            operands += [
+                matrix.reshape([dims[l] for l in legs] * 2),
+                list(legs) + [g.n_legs + g.legs[l].edge for l in legs],
+            ]
+        label = [leg.leg_id if leg.vertex in acted else g.n_legs + leg.edge
+                 for leg in g.legs]
+        for e, edge in enumerate(g.edges):
+            if edge.u not in acted and edge.v not in acted:
+                label[2 * e], label[2 * e + 1] = 2 * e, 2 * e + 1
+                operands += [np.eye(dims[2 * e]), [2 * e, 2 * e + 1]]
+        psi = np.einsum(*operands, [label[l] for l in surviving + traced],
+                        optimize=True)
+        factor = psi.reshape(ds, dt)
+        factor *= math.prod(dims[::2]) ** -0.5
 
     norm = np.linalg.norm(factor) ** 2
     if abs(norm - 1.0) > 1e-10:
         raise ValidationError(f"state normalization drifted to {norm}")
     return ReducedState(
-        factor=factor,
-        dims=tuple(dims[l] for l in surviving),
-        surviving_legs=tuple(surviving),
-        traced_legs=tuple(traced),
-        flags=tuple(flags),
+        factor=factor, surviving_legs=tuple(surviving), flags=tuple(flags),
     )
 
 
 def _spectrum_from_factor(factor: np.ndarray) -> np.ndarray:
     """Eigenvalues of ``factor factor^dagger`` padded with the structural
-    zeros, descending."""
-    ds = factor.shape[0]
+    zeros, descending.
+
+    ``eigvalsh`` runs on the smaller Gram matrix, ``F F^dagger`` or
+    ``F^dagger F``; both share the nonzero spectrum.
+    """
+    ds, dt = factor.shape
+    gram = factor @ factor.conj().T if ds <= dt else factor.conj().T @ factor
     try:
-        sv = np.linalg.svd(factor, compute_uv=False)
+        values = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:
         scale = float(np.abs(factor).max())
         raise AreaLawError(
@@ -304,7 +312,7 @@ def _spectrum_from_factor(factor: np.ndarray) -> np.ndarray:
             f"(max magnitude {scale:.3e}): {exc}"
         ) from exc
     eig = np.zeros(ds)
-    eig[: sv.shape[0]] = sv ** 2
+    eig[: values.shape[0]] = values
     eig[::-1].sort()
     return eig
 
@@ -369,7 +377,7 @@ def _mc_report(reports: Sequence[SpectralReport], flags: tuple[str, ...],
         },
         ranks=tuple(r.rank for r in reports),
         spectra=tuple(r.eigenvalues for r in reports),
-        seed=seed, N=N, q_list=q_list, flags=flags,
+        seed=seed, N=N, flags=flags,
     )
 
 
@@ -385,6 +393,8 @@ def run_experiment(marginal: Marginal, N: int, samples: int, seed: int,
     """
     if samples < 1:
         raise ValidationError("need at least one sample")
+    if jobs < 1:
+        raise ValidationError(f"jobs must be at least 1, got {jobs}")
     q_list = _renyi_orders(q_list)
     _check_guards(marginal, N)
     payloads = [

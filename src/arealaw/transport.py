@@ -62,9 +62,12 @@ class TransportInstance:
             if f not in quotas:
                 raise ValidationError(f"missing quotas for site {f!r}")
             to_a, to_b = quotas[f]
+            if not all(isinstance(q, int) and not isinstance(q, bool)
+                       for q in (to_a, to_b)):
+                raise ValidationError(f"quotas at site {f!r} must be integers")
             if to_a < 0 or to_b < 0:
                 raise ValidationError(f"negative quota at site {f!r}")
-            clean_quotas[f] = (int(to_a), int(to_b))
+            clean_quotas[f] = (to_a, to_b)
         if N < 2:
             raise ValidationError("local dimension N must be at least 2")
         return cls(facilities=facilities, pairs=canonical,

@@ -220,6 +220,26 @@ def test_transport_infeasible_exit_code(write_doc):
     assert main(["transport", "-i", instance]) == 2
 
 
+@pytest.mark.parametrize("quota", [1.7, True])
+def test_transport_non_integer_quota_exit_code(write_doc, capsys, quota):
+    payload = instance_doc()
+    payload["quotas"]["P1"]["A"] = quota
+    instance = write_doc("inst.json", payload)
+    assert main(["transport", "-i", instance]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "integers" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_nonpositive_jobs_exit_code(write_doc, capsys, command, jobs):
+    graph = write_doc("bh.json", black_hole2_doc())
+    assert main([command, "-g", graph, "-N", "2", "-n", "1", "--seed", "0",
+                 "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "jobs" in err
+
+
 def test_guard_exit_code(write_doc):
     graph = write_doc("adapted.json", adapted_five_doc())
     # 8^10 legs dimension exceeds the default state guard

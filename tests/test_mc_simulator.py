@@ -20,6 +20,8 @@ from conftest import (
     adapted_five,
     black_hole,
     black_hole_counts,
+    marginal_from,
+    oxygen,
     random_marginal,
     single_loop,
     two_loops,
@@ -309,3 +311,140 @@ def test_ginibre_shape_and_scale():
     assert g.shape == (200, 300)
     # unit-variance complex entries
     assert abs(np.mean(np.abs(g) ** 2) - 1.0) < 0.02
+
+
+# -- oracle: dense kron state, per-vertex axis application, SVD --------------
+
+
+def _apply_on_axes(psi, axes, matrix):
+    """Apply ``matrix`` on the grouped ``axes`` of ``psi``."""
+    rest = [a for a in range(psi.ndim) if a not in axes]
+    perm = list(axes) + rest
+    shaped = psi.transpose(perm)
+    inner_shape = shaped.shape
+    shaped = matrix @ shaped.reshape(matrix.shape[0], -1)
+    return shaped.reshape(inner_shape).transpose(np.argsort(perm))
+
+
+def _oracle_spectrum(m, N, unitaries, rng, skip_traced, skip_surviving):
+    """The dense route: kron of the edge pairs, each vertex's unitary
+    applied on its legs, then the squared singular values of the
+    (surviving x traced) factor.  Draws the same per-vertex streams."""
+    g = m.graph
+    dims = leg_dimensions(m, N)
+    spec = mc_simulator._resolve_unitary_spec(m, unitaries)
+    traced = sorted(m.completed_traced_legs())
+    surviving = [l for l in range(g.n_legs) if l not in traced]
+    streams = rng.spawn(len(g.vertices) + 1)
+    vec = np.ones(1, dtype=complex)
+    for e in g.edges:
+        d = e.d * N
+        vec = np.kron(vec, np.eye(d).reshape(-1) / math.sqrt(d))
+    psi = vec.reshape(dims)
+    flags = []
+    for slot, v in enumerate(g.vertices):
+        action = spec[v]
+        legs = g.legs_of(v)
+        if isinstance(action, str):
+            if action == "identity":
+                flags.append(f"identity:{v}")
+                continue
+            if m.s(v) == 0 and skip_traced:
+                flags.append(f"skipped_traced:{v}")
+                continue
+            if m.t(v) == 0 and skip_surviving:
+                flags.append(f"skipped_surviving:{v}")
+                continue
+            action = haar_unitary(math.prod(dims[l] for l in legs), streams[slot])
+        psi = _apply_on_axes(psi, list(legs), action)
+    ds = math.prod(dims[l] for l in surviving)
+    factor = psi.transpose(surviving + traced).reshape(ds, -1)
+    sv = np.linalg.svd(factor, compute_uv=False)
+    eig = np.zeros(ds)
+    eig[: sv.size] = sv ** 2
+    eig[::-1].sort()
+    return eig, tuple(flags)
+
+
+def _explicit(m, N, rng):
+    """Haar matrices for the first vertex, identity on the second, the
+    rest sampled by the builder."""
+    dims = leg_dimensions(m, N)
+    v0 = m.graph.vertices[0]
+    spec = {v0: haar_unitary(math.prod(dims[l] for l in m.graph.legs_of(v0)), rng)}
+    if len(m.graph.vertices) > 1:
+        spec[m.graph.vertices[1]] = "identity"
+    return spec
+
+
+ORACLE_CASES = [
+    # a loop and an edge at a sampled vertex, a loop at a skipped one
+    marginal_from(["A", "B"], [("A", "A", 1), ("A", "B", 1), ("B", "B", 1)],
+                  {"mode": "legs", "traced": [0, 3]}),
+    oxygen(traced=[0, 3]),                      # multi-edge
+    oxygen(traced=[0, 1], d2=2),
+    black_hole(traced=[0, 2], d1=2),
+    # edge A-B joins a fully traced and a fully surviving vertex
+    marginal_from(["A", "B", "C"], [("A", "B", 1), ("B", "C", 1), ("C", "A", 1)],
+                  {"mode": "counts", "s": {"A": 0, "B": 2, "C": 1}}),
+    two_loops(s=1),
+    single_loop(s=1, d=2),
+]
+
+
+def _assert_matches_oracle(m, unitaries, seed, skip):
+    state = build_reduced_state(
+        m, 2, unitaries, np.random.default_rng(seed), skip_traced=skip[0],
+        skip_surviving=skip[1], vector_fast_path=False,
+    )
+    expected, flags = _oracle_spectrum(m, 2, unitaries,
+                                       np.random.default_rng(seed), *skip)
+    got = mc_simulator._spectrum_from_factor(state.factor)
+    assert state.flags == flags
+    assert got.shape == expected.shape
+    assert np.abs(got - expected).max() <= 1e-12
+    assert spectral_report(state).rank == \
+        mc_simulator._summarize_spectrum(expected, (0.0,)).rank
+
+
+@pytest.mark.parametrize("skip", [(True, True), (False, False),
+                                  (True, False), (False, True)])
+@pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
+def test_contraction_matches_dense_oracle(case, skip):
+    m = ORACLE_CASES[case]
+    _assert_matches_oracle(m, None, 100 + case, skip)
+    _assert_matches_oracle(m, "identity", 100 + case, skip)
+    _assert_matches_oracle(m, _explicit(m, 2, np.random.default_rng(case)),
+                           200 + case, skip)
+
+
+def test_contraction_matches_dense_oracle_random_marginals():
+    rng = np.random.default_rng(41)
+    for i in range(40):
+        m = random_marginal(rng, max_vertices=4, max_edges=4)
+        skip = (bool(i % 2), bool(i // 2 % 2))
+        _assert_matches_oracle(m, None, i, skip)
+        _assert_matches_oracle(m, _explicit(m, 2, rng), 1000 + i, skip)
+
+
+def test_spectrum_from_either_gram_side():
+    # the smaller Gram matrix is F F^dagger when ds <= dt, F^dagger F else
+    rng = np.random.default_rng(8)
+    for shape in ((3, 7), (7, 3), (5, 5), (1, 4), (4, 1)):
+        f = ginibre(*shape, rng)
+        eig = mc_simulator._spectrum_from_factor(f)
+        sv = np.linalg.svd(f, compute_uv=False) ** 2
+        assert eig.shape == (shape[0],)
+        assert np.abs(eig[: sv.size] - sv).max() <= 1e-12
+        assert not eig[sv.size:].any()
+        assert (np.diff(eig) <= 0).all()
+
+
+def test_nonpositive_jobs_rejected_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(mc_simulator, "build_reduced_state", no_sampling)
+    for jobs in (0, -2):
+        with pytest.raises(ValidationError, match="jobs"):
+            run_experiment(single_loop(), 4, samples=2, seed=0, jobs=jobs)

@@ -165,6 +165,9 @@ def test_instance_validation():
         TransportInstance.build(["P1", "P2"], {("P1", "P2"): 1}, {"P1": (1, 0)})
     with pytest.raises(ValidationError, match="negative"):
         TransportInstance.build(["P1"], {}, {"P1": (-1, 1)})
+    for bad in (1.7, 1.0, True, "1"):
+        with pytest.raises(ValidationError, match="integers"):
+            TransportInstance.build(["P1"], {}, {"P1": (bad, 1)})
 
 
 def test_parse_instance_round_trip():
