@@ -48,13 +48,6 @@ class FlowNetwork:
     def graph_vertices(self) -> tuple[str, ...]:
         return self.nodes[1:-1]
 
-    def neighbors(self, node: str) -> tuple[str, ...]:
-        out = []
-        for other in self.nodes:
-            if other != node and self.cap(node, other) > 0:
-                out.append(other)
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class FlowResult:
@@ -99,14 +92,16 @@ def build_network(marginal: Marginal) -> FlowNetwork:
     return FlowNetwork(nodes=nodes, capacities=caps)
 
 
+def _residual(network: FlowNetwork, flow: Mapping[tuple[str, str], int],
+              a: str, b: str) -> int:
+    """Residual capacity from ``a`` to ``b`` under a flow per ordered pair."""
+    return network.cap(a, b) - flow.get((a, b), 0) + flow.get((b, a), 0)
+
+
 def _max_flow_net(network: FlowNetwork) -> dict[tuple[str, str], int]:
     """Edmonds-Karp on the symmetric network; returns net flow per ordered
     pair (flows in opposite directions are cancelled)."""
     flow: dict[tuple[str, str], int] = defaultdict(int)
-
-    def residual(a: str, b: str) -> int:
-        return network.cap(a, b) - flow[(a, b)] + flow[(b, a)]
-
     while True:
         # shortest augmenting path in the residual graph
         parent: dict[str, str] = {SOURCE: SOURCE}
@@ -116,7 +111,8 @@ def _max_flow_net(network: FlowNetwork) -> dict[tuple[str, str], int]:
             if node == SINK:
                 break
             for other in network.nodes:
-                if other not in parent and other != node and residual(node, other) > 0:
+                if (other not in parent and other != node
+                        and _residual(network, flow, node, other) > 0):
                     parent[other] = node
                     queue.append(other)
         if SINK not in parent:
@@ -125,7 +121,8 @@ def _max_flow_net(network: FlowNetwork) -> dict[tuple[str, str], int]:
         while path[-1] != SOURCE:
             path.append(parent[path[-1]])
         path.reverse()
-        bottleneck = min(residual(a, b) for a, b in zip(path, path[1:]))
+        bottleneck = min(_residual(network, flow, a, b)
+                         for a, b in zip(path, path[1:]))
         for a, b in zip(path, path[1:]):
             cancel = min(flow[(b, a)], bottleneck)
             flow[(b, a)] -= cancel
@@ -137,10 +134,6 @@ def _reachable(network: FlowNetwork, net: Mapping[tuple[str, str], int],
                start: str, forward: bool) -> set[str]:
     """Residual reachability from ``start``; ``forward=False`` follows
     residual arcs backwards (who can still reach ``start``)."""
-
-    def residual(a: str, b: str) -> int:
-        return network.cap(a, b) - net.get((a, b), 0) + net.get((b, a), 0)
-
     seen = {start}
     queue = deque([start])
     while queue:
@@ -148,8 +141,8 @@ def _reachable(network: FlowNetwork, net: Mapping[tuple[str, str], int],
         for other in network.nodes:
             if other in seen or other == node:
                 continue
-            r = residual(node, other) if forward else residual(other, node)
-            if r > 0:
+            a, b = (node, other) if forward else (other, node)
+            if _residual(network, net, a, b) > 0:
                 seen.add(other)
                 queue.append(other)
     return seen

@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps these onto its exit-code contract: validation problems exit 2,
-combinatorial-explosion refusals exit 3, resource guards exit 4.
+The CLI maps these onto its exit-code contract: certificate failures exit 1,
+parse and validation problems exit 2, combinatorial-explosion refusals exit 3,
+resource guards exit 4, and every other error of this package (an internal
+inconsistency) exits 5.
 """
 
 

@@ -199,11 +199,6 @@ class Marginal:
     def t(self, vertex: str) -> int:
         return self.graph.degree(vertex) - self.s_counts[vertex]
 
-    @property
-    def traced_legs(self) -> frozenset[int] | None:
-        """Explicit traced legs, or ``None`` for a counts-mode spec."""
-        return self.trace.traced
-
     def completed_traced_legs(self) -> frozenset[int]:
         """Leg-level view; counts-mode specs trace the lowest-numbered legs
         of each vertex (the deterministic completion rule)."""
@@ -213,12 +208,6 @@ class Marginal:
         for v in self.graph.vertices:
             traced.extend(self.graph.legs_of(v)[: self.t(v)])
         return frozenset(traced)
-
-    def surviving_legs(self) -> tuple[int, ...]:
-        traced = self.completed_traced_legs()
-        return tuple(
-            leg.leg_id for leg in self.graph.legs if leg.leg_id not in traced
-        )
 
     def to_document(self) -> dict:
         doc = self.graph.to_document()

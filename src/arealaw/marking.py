@@ -104,12 +104,10 @@ def area_bruteforce(marginal: Marginal, combination_limit: int = 10 ** 6
             f"{count} compatible markings exceed the limit {combination_limit}"
         )
     fat = fatten(marginal.graph)
-    pairs = fat.fat_edges
     best = -1
     witness = None
     for marking in iter_compatible_markings(marginal):
-        m = marking.marked
-        cr = sum(1 for a, b in pairs if (a in m) != (b in m))
+        cr = crossings(fat, marking)
         if cr > best:
             best = cr
             witness = marking

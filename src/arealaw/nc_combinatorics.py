@@ -49,18 +49,25 @@ def inverse(a: Permutation) -> Permutation:
     return tuple(inv)
 
 
-def cycle_count(a: Permutation) -> int:
+def _cycles(a: Permutation) -> list[list[int]]:
+    """The cycles of ``a``, each listed from its smallest element."""
     seen = [False] * len(a)
-    count = 0
+    cycles = []
     for start in range(len(a)):
         if seen[start]:
             continue
-        count += 1
+        cycle = []
         j = start
         while not seen[j]:
             seen[j] = True
+            cycle.append(j)
             j = a[j]
-    return count
+        cycles.append(cycle)
+    return cycles
+
+
+def cycle_count(a: Permutation) -> int:
+    return len(_cycles(a))
 
 
 def is_geodesic(a: Permutation) -> bool:
@@ -110,36 +117,12 @@ def fuss_catalan(p: int, length: int) -> int:
 
 def cycle_notation(a: Permutation) -> str:
     """Debug rendering, e.g. ``(0 1 2)`` or ``(0)(1 2)``."""
-    seen = [False] * len(a)
-    parts = []
-    for start in range(len(a)):
-        if seen[start]:
-            continue
-        cycle = []
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            cycle.append(str(j))
-            j = a[j]
-        parts.append("(" + " ".join(cycle) + ")")
-    return "".join(parts)
+    return "".join("(" + " ".join(map(str, c)) + ")" for c in _cycles(a))
 
 
 def to_partition(a: Permutation) -> frozenset[frozenset[int]]:
     """Cycle supports of a geodesic permutation, i.e. its blocks."""
-    seen = [False] * len(a)
-    blocks = []
-    for start in range(len(a)):
-        if seen[start]:
-            continue
-        block = []
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            block.append(j)
-            j = a[j]
-        blocks.append(frozenset(block))
-    return frozenset(blocks)
+    return frozenset(frozenset(c) for c in _cycles(a))
 
 
 def refines(a: Permutation, b: Permutation) -> bool:
@@ -153,21 +136,6 @@ def refines(a: Permutation, b: Permutation) -> bool:
         if len(owners) != 1:
             return False
     return True
-
-
-def kreweras_leq(a: Permutation, b: Permutation) -> bool:
-    """Order via geodesics: a <= b iff id -> a -> b -> gamma is a geodesic."""
-    p = len(a)
-
-    def length(x: Permutation) -> int:
-        return p - cycle_count(x)
-
-    return (
-        length(a)
-        + length(compose(inverse(a), b))
-        + length(compose(inverse(b), full_cycle(p)))
-        == p - 1
-    )
 
 
 @lru_cache(maxsize=None)

@@ -23,18 +23,6 @@ from .errors import UnknownCaseError, ValidationError
 from .graph_model import Marginal, is_adapted
 from .nc_combinatorics import MAX_P, narayana
 
-CASE_LABELS = (
-    "adapted",
-    "single_loop",
-    "one_vertex",
-    "black_hole_1",
-    "black_hole_2",
-    "oxygen_1",
-    "oxygen_2",
-    "generic",
-)
-
-
 @dataclass(frozen=True)
 class MPParams:
     """Marchenko-Pastur parameter; density support is

@@ -30,6 +30,11 @@ from .marking import Marking, marking_from_flow
 from .mc_simulator import build_reduced_state, run_experiment, spectral_report
 
 
+def _is_int(value) -> bool:
+    """An integer that is not a bool (JSON ``true`` parses to ``True``)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TransportInstance:
     """Shared pairs, per-site shipping quotas and the local dimension."""
@@ -41,20 +46,24 @@ class TransportInstance:
 
     @classmethod
     def build(cls, facilities, pairs, quotas, N=2) -> "TransportInstance":
+        """Validate and canonicalize.  ``pairs`` maps ``(a, b)`` to a count,
+        or lists ``((a, b), count)`` items; counts of one pair add up."""
         facilities = tuple(facilities)
         if len(set(facilities)) != len(facilities) or not facilities:
             raise ValidationError("facilities must be non-empty and unique")
         index = {f: i for i, f in enumerate(facilities)}
         canonical: dict[tuple[str, str], int] = {}
-        for (a, b), count in dict(pairs).items():
+        items = pairs.items() if isinstance(pairs, Mapping) else pairs
+        for (a, b), count in items:
             if a not in index or b not in index:
                 raise ValidationError(f"pair ({a!r}, {b!r}) names an unknown site")
             if a == b:
                 raise ValidationError(
                     f"self-pair at {a!r}: local singlets come from quota padding"
                 )
-            if not isinstance(count, int) or count < 0:
-                raise ValidationError(f"pair count for ({a!r}, {b!r}) must be >= 0")
+            if not _is_int(count) or count < 0:
+                raise ValidationError(
+                    f"pair count for ({a!r}, {b!r}) must be an integer >= 0")
             key = (a, b) if index[a] < index[b] else (b, a)
             canonical[key] = canonical.get(key, 0) + count
         clean_quotas = {}
@@ -62,14 +71,14 @@ class TransportInstance:
             if f not in quotas:
                 raise ValidationError(f"missing quotas for site {f!r}")
             to_a, to_b = quotas[f]
-            if not all(isinstance(q, int) and not isinstance(q, bool)
-                       for q in (to_a, to_b)):
+            if not (_is_int(to_a) and _is_int(to_b)):
                 raise ValidationError(f"quotas at site {f!r} must be integers")
             if to_a < 0 or to_b < 0:
                 raise ValidationError(f"negative quota at site {f!r}")
             clean_quotas[f] = (to_a, to_b)
-        if N < 2:
-            raise ValidationError("local dimension N must be at least 2")
+        if not _is_int(N) or N < 2:
+            raise ValidationError(
+                f"local dimension N must be an integer >= 2, got {N!r}")
         return cls(facilities=facilities, pairs=canonical,
                    quotas=clean_quotas, N=N)
 
@@ -102,15 +111,22 @@ def parse_instance(text: str) -> TransportInstance:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
-    for key in ("facilities", "pairs", "quotas"):
+    for key, kind, name in (("facilities", list, "array"),
+                            ("pairs", list, "array"),
+                            ("quotas", dict, "object")):
         if key not in doc:
             raise ParseError(f"instance document needs '{key}'")
-    pairs = {}
+        if not isinstance(doc[key], kind):
+            raise ParseError(f"'{key}' must be a JSON {name}")
+    if not all(isinstance(f, str) for f in doc["facilities"]):
+        raise ParseError("facilities must be strings")
+    pairs = []
     for i, rec in enumerate(doc["pairs"]):
         if not isinstance(rec, dict) or not {"a", "b", "count"} <= set(rec):
             raise ParseError(f"pair {i} must be an object with 'a', 'b', 'count'")
-        key = (rec["a"], rec["b"])
-        pairs[key] = pairs.get(key, 0) + rec["count"]
+        if not (isinstance(rec["a"], str) and isinstance(rec["b"], str)):
+            raise ParseError(f"pair {i} must name its sites with strings")
+        pairs.append(((rec["a"], rec["b"]), rec["count"]))
     quotas = {}
     for site, rec in doc["quotas"].items():
         if not isinstance(rec, dict) or "A" not in rec or "B" not in rec:
@@ -188,22 +204,20 @@ def to_marginal(instance: TransportInstance) -> Marginal:
     return resolve_trace(graph, TraceSpec.from_counts(counts))
 
 
-def scenarios(instance: TransportInstance) -> tuple[int, int, int]:
-    """The three scenario values (Y1, Y2, Y3) in ebits."""
+def _quota_values(instance: TransportInstance) -> tuple[int, int]:
+    """Y1 and Y2, which depend on the quotas alone."""
     y1 = sum(min(a, b) for a, b in instance.quotas.values())
     y2 = min(
         sum(a for a, _ in instance.quotas.values()),
         sum(b for _, b in instance.quotas.values()),
     )
-    if not _active_sites(instance):
-        return (0, 0, 0)
-    marginal = to_marginal(instance)
-    y3 = max_flow(build_network(marginal)).value
-    return (y1, y2, y3)
+    return y1, y2
 
 
-def routing(instance: TransportInstance) -> RoutingPlan:
-    """Optimal local routing: marked legs ship to A, unmarked to B."""
+def _solve(instance: TransportInstance
+           ) -> tuple[Marginal, tuple[int, int, int], RoutingPlan]:
+    """The marginal, the scenario values and the optimal routing, from one
+    marginal, one max flow and one marking (Y3 is the flow value)."""
     marginal = to_marginal(instance)
     flow = max_flow(build_network(marginal))
     marking = marking_from_flow(marginal, flow)
@@ -218,7 +232,22 @@ def routing(instance: TransportInstance) -> RoutingPlan:
         to_a[site] = a_legs
         to_b[site] = b_legs
         perm[site] = a_legs + b_legs
-    return RoutingPlan(to_A=to_a, to_B=to_b, permutation=perm, marking=marking)
+    plan = RoutingPlan(to_A=to_a, to_B=to_b, permutation=perm, marking=marking)
+    return marginal, (*_quota_values(instance), flow.value), plan
+
+
+def scenarios(instance: TransportInstance) -> tuple[int, int, int]:
+    """The three scenario values (Y1, Y2, Y3) in ebits."""
+    y1, y2 = _quota_values(instance)
+    if not _active_sites(instance):
+        return (y1, y2, 0)
+    y3 = max_flow(build_network(to_marginal(instance))).value
+    return (y1, y2, y3)
+
+
+def routing(instance: TransportInstance) -> RoutingPlan:
+    """Optimal local routing: marked legs ship to A, unmarked to B."""
+    return _solve(instance)[2]
 
 
 @dataclass(frozen=True)
@@ -268,9 +297,7 @@ def certify(instance: TransportInstance, N: int | None = None,
     """
     if N is None:
         N = instance.N
-    y1, y2, y3 = scenarios(instance)
-    plan = routing(instance)
-    marginal = to_marginal(instance)
+    marginal, (y1, y2, y3), plan = _solve(instance)
     g = marginal.graph
 
     routed = resolve_trace(

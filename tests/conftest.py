@@ -5,10 +5,27 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 
 import numpy as np
+import pytest
 
 from arealaw import Edge, Graph, Marginal, TraceSpec, parse_marginal, resolve_trace
+
+
+@pytest.fixture
+def transport_calls(monkeypatch) -> Counter:
+    """Counts the marginals, max flows and markings that ``arealaw.transport``
+    computes while the test runs."""
+    from arealaw import transport
+
+    counts = Counter()
+    for name in ("to_marginal", "max_flow", "marking_from_flow"):
+        def counted(*args, _fn=getattr(transport, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(transport, name, counted)
+    return counts
 
 
 def doc(vertices, edges, trace) -> dict:

@@ -8,9 +8,27 @@ from pathlib import Path
 import pytest
 
 import arealaw
-from arealaw.cli import REPORT_SCHEMA, main
+from arealaw import InconsistencyError
+from arealaw.cli import main
 
 from conftest import doc
+
+# Every --out report must match this; the CLI itself does not validate.
+REPORT_SCHEMA = {
+    "type": "object",
+    "required": ["schema_version", "command", "inputs"],
+    "properties": {
+        "schema_version": {"type": "integer"},
+        "command": {"type": "string"},
+        "inputs": {"type": "object"},
+        "flow": {"type": "object"},
+        "marking": {"type": "object"},
+        "prediction": {"type": "object"},
+        "mc": {"type": "object"},
+        "verdict": {"type": "object"},
+        "transport": {"type": "object"},
+    },
+}
 
 
 @pytest.fixture
@@ -133,13 +151,26 @@ def test_simulate_spectra_csv(write_doc, tmp_path):
     assert len(lines) == 1 + 2 * 4  # two samples, four eigenvalues each
 
 
-def test_simulate_report_matches_schema(write_doc, tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["area", "-g", "{graph}"],
+    ["predict", "-g", "{graph}", "-N", "4"],
+    ["simulate", "-g", "{graph}", "-N", "4", "-n", "2", "--seed", "3"],
+    ["verify", "-g", "{graph}", "-N", "4", "-n", "2", "--seed", "3",
+     "--slack", "1"],
+    ["transport", "-i", "{instance}"],
+    ["transport", "-i", "{instance}", "--certify", "--haar-samples", "3"],
+], ids=["area", "predict", "simulate", "verify", "transport",
+        "transport-certify"])
+def test_report_matches_schema(write_doc, tmp_path, argv):
     jsonschema = pytest.importorskip("jsonschema")
-    graph = write_doc("bh.json", black_hole2_doc())
+    paths = {"graph": write_doc("bh.json", black_hole2_doc()),
+             "instance": write_doc("inst.json", instance_doc())}
     out = tmp_path / "r.json"
-    assert main(["simulate", "-g", graph, "-N", "4", "-n", "2", "--seed", "3",
-                 "--out", str(out)]) == 0
-    jsonschema.validate(json.loads(out.read_text()), REPORT_SCHEMA)
+    argv = [a.format(**paths) for a in argv]
+    assert main(argv + ["--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert report["command"] == argv[0]
 
 
 def test_verify_black_hole_case2(write_doc, capsys):
@@ -228,6 +259,56 @@ def test_transport_non_integer_quota_exit_code(write_doc, capsys, quota):
     assert main(["transport", "-i", instance]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "integers" in err
+
+
+@pytest.mark.parametrize("change", [
+    {"pairs": [{"a": "P1", "b": "P2", "count": True}]},
+    {"pairs": [{"a": "P1", "b": "P2", "count": 1.0}]},
+    {"pairs": [{"a": "P1", "b": "P2", "count": -1},
+               {"a": "P1", "b": "P2", "count": 2}]},
+    {"N": 2.5},
+    {"N": "3"},
+    {"N": True},
+    {"quotas": [1, 2]},
+    {"facilities": "P1"},
+    {"facilities": [["P1"], "P2"]},
+    {"pairs": {"a": "P1", "b": "P2", "count": 1}},
+    {"pairs": [{"a": ["P1"], "b": "P2", "count": 1}]},
+], ids=["count-true", "count-float", "count-negative-summand", "N-float",
+        "N-string", "N-true", "quotas-array", "facilities-string",
+        "facilities-nested", "pairs-object", "pair-site-array"])
+@pytest.mark.parametrize("certify", [False, True], ids=["plain", "certify"])
+def test_transport_bad_instance_exit_code(write_doc, capsys, change, certify):
+    instance = write_doc("inst.json", dict(instance_doc(), **change))
+    argv = ["transport", "-i", instance] + (["--certify"] if certify else [])
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("input error:")
+
+
+@pytest.mark.parametrize("certify", [False, True], ids=["plain", "certify"])
+def test_transport_solves_once(write_doc, capsys, transport_calls, certify):
+    instance = write_doc("inst.json", instance_doc())
+    argv = ["transport", "-i", instance] + (["--certify"] if certify else [])
+    assert main(argv + ["--haar-samples", "2"]) == 0
+    assert "Y3 (local unitaries)    = 1" in capsys.readouterr().out
+    assert transport_calls == {"to_marginal": 1, "max_flow": 1,
+                               "marking_from_flow": 1}
+
+
+@pytest.mark.parametrize("command, module", [("area", "arealaw.cli"),
+                                             ("transport", "arealaw.transport")])
+def test_internal_error_exit_code(write_doc, capsys, monkeypatch, command, module):
+    def inconsistent(network):
+        raise InconsistencyError("min cut does not certify the flow value")
+
+    monkeypatch.setattr(f"{module}.max_flow", inconsistent)
+    source = (["-g", write_doc("loop.json", single_loop_doc())]
+              if command == "area" else ["-i", write_doc("inst.json", instance_doc())])
+    assert main([command, *source]) == 5
+    assert capsys.readouterr().err == (
+        "internal error: min cut does not certify the flow value\n")
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])

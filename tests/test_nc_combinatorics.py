@@ -16,17 +16,36 @@ from arealaw import (
 )
 from arealaw.errors import CombinatorialLimitError
 from arealaw.nc_combinatorics import (
+    compose,
     cycle_count,
     cycle_notation,
     full_cycle,
     identity,
+    inverse,
     is_geodesic,
-    kreweras_leq,
     narayana,
     refines,
+    to_partition,
 )
 
 from conftest import black_hole, oxygen, single_loop
+
+
+def kreweras_leq(a, b):
+    """Order via geodesics: a <= b iff id -> a -> b -> gamma is a geodesic.
+
+    An independent route to the refinement order that the library uses."""
+    p = len(a)
+
+    def length(x):
+        return p - cycle_count(x)
+
+    return (
+        length(a)
+        + length(compose(inverse(a), b))
+        + length(compose(inverse(b), full_cycle(p)))
+        == p - 1
+    )
 
 
 def test_enumerate_counts_match_catalan():
@@ -109,6 +128,9 @@ def test_kreweras_agrees_with_refinement():
 def test_cycle_notation():
     assert cycle_notation(identity(3)) == "(0)(1)(2)"
     assert cycle_notation(full_cycle(3)) == "(0 1 2)"
+    assert cycle_notation((0, 2, 1)) == "(0)(1 2)"
+    assert to_partition((0, 2, 1)) == {frozenset({0}), frozenset({1, 2})}
+    assert cycle_count((0, 2, 1)) == 2
 
 
 def test_narayana_sums_to_catalan():

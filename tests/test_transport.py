@@ -6,6 +6,7 @@ import pytest
 
 from arealaw import (
     InfeasibleError,
+    ParseError,
     TransportInstance,
     ValidationError,
     certify,
@@ -168,6 +169,40 @@ def test_instance_validation():
     for bad in (1.7, 1.0, True, "1"):
         with pytest.raises(ValidationError, match="integers"):
             TransportInstance.build(["P1"], {}, {"P1": (bad, 1)})
+        with pytest.raises(ValidationError, match="pair count"):
+            TransportInstance.build(["P1", "P2"], {("P1", "P2"): bad},
+                                    {"P1": (1, 0), "P2": (0, 1)})
+    for bad in (2.5, 2.0, True, "3", None):
+        with pytest.raises(ValidationError, match="local dimension"):
+            TransportInstance.build(["P1"], {}, {"P1": (1, 1)}, N=bad)
+    # counts of one pair add up only after each one is checked
+    with pytest.raises(ValidationError, match="pair count"):
+        TransportInstance.build(["P1", "P2"], [(("P1", "P2"), -1), (("P1", "P2"), 2)],
+                                {"P1": (1, 0), "P2": (0, 1)})
+    summed = TransportInstance.build(
+        ["P1", "P2"], [(("P1", "P2"), 1), (("P2", "P1"), 1)],
+        {"P1": (1, 1), "P2": (1, 1)})
+    assert summed.pairs == {("P1", "P2"): 2}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"facilities": "P1"}, "'facilities' must be a JSON array"),
+    ({"facilities": [["P1"], "P2"]}, "facilities must be strings"),
+    ({"pairs": {"a": "P1", "b": "P2", "count": 1}}, "'pairs' must be a JSON array"),
+    ({"pairs": [{"a": ["P1"], "b": "P2", "count": 1}]}, "pair 0 must name"),
+    ({"quotas": [1, 2]}, "'quotas' must be a JSON object"),
+])
+def test_parse_instance_rejects_wrong_shapes(change, message):
+    payload = dict(single_edge_instance().to_document(), **change)
+    with pytest.raises(ParseError, match=message):
+        parse_instance(json.dumps(payload))
+
+
+def test_certify_solves_once(transport_calls):
+    cert = certify(path_instance(), 2, haar_samples=2, seed=0)
+    assert cert.Y3 == 2
+    assert transport_calls == {"to_marginal": 1, "max_flow": 1,
+                               "marking_from_flow": 1}
 
 
 def test_parse_instance_round_trip():
