@@ -1,16 +1,17 @@
 """Flow network of a marginal: max flow, min cuts and unit-path decompositions.
 
 The network has one node per graph vertex plus two distinguished nodes.
-Capacities are symmetric: the multiplicity of the edges between two distinct
-vertices, ``t(v)`` from the source to each vertex and ``s(v)`` from each
-vertex to the sink.  Loops carry no capacity.  The maximal flow equals the
-boundary area of the partition (see :mod:`arealaw.marking` for the dual,
-marking-based definition).
+Its arcs are directed: ``t(v)`` from the source to each vertex, ``s(v)`` from
+each vertex to the sink, and the multiplicity of the edges between two
+distinct vertices in both directions.  Loops carry no capacity.  The maximal
+flow equals the boundary area of the partition (see :mod:`arealaw.marking`
+for the dual, marking-based definition).
 
-Networks here are tiny (vertex count + 2 nodes), so the solver favours
-auditability: breadth-first augmenting paths, an explicit decomposition of
-the final flow into unit source-sink paths, and min-cut tie detection via
-the two extremal cuts of the residual graph.
+Networks here are tiny (vertex count + 2 nodes; the assignment network of
+:func:`arealaw.marking.marking_from_flow` adds one node per edge), so the
+solver favours auditability: breadth-first augmenting paths, an explicit
+decomposition of the final flow into unit source-sink paths, and min-cut tie
+detection via the two extremal cuts of the residual graph.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Hashable, Iterable, Mapping
 
 from .errors import CombinatorialLimitError, InconsistencyError, ValidationError
 from .graph_model import Marginal
@@ -29,23 +30,27 @@ SINK = "sink"
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """Symmetric integer capacities on unordered node pairs."""
+    """Integer capacities on directed arcs; an undirected edge is two arcs."""
 
-    nodes: tuple[str, ...]  # (source, graph vertices in document order, sink)
-    capacities: Mapping[tuple[str, str], int]  # canonical node-order pairs
+    nodes: tuple[Hashable, ...]  # (source, inner nodes in document order, sink)
+    capacities: Mapping[tuple[Hashable, Hashable], int]  # (tail, head) -> cap
 
     @cached_property
-    def _index(self) -> dict[str, int]:
-        return {n: i for i, n in enumerate(self.nodes)}
+    def _linked(self) -> dict[Hashable, tuple[Hashable, ...]]:
+        """Per node, the nodes joined to it by an arc either way, in node
+        order: the only candidates for a residual arc."""
+        linked: dict[Hashable, set] = {n: set() for n in self.nodes}
+        for a, b in self.capacities:
+            linked[a].add(b)
+            linked[b].add(a)
+        return {n: tuple(m for m in self.nodes if m in linked[n])
+                for n in self.nodes}
 
-    def _key(self, a: str, b: str) -> tuple[str, str]:
-        return (a, b) if self._index[a] <= self._index[b] else (b, a)
-
-    def cap(self, a: str, b: str) -> int:
-        return self.capacities.get(self._key(a, b), 0)
+    def cap(self, a: Hashable, b: Hashable) -> int:
+        return self.capacities.get((a, b), 0)
 
     @property
-    def graph_vertices(self) -> tuple[str, ...]:
+    def graph_vertices(self) -> tuple[Hashable, ...]:
         return self.nodes[1:-1]
 
 
@@ -88,30 +93,30 @@ def build_network(marginal: Marginal) -> FlowNetwork:
         for w in g.vertices[i + 1:]:
             mult = g.multiplicity(v, w)
             if mult > 0:
-                caps[(v, w)] = mult
+                caps[(v, w)] = caps[(w, v)] = mult
     return FlowNetwork(nodes=nodes, capacities=caps)
 
 
-def _residual(network: FlowNetwork, flow: Mapping[tuple[str, str], int],
-              a: str, b: str) -> int:
+def _residual(network: FlowNetwork, flow: Mapping[tuple[Hashable, Hashable], int],
+              a: Hashable, b: Hashable) -> int:
     """Residual capacity from ``a`` to ``b`` under a flow per ordered pair."""
     return network.cap(a, b) - flow.get((a, b), 0) + flow.get((b, a), 0)
 
 
-def _max_flow_net(network: FlowNetwork) -> dict[tuple[str, str], int]:
-    """Edmonds-Karp on the symmetric network; returns net flow per ordered
-    pair (flows in opposite directions are cancelled)."""
-    flow: dict[tuple[str, str], int] = defaultdict(int)
+def _max_flow_net(network: FlowNetwork) -> dict[tuple[Hashable, Hashable], int]:
+    """Edmonds-Karp; returns net flow per ordered pair (flows in opposite
+    directions are cancelled)."""
+    flow: dict[tuple[Hashable, Hashable], int] = defaultdict(int)
     while True:
         # shortest augmenting path in the residual graph
-        parent: dict[str, str] = {SOURCE: SOURCE}
+        parent: dict[Hashable, Hashable] = {SOURCE: SOURCE}
         queue = deque([SOURCE])
         while queue:
             node = queue.popleft()
             if node == SINK:
                 break
-            for other in network.nodes:
-                if (other not in parent and other != node
+            for other in network._linked[node]:
+                if (other not in parent
                         and _residual(network, flow, node, other) > 0):
                     parent[other] = node
                     queue.append(other)
@@ -130,16 +135,16 @@ def _max_flow_net(network: FlowNetwork) -> dict[tuple[str, str], int]:
     return {k: v for k, v in flow.items() if v > 0}
 
 
-def _reachable(network: FlowNetwork, net: Mapping[tuple[str, str], int],
-               start: str, forward: bool) -> set[str]:
+def _reachable(network: FlowNetwork, net: Mapping[tuple[Hashable, Hashable], int],
+               start: Hashable, forward: bool) -> set[Hashable]:
     """Residual reachability from ``start``; ``forward=False`` follows
     residual arcs backwards (who can still reach ``start``)."""
     seen = {start}
     queue = deque([start])
     while queue:
         node = queue.popleft()
-        for other in network.nodes:
-            if other in seen or other == node:
+        for other in network._linked[node]:
+            if other in seen:
                 continue
             a, b = (node, other) if forward else (other, node)
             if _residual(network, net, a, b) > 0:
@@ -189,17 +194,13 @@ def _decompose_unit_paths(network: FlowNetwork,
     return tuple(paths)
 
 
-def cut_capacity(network: FlowNetwork, source_side: Iterable[str]) -> int:
-    """Capacity of the cut separating ``source_side`` from the rest."""
+def cut_capacity(network: FlowNetwork, source_side: Iterable[Hashable]) -> int:
+    """Capacity of the arcs leaving ``source_side``."""
     side = set(source_side)
     if SOURCE not in side or SINK in side:
         raise ValidationError("cut must contain the source and not the sink")
-    total = 0
-    for i, a in enumerate(network.nodes):
-        for b in network.nodes[i + 1:]:
-            if (a in side) != (b in side):
-                total += network.cap(a, b)
-    return total
+    return sum(c for (a, b), c in network.capacities.items()
+               if a in side and b not in side)
 
 
 def max_flow(network: FlowNetwork) -> FlowResult:

@@ -38,10 +38,16 @@ SCHEMA_VERSION = 1
 LN2 = math.log(2.0)
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_report(report: dict, out: str | None) -> None:
     if out:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        Path(out).write_text(text, encoding="utf-8")
+        _write(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def _read(path: str) -> str:
@@ -147,11 +153,10 @@ def _simulate_report(marginal, args, seed: int):
         "mc": mc.to_document(),
     }
     if args.spectra:
-        with open(args.spectra, "w", encoding="utf-8") as fh:
-            fh.write("sample,index,eigenvalue\n")
-            for i, spectrum in enumerate(mc.spectra):
-                for j, value in enumerate(spectrum):
-                    fh.write(f"{i},{j},{float(value)!r}\n")
+        _write(args.spectra, "sample,index,eigenvalue\n" + "".join(
+            f"{i},{j},{float(value)!r}\n"
+            for i, spectrum in enumerate(mc.spectra)
+            for j, value in enumerate(spectrum)))
     return report, prediction
 
 

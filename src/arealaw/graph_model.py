@@ -276,6 +276,8 @@ def graph_from_document(doc: dict) -> Graph:
     for i, rec in enumerate(doc["edges"]):
         if not isinstance(rec, dict) or "u" not in rec or "v" not in rec:
             raise ParseError(f"edge {i} must be an object with 'u' and 'v'")
+        if not (isinstance(rec["u"], str) and isinstance(rec["v"], str)):
+            raise ParseError(f"edge {i} must name its endpoints with strings")
         d = rec.get("d", 1)
         edges.append(Edge(u=rec["u"], v=rec["v"], d=d))
     return Graph(vertices=tuple(doc["vertices"]), edges=tuple(edges))
@@ -292,8 +294,9 @@ def trace_from_document(doc: dict) -> TraceSpec:
             raise ParseError("counts-mode trace needs an 's' mapping")
         return TraceSpec.from_counts(rec["s"])
     if rec["mode"] == "legs":
-        if "traced" not in rec or not isinstance(rec["traced"], list):
-            raise ParseError("legs-mode trace needs a 'traced' list")
+        if (not isinstance(rec.get("traced"), list)
+                or any(isinstance(leg, (list, dict)) for leg in rec["traced"])):
+            raise ParseError("legs-mode trace needs a 'traced' list of leg ids")
         return TraceSpec.from_legs(rec["traced"])
     raise ParseError(f"unknown trace mode {rec['mode']!r}")
 

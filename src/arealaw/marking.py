@@ -5,8 +5,10 @@ one fat edge per graph edge.  A marking selects ``s(v)`` legs per vertex
 (marked = surviving); its crossings are the fat edges with exactly one
 marked endpoint, and the boundary area of a partition is the maximal
 crossing count over all compatible markings.  That maximum equals the
-maximal flow of the associated network, which is what
-:func:`marking_from_flow` realizes constructively.
+maximal flow of the associated network.  :func:`marking_from_flow` realizes
+it constructively: no marking crosses more edges than a minimum cut's
+capacity, and one assignment flow on the same max-flow engine finds a
+marking that crosses exactly that many.
 """
 
 from __future__ import annotations
@@ -15,7 +17,16 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .boundary_flow import FlowResult, build_network, replay_paths
+from .boundary_flow import (
+    SINK,
+    SOURCE,
+    FlowNetwork,
+    FlowResult,
+    _max_flow_net,
+    build_network,
+    cut_capacity,
+    replay_paths,
+)
 from .errors import CombinatorialLimitError, InconsistencyError
 from .graph_model import Graph, Marginal
 
@@ -117,138 +128,55 @@ def area_bruteforce(marginal: Marginal, combination_limit: int = 10 ** 6
 # -- constructive translation: flow -> marking ------------------------------
 
 
-def _search_crossing_plan(marginal: Marginal, target: int):
-    """Find integer crossing counts achieving ``target``.
-
-    Variables: per ordered adjacent pair (v, w) the number of crossing edges
-    with the v-side leg unmarked and the w-side leg marked; per vertex the
-    number of crossing loops.  Budgets: unmarked assignments at v are capped
-    by t(v), marked ones by s(v), and each unordered pair or loop pool is
-    capped by its edge multiplicity.  A plan summing to the flow value always
-    exists (flow = max crossings); branch and bound finds it quickly on the
-    small graphs in scope.
-    """
-    g = marginal.graph
-    rem_t = {v: marginal.t(v) for v in g.vertices}
-    rem_s = {v: marginal.s(v) for v in g.vertices}
-
-    items: list[tuple] = []
-    for i, v in enumerate(g.vertices):
-        for w in g.vertices[i + 1:]:
-            mult = g.multiplicity(v, w)
-            if mult > 0:
-                items.append(("pair", v, w, mult))
-    for v in g.vertices:
-        loops = len(g.loop_indices(v))
-        if loops > 0:
-            items.append(("loop", v, loops))
-
-    potential = [0] * (len(items) + 1)
-    for i in range(len(items) - 1, -1, -1):
-        potential[i] = potential[i + 1] + items[i][-1]
-
-    plan_pairs: dict[tuple[str, str], int] = {}
-    plan_loops: dict[str, int] = {}
-
-    def dfs(i: int, acc: int) -> bool:
-        if acc == target:
-            return True
-        if acc > target or i == len(items) or acc + potential[i] < target:
-            return False
-        item = items[i]
-        if item[0] == "pair":
-            _, v, w, mult = item
-            for fwd in range(min(mult, rem_t[v], rem_s[w]), -1, -1):
-                rev_max = min(mult - fwd, rem_t[w], rem_s[v])
-                for rev in range(rev_max, -1, -1):
-                    rem_t[v] -= fwd
-                    rem_s[w] -= fwd
-                    rem_t[w] -= rev
-                    rem_s[v] -= rev
-                    if dfs(i + 1, acc + fwd + rev):
-                        plan_pairs[(v, w)] = fwd
-                        plan_pairs[(w, v)] = rev
-                        return True
-                    rem_t[v] += fwd
-                    rem_s[w] += fwd
-                    rem_t[w] += rev
-                    rem_s[v] += rev
-        else:
-            _, v, loops = item
-            for n in range(min(loops, rem_t[v], rem_s[v]), -1, -1):
-                rem_t[v] -= n
-                rem_s[v] -= n
-                if dfs(i + 1, acc + n):
-                    plan_loops[v] = n
-                    return True
-                rem_t[v] += n
-                rem_s[v] += n
-        return False
-
-    if not dfs(0, 0):
-        return None
-    return plan_pairs, plan_loops
-
-
 def marking_from_flow(marginal: Marginal, flow: FlowResult) -> Marking:
     """Translate a maximal flow into a compatible marking whose crossings
-    equal the flow value.
+    equal the flow value, read off the flow's minimum cut.
 
-    Each flow unit is realized as one crossing: a unit between distinct
-    vertices as a crossing edge (unmarked on the source-ward side, marked on
-    the sink-ward side), a direct source-vertex-sink unit as a crossing loop.
-    Remaining leg marks are completed deterministically, lowest leg id first;
-    the completion can never create or destroy crossings beyond the flow
-    value, because the flow is also the maximum crossing count.
+    Let S be the cut's vertex side and T the rest.  Charge each crossing
+    edge to its marked leg if that leg is in S, else to its unmarked leg if
+    that leg is in T, else to the edge itself (an S-T edge).  No target is
+    charged twice, so crossings are at most ``sum_S s + sum_T t + e(S, T)``,
+    the cut capacity.  A marking that reaches it uses every charge: each S-T
+    edge crosses with its S leg unmarked, each marked leg in S crosses an
+    edge inside S, and each unmarked leg in T crosses an edge inside T.
+
+    One max flow finds such legs: the source feeds each edge not cut by S,
+    each edge feeds one of its endpoints, and each vertex drains ``s(v)``
+    (in S) or ``t(v)`` (in T) into the sink.  The fed legs in S and the
+    unfed legs in T are marked.  The inputs are checked first (the paths
+    replay to the flow value, the cut's capacity equals it); a flow that
+    does not fill every drain, or a marking that misses the flow value,
+    raises :class:`InconsistencyError`.
     """
     g = marginal.graph
     network = build_network(marginal)
     if replay_paths(network, flow.paths) != flow.value:
         raise InconsistencyError("path decomposition does not match the flow value")
+    if cut_capacity(network, flow.cut) != flow.value:
+        raise InconsistencyError("the cut does not certify the flow value")
 
-    plan = _search_crossing_plan(marginal, flow.value)
-    if plan is None:
-        raise InconsistencyError(
-            "no crossing assignment matches the flow value; invalid flow input"
-        )
-    plan_pairs, plan_loops = plan
+    side = set(flow.cut)
+    # edge i is node i: an int never collides with a vertex name
+    caps: dict[tuple, int] = {}
+    for i, e in enumerate(g.edges):
+        if (e.u in side) == (e.v in side):
+            caps[(SOURCE, i)] = 1
+            caps[(i, e.u)] = caps[(i, e.v)] = 1
+    drains = {v: marginal.s(v) if v in side else marginal.t(v) for v in g.vertices}
+    caps.update({(v, SINK): d for v, d in drains.items() if d > 0})
+    assignment = _max_flow_net(FlowNetwork(
+        nodes=(SOURCE, *range(len(g.edges)), *g.vertices, SINK), capacities=caps))
+    if sum(f for (_, b), f in assignment.items() if b == SINK) != sum(drains.values()):
+        raise InconsistencyError("the cut admits no leg assignment")
 
-    marked: set[int] = set()
-    unmarked: set[int] = set()
-
-    for i, v in enumerate(g.vertices):
-        for w in g.vertices[i + 1:]:
-            fwd = plan_pairs.get((v, w), 0)
-            rev = plan_pairs.get((w, v), 0)
-            for edge_index in g.edges_between(v, w):
-                a, b = 2 * edge_index, 2 * edge_index + 1
-                v_leg, w_leg = (a, b) if g.leg(a).vertex == v else (b, a)
-                if fwd > 0:
-                    unmarked.add(v_leg)
-                    marked.add(w_leg)
-                    fwd -= 1
-                elif rev > 0:
-                    unmarked.add(w_leg)
-                    marked.add(v_leg)
-                    rev -= 1
-    for v, n in plan_loops.items():
-        for edge_index in g.loop_indices(v)[:n]:
-            unmarked.add(2 * edge_index)
-            marked.add(2 * edge_index + 1)
-
-    # completion: satisfy the per-vertex counts, lowest leg id first
-    for v in g.vertices:
-        need = marginal.s(v) - sum(1 for l in g.legs_of(v) if l in marked)
-        for leg in g.legs_of(v):
-            if need == 0:
-                break
-            if leg not in marked and leg not in unmarked:
-                marked.add(leg)
-                need -= 1
-        if need != 0:
-            raise InconsistencyError(f"cannot complete marking at vertex {v!r}")
-
-    marking = Marking(marked=frozenset(marked))
+    fed = set()
+    for i, e in enumerate(g.edges):
+        if (i, e.u) in assignment:
+            fed.add(2 * i)
+        elif (i, e.v) in assignment:
+            fed.add(2 * i + 1)
+    marking = Marking(marked=frozenset(
+        leg.leg_id for leg in g.legs if (leg.leg_id in fed) == (leg.vertex in side)))
     if crossings(fatten(g), marking) != flow.value:
         raise InconsistencyError("constructed marking misses the flow value")
     return marking

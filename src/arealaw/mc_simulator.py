@@ -21,6 +21,7 @@ order.  Cross-platform bit-equality is not promised (eigensolvers).
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -91,6 +92,11 @@ def _renyi_orders(q_list: Sequence[float]) -> tuple[float, ...]:
     if not all(0.0 <= q < math.inf for q in orders):
         raise ValidationError("Renyi orders must be finite and non-negative")
     return orders
+
+
+def _check_seed(seed: int) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -395,6 +401,7 @@ def run_experiment(marginal: Marginal, N: int, samples: int, seed: int,
         raise ValidationError("need at least one sample")
     if jobs < 1:
         raise ValidationError(f"jobs must be at least 1, got {jobs}")
+    _check_seed(seed)
     q_list = _renyi_orders(q_list)
     _check_guards(marginal, N)
     payloads = [
@@ -477,6 +484,7 @@ def wishart_experiment(dim_system: int, dim_environment: int, samples: int,
         raise ValidationError("both dimensions must be at least 2")
     if samples < 1:
         raise ValidationError("need at least one sample")
+    _check_seed(seed)
     q_list = _renyi_orders(q_list)
     reports = [
         _summarize_spectrum(sample_wishart_spectrum(

@@ -66,6 +66,9 @@ class TransportInstance:
                     f"pair count for ({a!r}, {b!r}) must be an integer >= 0")
             key = (a, b) if index[a] < index[b] else (b, a)
             canonical[key] = canonical.get(key, 0) + count
+        for site in quotas:
+            if site not in index:
+                raise ValidationError(f"quotas name an unknown site {site!r}")
         clean_quotas = {}
         for f in facilities:
             if f not in quotas:

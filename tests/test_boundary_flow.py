@@ -1,6 +1,7 @@
 import numpy as np
 
 from arealaw import (
+    FlowNetwork,
     Graph,
     TraceSpec,
     build_network,
@@ -45,6 +46,20 @@ def test_adapted_network_has_one_sided_vertices():
     for v in m.graph.vertices:
         deg = m.graph.degree(v)
         assert (net.cap(SOURCE, v), net.cap(v, SINK)) in ((deg, 0), (0, deg))
+
+
+def test_one_way_arc():
+    # A -> B has no reverse arc, so nothing reaches the sink through B -> A
+    net = FlowNetwork(nodes=(SOURCE, "A", "B", SINK), capacities={
+        (SOURCE, "A"): 1, (SOURCE, "B"): 2, ("A", "B"): 2, ("A", SINK): 2})
+    assert net.cap("A", "B") == 2 and net.cap("B", "A") == 0
+    flow = max_flow(net)
+    assert flow.value == 1
+    assert flow.paths == ((SOURCE, "A", SINK),)
+    assert flow.cut == (SOURCE, "B") and not flow.cut_tied
+    # only the arcs leaving the source side count: A -> B enters {source, B}
+    assert cut_capacity(net, (SOURCE, "B")) == 1
+    assert cut_capacity(net, (SOURCE, "A")) == 2 + 2 + 2
 
 
 def test_single_loop_flow():

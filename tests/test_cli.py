@@ -101,9 +101,18 @@ def test_area_limit_exit_code(write_doc, capsys):
     assert "--flow-only" in capsys.readouterr().err
 
 
-def test_area_invalid_document(write_doc):
+def test_area_invalid_document(write_doc, capsys):
     graph = write_doc("bad.json", {"vertices": ["A"], "edges": []})
     assert main(["area", "-g", graph]) == 2
+    endpoint = black_hole2_doc()
+    endpoint["edges"][0]["u"] = ["V1"]
+    traced = black_hole2_doc()
+    traced["trace"]["traced"] = [[0]]
+    capsys.readouterr()
+    for payload in (endpoint, traced):
+        assert main(["area", "-g", write_doc("bad.json", payload)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("input error:")
 
 
 def test_predict_adapted(write_doc, capsys, tmp_path):
@@ -274,9 +283,12 @@ def test_transport_non_integer_quota_exit_code(write_doc, capsys, quota):
     {"facilities": [["P1"], "P2"]},
     {"pairs": {"a": "P1", "b": "P2", "count": 1}},
     {"pairs": [{"a": ["P1"], "b": "P2", "count": 1}]},
+    {"quotas": {"P1": {"A": 1, "B": 0}, "P2": {"A": 0, "B": 1},
+                "P9": {"A": 5, "B": 5}}},
 ], ids=["count-true", "count-float", "count-negative-summand", "N-float",
         "N-string", "N-true", "quotas-array", "facilities-string",
-        "facilities-nested", "pairs-object", "pair-site-array"])
+        "facilities-nested", "pairs-object", "pair-site-array",
+        "quota-unknown-site"])
 @pytest.mark.parametrize("certify", [False, True], ids=["plain", "certify"])
 def test_transport_bad_instance_exit_code(write_doc, capsys, change, certify):
     instance = write_doc("inst.json", dict(instance_doc(), **change))
@@ -319,6 +331,30 @@ def test_nonpositive_jobs_exit_code(write_doc, capsys, command, jobs):
                  "--jobs", jobs]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "jobs" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "-g", "{graph}", "-N", "2", "-n", "1"],
+    ["verify", "-g", "{graph}", "-N", "2", "-n", "1"],
+    ["transport", "-i", "{instance}", "--certify"],
+], ids=["simulate", "verify", "transport-certify"])
+def test_negative_seed_exit_code(write_doc, capsys, argv):
+    paths = {"graph": write_doc("bh.json", black_hole2_doc()),
+             "instance": write_doc("inst.json", instance_doc())}
+    assert main([a.format(**paths) for a in argv] + ["--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "seed must be an integer >= 0" in err
+
+
+@pytest.mark.parametrize("option", ["--out", "--spectra"])
+def test_unwritable_output_exit_code(write_doc, capsys, tmp_path, option):
+    graph = write_doc("loop.json", single_loop_doc())
+    target = str(tmp_path / "missing" / "file")
+    assert main(["simulate", "-g", graph, "-N", "2", "-n", "1", "--seed", "0",
+                 option, target]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"input error: cannot write {target}")
 
 
 def test_guard_exit_code(write_doc):

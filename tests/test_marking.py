@@ -157,11 +157,13 @@ def test_duality_small_exhaustive():
 def test_marking_from_flow_random():
     rng = np.random.default_rng(9)
     for _ in range(200):
-        m = random_marginal(rng, max_vertices=5, max_edges=6)
+        m = random_marginal(rng, max_vertices=6, max_edges=9)
         flow = max_flow(build_network(m))
         marking = marking_from_flow(m, flow)
         assert is_compatible(m, marking)
         assert crossings(fatten(m.graph), marking) == flow.value
+        if marking_count(m) <= 10 ** 5:
+            assert area_bruteforce(m).area == flow.value
 
 
 def test_marking_from_flow_rejects_bad_decomposition():
@@ -176,6 +178,15 @@ def test_marking_from_flow_rejects_bad_decomposition():
     )
     with pytest.raises(InconsistencyError):
         marking_from_flow(m, bogus)
+
+    # valid paths, but the cut {V2} has capacity 6, not the flow value 2
+    m = black_hole(traced=[0, 3])
+    flow = max_flow(build_network(m))
+    assert flow.value == 2
+    not_minimum = FlowResult(value=flow.value, paths=flow.paths,
+                             cut=("source", "V2"), cut_tied=False)
+    with pytest.raises(InconsistencyError, match="certify"):
+        marking_from_flow(m, not_minimum)
 
 
 def test_monotonicity_add_crossing_edge():

@@ -256,6 +256,11 @@ def test_guards_before_sampling():
         run_experiment(adapted_five(), 8, samples=1, seed=0)
     with pytest.raises(ValidationError):
         run_experiment(single_loop(), 4, samples=0, seed=0)
+    for bad in (-1, 1.5, True):
+        with pytest.raises(ValidationError, match="seed"):
+            run_experiment(single_loop(), 4, samples=1, seed=bad)
+        with pytest.raises(ValidationError, match="seed"):
+            wishart_experiment(4, 8, samples=1, seed=bad)
 
 
 def test_negative_renyi_order_rejected_before_sampling(monkeypatch):

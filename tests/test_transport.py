@@ -162,6 +162,8 @@ def test_instance_validation():
         TransportInstance.build(["P1"], {("P1", "P1"): 1}, {"P1": (1, 1)})
     with pytest.raises(ValidationError, match="unknown site"):
         TransportInstance.build(["P1"], {("P1", "P9"): 1}, {"P1": (1, 1)})
+    with pytest.raises(ValidationError, match="unknown site 'P9'"):
+        TransportInstance.build(["P1"], {}, {"P1": (1, 1), "P9": (5, 5)})
     with pytest.raises(ValidationError, match="missing quotas"):
         TransportInstance.build(["P1", "P2"], {("P1", "P2"): 1}, {"P1": (1, 0)})
     with pytest.raises(ValidationError, match="negative"):
