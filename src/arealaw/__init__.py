@@ -6,7 +6,6 @@ from .boundary_flow import (
     FlowResult,
     MinCut,
     build_network,
-    enumerate_min_cuts,
     max_flow,
     min_cut,
 )

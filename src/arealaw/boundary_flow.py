@@ -17,11 +17,11 @@ detection via the two extremal cuts of the residual graph.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Hashable, Iterable, Mapping
 
-from .errors import CombinatorialLimitError, InconsistencyError, ValidationError
+from .errors import InconsistencyError, ValidationError
 from .graph_model import Marginal
 
 SOURCE = "source"
@@ -60,6 +60,9 @@ class FlowResult:
     paths: tuple[tuple[str, ...], ...]
     cut: tuple[str, ...]  # source side of a minimum cut
     cut_tied: bool        # True iff more than one minimum cut exists
+    # the network the flow was solved on, reused by the marking; not part
+    # of the result's value
+    network: FlowNetwork | None = field(default=None, compare=False, repr=False)
 
     def to_document(self) -> dict:
         return {
@@ -217,7 +220,8 @@ def max_flow(network: FlowNetwork) -> FlowResult:
         raise InconsistencyError("min cut does not certify the flow value")
     tied = minimal != maximal
     paths = _decompose_unit_paths(network, net, value)
-    return FlowResult(value=value, paths=paths, cut=cut, cut_tied=tied)
+    return FlowResult(value=value, paths=paths, cut=cut, cut_tied=tied,
+                      network=network)
 
 
 def min_cut(network: FlowNetwork) -> MinCut:
@@ -228,27 +232,6 @@ def min_cut(network: FlowNetwork) -> MinCut:
     """
     result = max_flow(network)
     return MinCut(source_side=result.cut, capacity=result.value, tied=result.cut_tied)
-
-
-def enumerate_min_cuts(network: FlowNetwork, limit: int = 1 << 16
-                       ) -> list[tuple[str, ...]]:
-    """All minimum cuts by exhaustion over vertex subsets (small networks)."""
-    vertices = network.graph_vertices
-    if 2 ** len(vertices) > limit:
-        raise CombinatorialLimitError(
-            f"{2 ** len(vertices)} subsets exceed the enumeration limit {limit}"
-        )
-    best = None
-    cuts: list[tuple[str, ...]] = []
-    for mask in range(2 ** len(vertices)):
-        side = {SOURCE} | {v for i, v in enumerate(vertices) if mask >> i & 1}
-        c = cut_capacity(network, side)
-        if best is None or c < best:
-            best = c
-            cuts = []
-        if c == best:
-            cuts.append(tuple(n for n in network.nodes if n in side))
-    return cuts
 
 
 def replay_paths(network: FlowNetwork, paths: Iterable[tuple[str, ...]]) -> int:

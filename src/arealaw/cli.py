@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import secrets
 import sys
 from pathlib import Path
@@ -45,9 +46,29 @@ def _write(path: str, text: str) -> None:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
+def _check_writable(path: str) -> None:
+    """The input error ``_write`` would raise, found before any work: the
+    path is not a directory and its directory exists and is writable."""
+    target = Path(path)
+    if target.is_dir():
+        reason = "it is a directory"
+    elif not target.parent.is_dir():
+        reason = f"no directory {str(target.parent)!r}"
+    elif not os.access(target.parent, os.W_OK) or (
+            target.exists() and not os.access(target, os.W_OK)):
+        reason = "permission denied"
+    else:
+        return
+    raise ValidationError(f"cannot write {path}: {reason}")
+
+
 def _write_report(report: dict, out: str | None) -> None:
     if out:
-        _write(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+        try:
+            text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            raise AreaLawError(f"the report holds a non-finite value: {exc}") from exc
+        _write(out, text + "\n")
 
 
 def _read(path: str) -> str:
@@ -68,6 +89,8 @@ def _load_marginal(path: str):
 
 
 def cmd_area(args) -> int:
+    if args.limit < 1:
+        raise ValidationError(f"--limit must be at least 1, got {args.limit}")
     marginal = _load_marginal(args.graph)
     flow = max_flow(build_network(marginal))
     print(f"boundary area X = {flow.value}")
@@ -132,6 +155,9 @@ def _parse_orders(text: str) -> tuple[float, ...]:
 def _simulate_report(marginal, args, seed: int):
     """The simulate report and the prediction it contains."""
     q_list = _parse_orders(args.q)
+    for path in (args.out, args.spectra):
+        if path:
+            _check_writable(path)
     mc = run_experiment(
         marginal, args.N, args.samples, seed, q_list=q_list, jobs=args.jobs,
     )
@@ -173,6 +199,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not 0.0 <= args.slack < math.inf:
+        raise ValidationError(f"--slack must be finite and >= 0, got {args.slack}")
+    if args.expect is not None and not math.isfinite(args.expect):
+        raise ValidationError(f"--expect must be finite, got {args.expect}")
     marginal = _load_marginal(args.graph)
     seed = args.seed if args.seed is not None else secrets.randbits(32)
     report, prediction = _simulate_report(marginal, args, seed)

@@ -143,13 +143,14 @@ def marking_from_flow(marginal: Marginal, flow: FlowResult) -> Marking:
     One max flow finds such legs: the source feeds each edge not cut by S,
     each edge feeds one of its endpoints, and each vertex drains ``s(v)``
     (in S) or ``t(v)`` (in T) into the sink.  The fed legs in S and the
-    unfed legs in T are marked.  The inputs are checked first (the paths
-    replay to the flow value, the cut's capacity equals it); a flow that
-    does not fill every drain, or a marking that misses the flow value,
-    raises :class:`InconsistencyError`.
+    unfed legs in T are marked.  The inputs are checked first, on the
+    network the flow was solved on (built afresh for a result that carries
+    none): the paths replay to the flow value and the cut's capacity equals
+    it.  A flow that does not fill every drain, or a marking that misses
+    the flow value, raises :class:`InconsistencyError`.
     """
     g = marginal.graph
-    network = build_network(marginal)
+    network = flow.network if flow.network is not None else build_network(marginal)
     if replay_paths(network, flow.paths) != flow.value:
         raise InconsistencyError("path decomposition does not match the flow value")
     if cut_capacity(network, flow.cut) != flow.value:

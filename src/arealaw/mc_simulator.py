@@ -2,14 +2,16 @@
 
 A state is the tensor product of one maximally entangled pair per edge with
 an independent Haar-random unitary applied at each vertex; a marginal traces
-out the selected legs.  The state is a tensor network shaped like the graph,
-built by one ``einsum`` contraction of the vertex unitaries along the edges
-straight into its (surviving x traced) factor; the greedy contraction order
-keeps every intermediate within the size of the state or of the largest
-unitary.  The reduced density matrix is never formed: every spectrum is
-``eigvalsh`` of the smaller Gram matrix of the factor, the only
-min(ds, dt)^2 matrix built.  One routine summarises a spectrum and one
-builds the ``MCReport`` from the summaries.
+out the selected legs.  Neither the state nor the reduced density matrix is
+formed: one ``einsum`` over the doubled network (the vertex unitaries on
+the ket, their conjugates on the bra, the legs of the larger side shared,
+those of the smaller side left open) lands straight on the min(ds, dt)-sided
+Gram matrix, whose nonzero spectrum is that of the reduced state.  The
+labels, reshapes and greedy contraction path depend only on the graph, the
+traced legs, ``N`` and which vertices act, so they form a plan built once
+and memoised; the state-dimension guard bounds the largest array that plan
+builds.  One routine summarises a spectrum and one builds the ``MCReport``
+from the summaries.
 
 Determinism contract: every sample derives its own generator from
 ``(seed, sample_index)`` and every vertex from ``(seed, sample_index,
@@ -25,16 +27,19 @@ import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .errors import AreaLawError, ResourceGuardError, ValidationError
-from .graph_model import Marginal
+from .graph_model import Graph, Marginal
 from .spectral_predictor import mp_moment
 
 DEFAULT_STATE_DIM_LIMIT = 2 ** 24
 DEFAULT_HAAR_DIM_LIMIT = 4096
+#: Distinct labels numpy's interleaved ``einsum`` accepts.
+EINSUM_LABEL_LIMIT = 52
 
 #: Normative numeric thresholds for spectra.
 EIGENVALUE_CLIP_REL = 1e-12
@@ -71,20 +76,13 @@ def _check_haar_dim(dim: int, what: str = "Haar dimension") -> None:
         )
 
 
-def _state_dims(marginal: Marginal, N: int) -> tuple[int, ...]:
-    """Leg dimensions of the dense state, once ``N`` and the total state
-    dimension have passed their guards."""
-    if N < 2:
-        raise ValidationError("N must be at least 2")
-    dims = leg_dimensions(marginal, N)
-    total = math.prod(dims)
+def _check_size(size: int, what: str) -> None:
     limit = state_dim_limit()
-    if total > limit:
+    if size > limit:
         raise ResourceGuardError(
-            f"state dimension {total} exceeds the guard {limit} "
+            f"{what} {size} exceeds the guard {limit} "
             "(set AREALAW_STATE_DIM_LIMIT to override)"
         )
-    return dims
 
 
 def _renyi_orders(q_list: Sequence[float]) -> tuple[float, ...]:
@@ -133,19 +131,16 @@ def leg_dimensions(marginal: Marginal, N: int) -> tuple[int, ...]:
 class ReducedState:
     """Reduced density operator of a pure graph state.
 
-    ``factor`` is the pure state contracted straight into (surviving x
-    traced) shape; the density matrix is ``factor @ factor^dagger`` and is
-    never formed, since the smaller Gram matrix of the factor carries its
-    whole nonzero spectrum.
+    ``gram`` is the Gram matrix of the smaller side: the reduced state
+    itself when ``dim`` (the surviving dimension) is at most the traced
+    one, else the traced side's Gram matrix.  Both share the nonzero
+    spectrum, and the rest of the ``dim`` eigenvalues are structural zeros.
     """
 
-    factor: np.ndarray
+    gram: np.ndarray
+    dim: int
     surviving_legs: tuple[int, ...]
     flags: tuple[str, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.factor.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,11 +196,167 @@ def _resolve_unitary_spec(marginal: Marginal, unitaries) -> dict[str, object]:
     return resolved
 
 
+@dataclass(frozen=True, eq=False)
+class _GramPlan:
+    """What every sample of one doubled-network contraction shares."""
+
+    # per acted vertex: (stream slot, vertex, unitary dimension,
+    # reshape to (out legs..., in legs...), (ket labels, bra labels))
+    vertices: tuple[tuple, ...]
+    fixed: tuple             # identity operands interleaved with their labels
+    output: tuple[int, ...]  # ket then bra labels of the smaller side's legs
+    doubled: bool            # False: ket only, output (smaller, larger side)
+    side: int                # min(ds, dt)
+    scale: float             # prod (d_e N)^-1: ket and bra normalisation
+    path: tuple              # greedy ``einsum_path``, computed once
+    largest: int             # elements of the largest array the path builds
+
+
+def _largest_array(path: Sequence, inputs: Sequence[Sequence[int]],
+                   output: Sequence[int], size: dict[int, int]) -> int:
+    """Largest result along an einsum path: each step contracts its operands
+    into the labels that another operand or the output still needs."""
+    live = [set(labels) for labels in inputs]
+    largest = 1
+    for step in path[1:]:
+        merged = set().union(*(live.pop(i) for i in sorted(step, reverse=True)))
+        result = merged & set(output).union(*live)
+        live.append(result)
+        largest = max(largest, math.prod(size[x] for x in result))
+    return largest
+
+
+@lru_cache(maxsize=256)
+def _gram_plan(graph: Graph, traced: tuple[int, ...], N: int,
+               acted: tuple[str, ...]) -> _GramPlan:
+    """Labels, reshapes, path and size of the Gram contraction.
+
+    Ket labels: an acted leg's output is its id and edge e's in-slot is
+    ``n_legs + e``, shared by both endpoints (a loop takes the diagonal);
+    a leg at a vertex with no unitary is its edge's in-slot itself; an edge
+    with neither endpoint acted is an identity on its own two labels.  The
+    bra shares the labels of the larger side's legs, which are summed, and
+    primes every other label; the smaller side's legs stay open on both.
+    Labels are compacted to ``0..k-1``.  If ket and bra together need more
+    labels than ``EINSUM_LABEL_LIMIT``, the ket alone is contracted into its
+    (smaller x larger side) factor, which the size guard then bounds like
+    any other array; if the ket alone needs more, :class:`ResourceGuardError`.
+    """
+    n = graph.n_legs
+    dims = [leg.ratio * N for leg in graph.legs]
+    surviving = [l for l in range(n) if l not in traced]
+    ds = math.prod(dims[l] for l in surviving)
+    dt = math.prod(dims[l] for l in traced)
+    kept, summed = (surviving, traced) if ds <= dt else (traced, surviving)
+    label = [leg.leg_id if leg.vertex in acted else n + leg.edge
+             for leg in graph.legs]
+    terms = []  # (shape, ket labels) per ket operand
+    for v in acted:
+        legs = graph.legs_of(v)
+        terms.append(([dims[l] for l in legs] * 2,
+                      list(legs) + [n + graph.legs[l].edge for l in legs]))
+    eyes = [e for e, edge in enumerate(graph.edges)
+            if edge.u not in acted and edge.v not in acted]
+    for e in eyes:
+        label[2 * e], label[2 * e + 1] = 2 * e, 2 * e + 1
+        terms.append(([dims[2 * e]] * 2, [2 * e, 2 * e + 1]))
+    shared = {label[l] for l in summed}
+
+    def prime(labels):
+        return [x if x in shared else x + 2 * n for x in labels]
+
+    kept_labels = [label[l] for l in kept]
+    copies = (list, prime)
+    output = kept_labels + prime(kept_labels)
+    if len({x for _, ket in terms for x in ket + prime(ket)}) > EINSUM_LABEL_LIMIT:
+        # too many labels for one einsum: contract the ket alone into its
+        # (smaller x larger side) factor and take the Gram matrix by a product
+        copies = (list,)
+        output = kept_labels + [label[l] for l in summed]
+    size = {x: d for shape, ket in terms for copy in copies
+            for x, d in zip(copy(ket), shape)}
+    if len(size) > EINSUM_LABEL_LIMIT:
+        raise ResourceGuardError(
+            f"the contraction needs {len(size)} einsum labels, more than "
+            f"numpy's {EINSUM_LABEL_LIMIT}"
+        )
+    compact = {x: i for i, x in enumerate(sorted(size))}
+    size = {compact[x]: d for x, d in size.items()}
+    output = tuple(compact[x] for x in output)
+    # per ket operand, the labels of its ket (and bra) copy
+    labelled = [tuple(tuple(compact[x] for x in copy(ket)) for copy in copies)
+                for _, ket in terms]
+    inputs = [labels for copied in labelled for labels in copied]
+    shapes = [shape for shape, _ in terms for _ in copies]
+    # numpy's greedy search by default skips any pair whose result is larger
+    # than every input and the output, and then contracts all remaining
+    # operands in one unblocked loop; the default guard is its bound instead
+    path = np.einsum_path(
+        *(x for shape, labels in zip(shapes, inputs)
+          for x in (np.broadcast_to(0.0, shape), labels)),
+        output, optimize=("greedy", DEFAULT_STATE_DIM_LIMIT))[0]
+    fixed = []
+    for e, labels in zip(eyes, labelled[len(acted):]):
+        eye = np.eye(dims[2 * e])
+        eye.setflags(write=False)
+        for copy_labels in labels:
+            fixed += [eye, copy_labels]
+    vertices = tuple(
+        (graph.vertices.index(v), v, math.prod(shape[: len(shape) // 2]),
+         shape, labels)
+        for v, (shape, _), labels in zip(acted, terms, labelled)
+    )
+    return _GramPlan(
+        vertices=vertices, fixed=tuple(fixed), output=output,
+        doubled=len(copies) == 2, side=min(ds, dt),
+        scale=1.0 / math.prod(dims[::2]), path=tuple(path),
+        largest=_largest_array(path, inputs, output, size),
+    )
+
+
+def _is(action, mode: str) -> bool:
+    return isinstance(action, str) and action == mode
+
+
+def _route(marginal: Marginal, N: int, spec: dict[str, object],
+           skip_traced: bool, skip_surviving: bool,
+           vector_fast_path: bool) -> tuple[tuple[str, ...], _GramPlan | None]:
+    """The flags of a state and its Gram plan (``None`` on the vector path),
+    once ``N`` and every size guard have passed; nothing is sampled."""
+    if N < 2:
+        raise ValidationError("N must be at least 2")
+    g = marginal.graph
+    dims = leg_dimensions(marginal, N)
+    if (vector_fast_path and len(g.vertices) == 1
+            and _is(spec[g.vertices[0]], "sample")):
+        _check_size(math.prod(dims), "state dimension")
+        return ("vector_path",), None
+    flags: list[str] = []
+    acted: list[str] = []
+    for v in g.vertices:
+        action = spec[v]
+        if _is(action, "identity"):
+            flags.append(f"identity:{v}")
+        elif _is(action, "sample") and marginal.s(v) == 0 and skip_traced:
+            flags.append(f"skipped_traced:{v}")
+        elif _is(action, "sample") and marginal.t(v) == 0 and skip_surviving:
+            flags.append(f"skipped_surviving:{v}")
+        else:
+            if _is(action, "sample"):
+                _check_haar_dim(math.prod(dims[l] for l in g.legs_of(v)),
+                                f"vertex {v!r} Haar dimension")
+            acted.append(v)
+    plan = _gram_plan(g, tuple(sorted(marginal.completed_traced_legs())), N,
+                      tuple(acted))
+    _check_size(plan.largest, "largest contraction array")
+    return tuple(flags), plan
+
+
 def build_reduced_state(marginal: Marginal, N: int, unitaries=None,
                         rng: np.random.Generator | None = None, *,
                         skip_traced: bool = True, skip_surviving: bool = True,
                         vector_fast_path: bool = True) -> ReducedState:
-    """Build the pure graph state and trace out the traced legs.
+    """Build the Gram matrix of the graph state's smaller side.
 
     ``unitaries`` is ``"sample"`` (default), ``"identity"``, or a mapping
     from vertex to a matrix or one of those strings.  Sampled unitaries on
@@ -215,53 +366,34 @@ def build_reduced_state(marginal: Marginal, N: int, unitaries=None,
     in the flags, as is the single-vertex fast path, which replaces
     "fixed state + Haar unitary" by a uniformly random state vector.
 
-    Otherwise the state is one ``einsum`` contraction of the vertex
-    unitaries, each reshaped to (out legs..., in legs...), along the edges:
-    both in-slots of an edge share one label (a loop takes the diagonal),
-    a leg whose vertex has no unitary is its edge's in-slot itself, and an
-    edge with neither endpoint acted on is an identity.  Output labels come
-    in (surviving, traced) order, so the result reshapes to the factor.
+    Otherwise the Gram matrix is one ``einsum`` over each acted unitary,
+    reshaped to (out legs..., in legs...), on the ket and its conjugate on
+    the bra, along the plan of :func:`_gram_plan`.  Every guard is checked
+    before anything is sampled.
     """
     g = marginal.graph
-    dims = _state_dims(marginal, N)
     spec = _resolve_unitary_spec(marginal, unitaries)
-    traced = sorted(marginal.completed_traced_legs())
-    surviving = [l for l in range(g.n_legs) if l not in set(traced)]
+    flags, plan = _route(marginal, N, spec, skip_traced, skip_surviving,
+                         vector_fast_path)
+    dims = leg_dimensions(marginal, N)
+    traced = marginal.completed_traced_legs()
+    surviving = tuple(l for l in range(g.n_legs) if l not in traced)
     ds = math.prod(dims[l] for l in surviving)
-    dt = math.prod(dims[l] for l in traced)
     if rng is None:
         rng = np.random.default_rng()
     streams = rng.spawn(len(g.vertices) + 1)
 
-    flags: list[str] = []
-    needs_sampling = [
-        v for v in g.vertices if isinstance(spec[v], str) and spec[v] == "sample"
-    ]
-    if (vector_fast_path and len(g.vertices) == 1
-            and needs_sampling == list(g.vertices)):
+    if plan is None:
         # a Haar unitary applied to any fixed vector is a uniform vector
-        vec = ginibre(ds * dt, 1, streams[-1])[:, 0]
+        vec = ginibre(math.prod(dims), 1, streams[-1])[:, 0]
         psi = (vec / np.linalg.norm(vec)).reshape(dims)
-        factor = psi.transpose(surviving + traced).reshape(ds, dt)
-        flags.append("vector_path")
+        gram = _gram(psi.transpose(list(surviving) + sorted(traced)).reshape(ds, -1))
     else:
-        acted: dict[str, np.ndarray] = {}
-        for slot, v in enumerate(g.vertices):
+        operands: list = []
+        for slot, v, vdim, shape, labels in plan.vertices:
             action = spec[v]
-            vdim = math.prod(dims[l] for l in g.legs_of(v))
             if isinstance(action, str):
-                if action == "identity":
-                    flags.append(f"identity:{v}")
-                    continue
-                all_traced = marginal.s(v) == 0
-                all_surviving = marginal.t(v) == 0
-                if all_traced and skip_traced:
-                    flags.append(f"skipped_traced:{v}")
-                    continue
-                if all_surviving and skip_surviving:
-                    flags.append(f"skipped_surviving:{v}")
-                    continue
-                acted[v] = haar_unitary(vdim, streams[slot])
+                matrix = haar_unitary(vdim, streams[slot])
             else:
                 matrix = np.asarray(action, dtype=complex)
                 if matrix.shape != (vdim, vdim):
@@ -272,52 +404,42 @@ def build_reduced_state(marginal: Marginal, N: int, unitaries=None,
                 defect = np.abs(matrix.conj().T @ matrix - np.eye(vdim)).max()
                 if defect > 1e-8:
                     raise ValidationError(f"matrix for vertex {v!r} is not unitary")
-                acted[v] = matrix
-        # labels: leg l's output is l, edge e's shared in-slot is n_legs + e
-        operands: list = []
-        for v, matrix in acted.items():
-            legs = g.legs_of(v)
-            operands += [
-                matrix.reshape([dims[l] for l in legs] * 2),
-                list(legs) + [g.n_legs + g.legs[l].edge for l in legs],
-            ]
-        label = [leg.leg_id if leg.vertex in acted else g.n_legs + leg.edge
-                 for leg in g.legs]
-        for e, edge in enumerate(g.edges):
-            if edge.u not in acted and edge.v not in acted:
-                label[2 * e], label[2 * e + 1] = 2 * e, 2 * e + 1
-                operands += [np.eye(dims[2 * e]), [2 * e, 2 * e + 1]]
-        psi = np.einsum(*operands, [label[l] for l in surviving + traced],
-                        optimize=True)
-        factor = psi.reshape(ds, dt)
-        factor *= math.prod(dims[::2]) ** -0.5
+            tensor = matrix.reshape(shape)
+            operands += [tensor, labels[0]]
+            if plan.doubled:
+                operands += [tensor.conj(), labels[1]]
+        out = np.einsum(*operands, *plan.fixed, plan.output, optimize=plan.path)
+        if plan.doubled:
+            gram = out.reshape(plan.side, plan.side) * plan.scale
+        else:
+            gram = _gram(out.reshape(plan.side, -1)) * plan.scale
 
-    norm = np.linalg.norm(factor) ** 2
+    norm = np.trace(gram).real
     if abs(norm - 1.0) > 1e-10:
         raise ValidationError(f"state normalization drifted to {norm}")
-    return ReducedState(
-        factor=factor, surviving_legs=tuple(surviving), flags=tuple(flags),
-    )
+    return ReducedState(gram=gram, dim=ds, surviving_legs=surviving,
+                        flags=flags)
 
 
-def _spectrum_from_factor(factor: np.ndarray) -> np.ndarray:
-    """Eigenvalues of ``factor factor^dagger`` padded with the structural
-    zeros, descending.
+def _gram(factor: np.ndarray) -> np.ndarray:
+    """The smaller Gram matrix of a factor, ``F F^dagger`` or
+    ``F^dagger F``; both share the nonzero spectrum."""
+    rows, cols = factor.shape
+    return factor @ factor.conj().T if rows <= cols else factor.conj().T @ factor
 
-    ``eigvalsh`` runs on the smaller Gram matrix, ``F F^dagger`` or
-    ``F^dagger F``; both share the nonzero spectrum.
-    """
-    ds, dt = factor.shape
-    gram = factor @ factor.conj().T if ds <= dt else factor.conj().T @ factor
+
+def _spectrum(gram: np.ndarray, dim: int) -> np.ndarray:
+    """Eigenvalues of a Gram matrix padded with structural zeros to
+    ``dim``, descending."""
     try:
         values = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:
-        scale = float(np.abs(factor).max())
+        scale = float(np.abs(gram).max())
         raise AreaLawError(
-            f"eigensolver failed on a {factor.shape} factor "
+            f"eigensolver failed on a {gram.shape} Gram matrix "
             f"(max magnitude {scale:.3e}): {exc}"
         ) from exc
-    eig = np.zeros(ds)
+    eig = np.zeros(dim)
     eig[: values.shape[0]] = values
     eig[::-1].sort()
     return eig
@@ -326,7 +448,7 @@ def _spectrum_from_factor(factor: np.ndarray) -> np.ndarray:
 def spectral_report(state: ReducedState,
                     q_list: Sequence[float] = (0.0, 1.0, 2.0)) -> SpectralReport:
     """Spectrum, von Neumann and Renyi entropies of a reduced state."""
-    return _summarize_spectrum(_spectrum_from_factor(state.factor), q_list)
+    return _summarize_spectrum(_spectrum(state.gram, state.dim), q_list)
 
 
 def _summarize_spectrum(eig: np.ndarray,
@@ -350,7 +472,10 @@ def _summarize_spectrum(eig: np.ndarray,
         elif q == 1.0:
             renyi[q] = entropy
         else:
-            renyi[q] = float(np.log(np.sum(positive ** q)) / (1.0 - q))
+            # factor out the largest eigenvalue so that a large q cannot
+            # underflow the sum to zero
+            log_sum = q * math.log(top) + math.log(float(np.sum((positive / top) ** q)))
+            renyi[q] = log_sum / (1.0 - q)
     return SpectralReport(eigenvalues=eig, entropy=entropy, renyi=renyi, rank=rank)
 
 
@@ -403,7 +528,8 @@ def run_experiment(marginal: Marginal, N: int, samples: int, seed: int,
         raise ValidationError(f"jobs must be at least 1, got {jobs}")
     _check_seed(seed)
     q_list = _renyi_orders(q_list)
-    _check_guards(marginal, N)
+    _route(marginal, N, _resolve_unitary_spec(marginal, None), skip_traced,
+           skip_surviving, True)
     payloads = [
         (marginal, N, seed, i, q_list, skip_traced, skip_surviving)
         for i in range(samples)
@@ -416,18 +542,6 @@ def run_experiment(marginal: Marginal, N: int, samples: int, seed: int,
     flags = tuple(sorted(set(flag for _, sample_flags in raw
                              for flag in sample_flags)))
     return _mc_report([report for report, _ in raw], flags, seed, N, q_list)
-
-
-def _check_guards(marginal: Marginal, N: int) -> None:
-    dims = _state_dims(marginal, N)
-    g = marginal.graph
-    if len(g.vertices) == 1:
-        return  # the single-vertex fast path samples a vector, not a unitary
-    for v in g.vertices:
-        if marginal.s(v) == 0 or marginal.t(v) == 0:
-            continue  # skipped vertices never sample a unitary
-        vdim = math.prod(dims[l] for l in g.legs_of(v))
-        _check_haar_dim(vdim, f"vertex {v!r} Haar dimension")
 
 
 @dataclass(frozen=True)
@@ -470,7 +584,7 @@ def sample_wishart_spectrum(dim_system: int, dim_environment: int,
     Identical in distribution to the marginal of a uniformly random
     bipartite pure state with these two dimensions.
     """
-    eig = _spectrum_from_factor(ginibre(dim_system, dim_environment, rng))
+    eig = _spectrum(_gram(ginibre(dim_system, dim_environment, rng)), dim_system)
     eig /= eig.sum()
     return eig
 

@@ -1,9 +1,9 @@
 """Closed-form and numerical entropy predictions.
 
 The Marchenko-Pastur family drives every known correction: ``mp_moment``
-gives its moments (validated against quadrature), ``mp_xlogx`` the value of
-``integral x ln x dpi_c``, and ``page_entropy`` the asymptotic mean entropy
-of an induced random state, written in the symmetric form
+gives its moments (the tests check them against quadrature), ``mp_xlogx``
+the value of ``integral x ln x dpi_c``, and ``page_entropy`` the asymptotic
+mean entropy of an induced random state, written in the symmetric form
 ``ln(Dmin) - Dmin / (2 Dmax)``.
 
 ``predict_entropy`` dispatches a marginal to its most specific known case:
@@ -65,34 +65,6 @@ def mp_xlogx(c: float) -> float:
     if c >= 1:
         return 0.5 + c * math.log(c)
     return 0.5 * c * c
-
-
-def _mp_quadrature(c: float, f) -> float:
-    """Integrate ``f`` against the continuous part of ``pi_c`` using the
-    edge-singularity-aware substitution ``x = 1 + c + 2 sqrt(c) cos(theta)``;
-    the atom at zero contributes nothing for the integrands used here."""
-    from scipy.integrate import quad  # test oracle only; not a runtime dependency
-
-    root = math.sqrt(c)
-
-    def integrand(theta: float) -> float:
-        x = 1.0 + c + 2.0 * root * math.cos(theta)
-        if x <= 1e-300:
-            return 0.0
-        return (2.0 * c / math.pi) * f(x) * math.sin(theta) ** 2 / x
-
-    value, _ = quad(integrand, 0.0, math.pi, limit=200)
-    return value
-
-
-def mp_moment_quadrature(c: float, p: int) -> float:
-    """Independent quadrature route for :func:`mp_moment`."""
-    return _mp_quadrature(c, lambda x: x ** p)
-
-
-def mp_xlogx_quadrature(c: float) -> float:
-    """Independent quadrature route for :func:`mp_xlogx`."""
-    return _mp_quadrature(c, lambda x: x * math.log(x))
 
 
 def page_entropy(dim_system: int, dim_environment: int) -> float:

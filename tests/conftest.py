@@ -1,4 +1,5 @@
-"""Shared fixture builders: canonical graphs, marginals and graph families."""
+"""Shared fixture builders and test oracles: canonical graphs, marginals,
+graph families and the Marchenko-Pastur quadrature."""
 
 from __future__ import annotations
 
@@ -26,6 +27,40 @@ def transport_calls(monkeypatch) -> Counter:
             return _fn(*args, **kwargs)
         monkeypatch.setattr(transport, name, counted)
     return counts
+
+
+# -- test oracles ------------------------------------------------------------
+
+
+def _mp_quadrature(c: float, f) -> float:
+    """Integrate ``f`` against the continuous part of ``pi_c`` using the
+    edge-singularity-aware substitution ``x = 1 + c + 2 sqrt(c) cos(theta)``;
+    the atom at zero contributes nothing for the integrands used here."""
+    from scipy.integrate import quad
+
+    root = math.sqrt(c)
+
+    def integrand(theta: float) -> float:
+        x = 1.0 + c + 2.0 * root * math.cos(theta)
+        if x <= 1e-300:
+            return 0.0
+        return (2.0 * c / math.pi) * f(x) * math.sin(theta) ** 2 / x
+
+    value, _ = quad(integrand, 0.0, math.pi, limit=200)
+    return value
+
+
+def mp_moment_quadrature(c: float, p: int) -> float:
+    """Independent quadrature route for ``mp_moment``."""
+    return _mp_quadrature(c, lambda x: x ** p)
+
+
+def mp_xlogx_quadrature(c: float) -> float:
+    """Independent quadrature route for ``mp_xlogx``."""
+    return _mp_quadrature(c, lambda x: x * math.log(x))
+
+
+# -- canonical marginals -----------------------------------------------------
 
 
 def doc(vertices, edges, trace) -> dict:
@@ -74,6 +109,19 @@ def oxygen(traced, d1: int = 1, d2: int = 1) -> Marginal:
         ["V1", "V2"], [("V1", "V2", d1), ("V1", "V2", d2)],
         {"mode": "legs", "traced": list(traced)},
     )
+
+
+def lattice_doc(rows: int, cols: int) -> dict:
+    """The rows x cols grid with unit edges; every vertex keeps one leg
+    except two opposite corners, which keep none."""
+    names = [f"R{r}C{c}" for r in range(rows) for c in range(cols)]
+    edges = [(f"R{r}C{c}", f"R{r}C{c + 1}", 1)
+             for r in range(rows) for c in range(cols - 1)]
+    edges += [(f"R{r}C{c}", f"R{r + 1}C{c}", 1)
+              for r in range(rows - 1) for c in range(cols)]
+    s = {v: 1 for v in names}
+    s[names[0]] = s[names[-1]] = 0
+    return doc(names, edges, {"mode": "counts", "s": s})
 
 
 def adapted_five(N_ratio: int = 1) -> Marginal:

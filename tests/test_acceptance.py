@@ -31,13 +31,14 @@ from arealaw import (
     wishart_experiment,
 )
 from arealaw.cli import main
-from arealaw.spectral_predictor import mp_moment_quadrature, mp_xlogx_quadrature
 
 from conftest import (
     all_counting_functions,
     black_hole,
     doc,
     enumerate_small_graphs,
+    mp_moment_quadrature,
+    mp_xlogx_quadrature,
     oxygen,
     random_adapted_marginal,
     random_transport_instance,

@@ -5,7 +5,6 @@ from arealaw import (
     Graph,
     TraceSpec,
     build_network,
-    enumerate_min_cuts,
     max_flow,
     min_cut,
     resolve_trace,
@@ -20,6 +19,22 @@ from conftest import (
     single_loop,
     two_loops,
 )
+
+
+def enumerate_min_cuts(network: FlowNetwork) -> list[tuple[str, ...]]:
+    """Oracle: all minimum cuts by exhaustion over vertex subsets."""
+    vertices = network.graph_vertices
+    best = None
+    cuts: list[tuple[str, ...]] = []
+    for mask in range(2 ** len(vertices)):
+        side = {SOURCE} | {v for i, v in enumerate(vertices) if mask >> i & 1}
+        c = cut_capacity(network, side)
+        if best is None or c < best:
+            best = c
+            cuts = []
+        if c == best:
+            cuts.append(tuple(n for n in network.nodes if n in side))
+    return cuts
 
 
 def test_single_loop_network():

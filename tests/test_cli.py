@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,7 +12,7 @@ import arealaw
 from arealaw import InconsistencyError
 from arealaw.cli import main
 
-from conftest import doc
+from conftest import doc, lattice_doc
 
 # Every --out report must match this; the CLI itself does not validate.
 REPORT_SCHEMA = {
@@ -347,8 +348,17 @@ def test_negative_seed_exit_code(write_doc, capsys, argv):
     assert err.count("\n") == 1 and "seed must be an integer >= 0" in err
 
 
+def _no_sampling(monkeypatch):
+    def sampled(*args, **kwargs):
+        raise AssertionError("run_experiment was entered")
+
+    monkeypatch.setattr("arealaw.cli.run_experiment", sampled)
+
+
 @pytest.mark.parametrize("option", ["--out", "--spectra"])
-def test_unwritable_output_exit_code(write_doc, capsys, tmp_path, option):
+def test_unwritable_output_exit_code(write_doc, capsys, tmp_path, monkeypatch,
+                                     option):
+    _no_sampling(monkeypatch)
     graph = write_doc("loop.json", single_loop_doc())
     target = str(tmp_path / "missing" / "file")
     assert main(["simulate", "-g", graph, "-N", "2", "-n", "1", "--seed", "0",
@@ -357,11 +367,96 @@ def test_unwritable_output_exit_code(write_doc, capsys, tmp_path, option):
     assert err.count("\n") == 1 and err.startswith(f"input error: cannot write {target}")
 
 
+@pytest.mark.parametrize("option", ["--out", "--spectra"])
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_output_directory_rejected_before_sampling(write_doc, capsys, tmp_path,
+                                                   monkeypatch, command, option):
+    _no_sampling(monkeypatch)
+    graph = write_doc("loop.json", single_loop_doc())
+    target = str(tmp_path)
+    assert main([command, "-g", graph, "-N", "2", "-n", "1", "--seed", "0",
+                 option, target]) == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: cannot write {target}: it is a directory\n"
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--expect", "nan"), ("--expect", "inf"), ("--expect", "-inf"),
+    ("--slack", "-1"), ("--slack", "nan"), ("--slack", "inf"),
+])
+def test_verify_bad_float_exit_code(write_doc, capsys, monkeypatch, flag, value):
+    _no_sampling(monkeypatch)
+    graph = write_doc("loop.json", single_loop_doc())
+    assert main(["verify", "-g", graph, "-N", "2", "-n", "1", "--seed", "0",
+                 f"{flag}={value}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"input error: {flag} must be")
+
+
+def test_verify_zero_slack_is_valid(write_doc, tmp_path):
+    graph = write_doc("loop.json", single_loop_doc())
+    out = tmp_path / "r.json"
+    assert main(["verify", "-g", graph, "-N", "4", "-n", "3", "--seed", "0",
+                 "--slack", "0", "--expect", "1.0", "--out", str(out)]) in (0, 1)
+    report = json.loads(out.read_text())
+    assert report["verdict"]["tolerance_nats"] == 3.0 * report["mc"]["stderr_H"]
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_area_bad_limit_exit_code(write_doc, capsys, limit):
+    graph = write_doc("loop.json", single_loop_doc())
+    assert main(["area", "-g", graph, "--limit", limit]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"input error: --limit must be at least 1, got {limit}\n"
+
+
+def test_non_finite_report_is_internal_error(write_doc, capsys, tmp_path,
+                                            monkeypatch):
+    # every report is strict JSON: a non-finite value is a defect (exit 5),
+    # never written as NaN or Infinity
+    nan_prediction = SimpleNamespace(to_document=lambda: {"value": math.nan})
+    monkeypatch.setattr("arealaw.cli.predict_entropy", lambda marginal, N: nan_prediction)
+    graph = write_doc("loop.json", single_loop_doc())
+    out = tmp_path / "r.json"
+    assert main(["simulate", "-g", graph, "-N", "2", "-n", "1", "--seed", "0",
+                 "--out", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("internal error: the report")
+    assert not out.exists()
+
+
+def test_huge_renyi_order_stays_finite(write_doc, tmp_path):
+    graph = write_doc("bh.json", black_hole2_doc())
+    out = tmp_path / "r.json"
+    assert main(["simulate", "-g", graph, "-N", "4", "-n", "2", "--seed", "1",
+                 "--q", "2,1000,1e300", "--out", str(out)]) == 0
+    renyi = json.loads(out.read_text())["mc"]["renyi_mean"]
+    assert all(math.isfinite(v) for v in renyi.values())
+    # H_q falls with q towards -ln(largest eigenvalue)
+    assert renyi["2.0"] >= renyi["1000.0"] >= renyi["1e+300"] > 0
+
+
 def test_guard_exit_code(write_doc):
     graph = write_doc("adapted.json", adapted_five_doc())
-    # 8^10 legs dimension exceeds the default state guard
+    # its 8^5-sided Gram matrix exceeds the default state guard
     assert main(["simulate", "-g", graph, "-N", "8", "-n", "1",
                  "--seed", "0"]) == 4
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_too_many_labels_exit_code(write_doc, capsys, monkeypatch, command):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr("arealaw.mc_simulator.build_reduced_state", no_sampling)
+    graph = write_doc("lattice.json", lattice_doc(2, 7))
+    assert main([command, "-g", graph, "-N", "2", "-n", "1", "--seed", "0"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("resource guard: the contraction needs 53 einsum labels, "
+                   "more than numpy's 52\n")
 
 
 @pytest.mark.parametrize("variable", ["AREALAW_STATE_DIM_LIMIT",

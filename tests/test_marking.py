@@ -189,6 +189,28 @@ def test_marking_from_flow_rejects_bad_decomposition():
         marking_from_flow(m, not_minimum)
 
 
+def test_marking_from_flow_reuses_the_flow_network(monkeypatch):
+    from arealaw import FlowResult, marking
+
+    m = black_hole(traced=[0, 3])
+    network = build_network(m)
+    flow = max_flow(network)
+    assert flow.network is network
+    # the network is carried along, not part of the result's value
+    bare = FlowResult(value=flow.value, paths=flow.paths, cut=flow.cut,
+                      cut_tied=flow.cut_tied)
+    assert flow == bare and hash(flow) == hash(bare)
+    assert repr(flow) == repr(bare)
+    assert flow.to_document() == bare.to_document()
+    expected = marking_from_flow(m, bare)
+
+    def rebuilt(marginal):
+        raise AssertionError("the network was rebuilt")
+
+    monkeypatch.setattr(marking, "build_network", rebuilt)
+    assert marking_from_flow(m, flow) == expected
+
+
 def test_monotonicity_add_crossing_edge():
     base = black_hole_counts(0, 2, 1)  # V1 fully traced, V3 fully surviving
     area = area_bruteforce(base).area

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from arealaw import (
     build_reduced_state,
     empirical_vs_mp,
     haar_unitary,
+    parse_marginal,
     run_experiment,
     spectral_report,
     wishart_experiment,
@@ -20,6 +22,7 @@ from conftest import (
     adapted_five,
     black_hole,
     black_hole_counts,
+    lattice_doc,
     marginal_from,
     oxygen,
     random_marginal,
@@ -83,8 +86,8 @@ def test_bad_guard_values_are_input_errors(monkeypatch, variable, value):
 
 def test_state_dim_guard(monkeypatch):
     m = adapted_five()
-    with pytest.raises(ResourceGuardError):
-        build_reduced_state(m, 8, rng=np.random.default_rng(0))  # 8^10 > 2^24
+    with pytest.raises(ResourceGuardError, match="largest contraction array 1073741824"):
+        build_reduced_state(m, 8, rng=np.random.default_rng(0))  # Gram side 8^5
     monkeypatch.setenv("AREALAW_STATE_DIM_LIMIT", "2")
     with pytest.raises(ResourceGuardError):
         build_reduced_state(single_loop(), 2, rng=np.random.default_rng(0))
@@ -107,7 +110,7 @@ def test_adapted_state_uniform_spectrum():
 def test_everything_traced_is_scalar():
     m = black_hole_counts(0, 0, 0)
     state = build_reduced_state(m, 2, rng=np.random.default_rng(0))
-    assert state.factor.shape[0] == 1
+    assert state.dim == 1
     report = spectral_report(state)
     assert report.rank == 1
     assert report.entropy == pytest.approx(0.0, abs=1e-12)
@@ -126,7 +129,7 @@ def test_reduced_state_invariants():
     for _ in range(10):
         m = random_marginal(rng, max_vertices=3, max_edges=3)
         state = build_reduced_state(m, 2, rng=rng)
-        assert abs(np.linalg.norm(state.factor) ** 2 - 1.0) < 1e-10
+        assert abs(np.trace(state.gram) - 1.0) < 1e-10
         assert abs(spectral_report(state).eigenvalues.sum() - 1.0) < 1e-10
         dims = leg_dimensions(m, 2)
         expected = math.prod(dims[l] for l in state.surviving_legs) if \
@@ -245,10 +248,9 @@ def test_purity_and_entropy_bounds():
         state = build_reduced_state(m, 2, rng=rng)
         report = spectral_report(state)
         purity = float(np.sum(report.eigenvalues ** 2))
-        ds = state.factor.shape[0]
-        dt = state.factor.shape[1]
-        assert purity >= 1.0 / ds - 1e-12
-        assert report.entropy <= math.log(min(ds, dt)) + 1e-9
+        assert purity >= 1.0 / state.dim - 1e-12
+        # the Gram matrix has side min(ds, dt)
+        assert report.entropy <= math.log(state.gram.shape[0]) + 1e-9
 
 
 def test_guards_before_sampling():
@@ -404,7 +406,7 @@ def _assert_matches_oracle(m, unitaries, seed, skip):
     )
     expected, flags = _oracle_spectrum(m, 2, unitaries,
                                        np.random.default_rng(seed), *skip)
-    got = mc_simulator._spectrum_from_factor(state.factor)
+    got = mc_simulator._spectrum(state.gram, state.dim)
     assert state.flags == flags
     assert got.shape == expected.shape
     assert np.abs(got - expected).max() <= 1e-12
@@ -437,7 +439,7 @@ def test_spectrum_from_either_gram_side():
     rng = np.random.default_rng(8)
     for shape in ((3, 7), (7, 3), (5, 5), (1, 4), (4, 1)):
         f = ginibre(*shape, rng)
-        eig = mc_simulator._spectrum_from_factor(f)
+        eig = mc_simulator._spectrum(mc_simulator._gram(f), shape[0])
         sv = np.linalg.svd(f, compute_uv=False) ** 2
         assert eig.shape == (shape[0],)
         assert np.abs(eig[: sv.size] - sv).max() <= 1e-12
@@ -453,3 +455,123 @@ def test_nonpositive_jobs_rejected_before_sampling(monkeypatch):
     for jobs in (0, -2):
         with pytest.raises(ValidationError, match="jobs"):
             run_experiment(single_loop(), 4, samples=2, seed=0, jobs=jobs)
+
+
+def lattice(rows, cols):
+    return parse_marginal(json.dumps(lattice_doc(rows, cols)))
+
+
+def _sample_plan(m, N, skip=(True, True)):
+    spec = mc_simulator._resolve_unitary_spec(m, None)
+    return mc_simulator._route(m, N, spec, *skip, True)[1]
+
+
+def test_guard_bounds_the_largest_array(monkeypatch):
+    # the 2x4 lattice's state has 2^20 entries, but no array the Gram
+    # contraction builds is larger than a few thousand
+    m = lattice(2, 4)
+    plan = _sample_plan(m, 2)
+    assert plan.doubled
+    assert 64 ** 2 <= plan.largest < 2 ** 20
+    monkeypatch.setenv("AREALAW_STATE_DIM_LIMIT", str(plan.largest - 1))
+    with pytest.raises(ResourceGuardError, match="AREALAW_STATE_DIM_LIMIT"):
+        run_experiment(m, 2, samples=1, seed=0)
+    monkeypatch.setenv("AREALAW_STATE_DIM_LIMIT", str(plan.largest))
+    assert run_experiment(m, 2, samples=1, seed=0).samples == 1
+
+
+def test_wide_lattice_runs_under_the_default_guard():
+    # 2^26 amplitudes, refused while the state was built; 52 labels
+    m = lattice(2, 5)
+    plan = _sample_plan(m, 2)
+    assert plan.doubled and plan.largest <= mc_simulator.DEFAULT_STATE_DIM_LIMIT
+    report = run_experiment(m, 2, samples=2, seed=0)
+    assert all(0.0 < h <= math.log(2 ** 8) for h in report.per_sample_H)
+    assert max(report.ranks) <= 2 ** 8
+
+
+def test_too_many_labels_rejected_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(mc_simulator, "build_reduced_state", no_sampling)
+    with pytest.raises(ResourceGuardError, match="53 einsum labels"):
+        run_experiment(lattice(2, 7), 2, samples=1, seed=0)
+
+
+def test_einsum_path_once_per_run(monkeypatch):
+    calls = []
+    einsum_path = np.einsum_path
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return einsum_path(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum_path", counted)
+    mc_simulator._gram_plan.cache_clear()
+    m = lattice(2, 4)
+    first = run_experiment(m, 2, samples=5, seed=3)
+    assert len(calls) == 1
+    again = run_experiment(m, 2, samples=5, seed=3)
+    assert len(calls) == 1  # the plan is memoised across runs
+    assert again.per_sample_H == first.per_sample_H
+
+
+@pytest.fixture
+def label_limit(monkeypatch):
+    """Lowers the einsum label limit; plans built under it are dropped."""
+    def lower(limit):
+        monkeypatch.setattr(mc_simulator, "EINSUM_LABEL_LIMIT", limit)
+        mc_simulator._gram_plan.cache_clear()
+    yield lower
+    mc_simulator._gram_plan.cache_clear()
+
+
+def test_ket_route_beyond_the_label_limit(label_limit):
+    # when ket and bra together need too many labels, the ket alone is
+    # contracted into the factor: same spectra and flags as the oracle
+    label_limit(12)
+    rng = np.random.default_rng(43)
+    marginals = ORACLE_CASES + [random_marginal(rng, max_vertices=4, max_edges=4)
+                                for _ in range(20)]
+    routes = set()
+    for i, m in enumerate(marginals):
+        for skip in ((True, True), (False, False)):
+            try:
+                plan = mc_simulator._route(m, 2, mc_simulator._resolve_unitary_spec(
+                    m, None), *skip, False)[1]
+            except ResourceGuardError:
+                continue  # the ket alone needs more than 12 labels
+            routes.add(plan.doubled)
+            _assert_matches_oracle(m, None, 500 + i, skip)
+            _assert_matches_oracle(m, "identity", 500 + i, skip)
+    assert routes == {True, False}
+
+
+def test_identity_route_is_exact():
+    # transport.certify's routed states: no unitary acts, only identities
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        m = random_marginal(rng, max_vertices=4, max_edges=4)
+        state = build_reduced_state(m, 3, "identity")
+        assert not np.iscomplexobj(state.gram)
+        eig = spectral_report(state).eigenvalues
+        rank = int(np.count_nonzero(eig))
+        assert np.abs(eig[:rank] - 1.0 / rank).max() <= 1e-15
+
+
+def test_plan_contracts_pairwise():
+    # numpy's greedy search, bounded only by its inputs' sizes, left the last
+    # three operands of this doubled network to one unblocked loop over 2^20
+    # terms; every step of a plan is one pairwise (matrix-product) contraction
+    twisted = marginal_from(
+        ["P0", "P1"], [("P0", "P1", 1)] * 3 + [("P0", "P0", 1), ("P1", "P1", 1)],
+        {"mode": "legs", "traced": [1, 2, 4, 6, 8]})
+    rng = np.random.default_rng(53)
+    marginals = [twisted, lattice(2, 4), lattice(2, 5)] + ORACLE_CASES + [
+        random_marginal(rng, max_vertices=4, max_edges=5) for _ in range(30)]
+    for m in marginals:
+        plan = _sample_plan(m, 2)
+        if plan is not None:  # None: the single-vertex vector path
+            assert all(len(step) == 2 for step in plan.path[1:]), plan.path
+    _assert_matches_oracle(twisted, None, 7, (True, True))

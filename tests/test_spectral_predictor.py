@@ -15,15 +15,13 @@ from arealaw import (
     predict_entropy,
     wishart_experiment,
 )
-from arealaw.spectral_predictor import (
-    MPParams,
-    mp_moment_quadrature,
-    mp_xlogx_quadrature,
-)
+from arealaw.spectral_predictor import MPParams
 
 from conftest import (
     adapted_five,
     black_hole,
+    mp_moment_quadrature,
+    mp_xlogx_quadrature,
     oxygen,
     random_marginal,
     single_loop,
