@@ -2,16 +2,19 @@
 
 A state is the tensor product of one maximally entangled pair per edge with
 an independent Haar-random unitary applied at each vertex; a marginal traces
-out the selected legs.  Neither the state nor the reduced density matrix is
-formed: one ``einsum`` over the doubled network (the vertex unitaries on
-the ket, their conjugates on the bra, the legs of the larger side shared,
-those of the smaller side left open) lands straight on the min(ds, dt)-sided
-Gram matrix, whose nonzero spectrum is that of the reduced state.  The
-labels, reshapes and greedy contraction path depend only on the graph, the
-traced legs, ``N`` and which vertices act, so they form a plan built once
-and memoised; the state-dimension guard bounds the largest array that plan
-builds.  One routine summarises a spectrum and one builds the ``MCReport``
-from the summaries.
+out the selected legs.  At a loop the unitary meets only the fixed pair, so
+each acted vertex enters as the Haar isometry ``U_v (|Phi>_loops x 1)``, of
+size ``vdim x r_v`` with ``r_v`` the product of its non-loop leg dimensions
+(a vertex with no loop draws its full unitary).  Neither the state nor the
+reduced density matrix is formed: one ``einsum`` over the doubled network
+(the isometries on the ket, their conjugates on the bra, the legs of the
+larger side shared, those of the smaller side left open) lands straight on
+the min(ds, dt)-sided Gram matrix, whose nonzero spectrum is that of the
+reduced state.  The labels, reshapes and greedy contraction path depend
+only on the graph, the traced legs, ``N`` and which vertices act, so they
+form a plan built once and memoised; the state-dimension guard bounds the
+largest array that plan takes or builds.  One routine summarises a
+spectrum and one builds the ``MCReport`` from the summaries.
 
 Determinism contract: every sample derives its own generator from
 ``(seed, sample_index)`` and every vertex from ``(seed, sample_index,
@@ -19,7 +22,6 @@ vertex_slot)``, so results do not depend on execution order, parallelism or
 which vertices are skipped.  Aggregation uses exact summation in sample
 order.  Cross-platform bit-equality is not promised (eigensolvers).
 """
-
 from __future__ import annotations
 
 import math
@@ -67,11 +69,11 @@ def haar_dim_limit() -> int:
     return _env_limit("AREALAW_HAAR_DIM_LIMIT", DEFAULT_HAAR_DIM_LIMIT)
 
 
-def _check_haar_dim(dim: int, what: str = "Haar dimension") -> None:
+def _check_haar_dim(cols: int, what: str) -> None:
     limit = haar_dim_limit()
-    if dim > limit:
+    if cols > limit:
         raise ResourceGuardError(
-            f"{what} {dim} exceeds the guard {limit} "
+            f"{what} {cols} exceeds the guard {limit} "
             "(set AREALAW_HAAR_DIM_LIMIT to override)"
         )
 
@@ -104,27 +106,27 @@ def ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def haar_unitary(dim: int, rng: np.random.Generator,
-                 size: int | None = None) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix.
+                 size: int | None = None, cols: int | None = None) -> np.ndarray:
+    """Haar-distributed unitary, or its first ``cols`` columns (a Haar
+    isometry), via QR of a ``dim x cols`` Ginibre matrix.
 
     The triangular factor's diagonal is normalized to positive reals (phase
     correction); without it the factorization is not measure-correct.
-    ``size`` stacks independent samples along a leading axis.
+    ``cols`` defaults to ``dim``; the Haar guard bounds it, since the QR
+    costs ``dim * cols^2``.  ``size`` stacks independent samples along a
+    leading axis.
     """
-    if dim < 1:
-        raise ValidationError("unitary dimension must be positive")
-    _check_haar_dim(dim)
-    shape = (dim, dim) if size is None else (size, dim, dim)
+    cols = dim if cols is None else cols
+    if not 1 <= cols <= dim:
+        raise ValidationError(
+            f"an isometry needs 1 <= cols <= dim, got dim {dim}, cols {cols}")
+    _check_haar_dim(cols, "Haar isometry columns")
+    shape = (dim, cols) if size is None else (size, dim, cols)
     z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)
     diag = np.einsum("...ii->...i", r)
     phases = diag / np.abs(diag)
     return q * phases[..., None, :]
-
-
-def leg_dimensions(marginal: Marginal, N: int) -> tuple[int, ...]:
-    """Per-leg Hilbert space dimensions ``d_e * N`` in leg order."""
-    return tuple(leg.ratio * N for leg in marginal.graph.legs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,45 +181,32 @@ class MCReport:
         }
 
 
-def _resolve_unitary_spec(marginal: Marginal, unitaries) -> dict[str, object]:
-    vertices = marginal.graph.vertices
-    if unitaries is None:
-        return {v: "sample" for v in vertices}
-    if isinstance(unitaries, str):
-        if unitaries not in ("sample", "identity"):
-            raise ValidationError(f"unknown unitary mode {unitaries!r}")
-        return {v: unitaries for v in vertices}
-    resolved = {}
-    for v in vertices:
-        resolved[v] = unitaries.get(v, "sample")
-    for v in unitaries:
-        if v not in resolved:
-            raise ValidationError(f"unitary given for unknown vertex {v!r}")
-    return resolved
-
-
 @dataclass(frozen=True, eq=False)
 class _GramPlan:
     """What every sample of one doubled-network contraction shares."""
 
-    # per acted vertex: (stream slot, vertex, unitary dimension,
-    # reshape to (out legs..., in legs...), (ket labels, bra labels))
+    # per acted vertex: (stream slot, vertex dimension, isometry columns,
+    # reshape to (out legs..., non-loop in-slots...), (ket labels, bra labels))
     vertices: tuple[tuple, ...]
     fixed: tuple             # identity operands interleaved with their labels
     output: tuple[int, ...]  # ket then bra labels of the smaller side's legs
     doubled: bool            # False: ket only, output (smaller, larger side)
     side: int                # min(ds, dt)
-    scale: float             # prod (d_e N)^-1: ket and bra normalisation
+    dim: int                 # ds, the surviving dimension
+    surviving: tuple[int, ...]  # surviving legs, ascending
+    scale: float             # ket and bra normalisation of the edges outside
+                             # the isometries: prod (d_e N)^-1
     path: tuple              # greedy ``einsum_path``, computed once
-    largest: int             # elements of the largest array the path builds
+    largest: int             # elements of the largest array taken or built
 
 
 def _largest_array(path: Sequence, inputs: Sequence[Sequence[int]],
                    output: Sequence[int], size: dict[int, int]) -> int:
-    """Largest result along an einsum path: each step contracts its operands
-    into the labels that another operand or the output still needs."""
+    """Largest operand or result along an einsum path: each step contracts
+    its operands into the labels that another operand or the output still
+    needs."""
     live = [set(labels) for labels in inputs]
-    largest = 1
+    largest = max(math.prod(size[x] for x in labels) for labels in live)
     for step in path[1:]:
         merged = set().union(*(live.pop(i) for i in sorted(step, reverse=True)))
         result = merged & set(output).union(*live)
@@ -232,29 +221,35 @@ def _gram_plan(graph: Graph, traced: tuple[int, ...], N: int,
     """Labels, reshapes, path and size of the Gram contraction.
 
     Ket labels: an acted leg's output is its id and edge e's in-slot is
-    ``n_legs + e``, shared by both endpoints (a loop takes the diagonal);
-    a leg at a vertex with no unitary is its edge's in-slot itself; an edge
-    with neither endpoint acted is an identity on its own two labels.  The
-    bra shares the labels of the larger side's legs, which are summed, and
-    primes every other label; the smaller side's legs stay open on both.
-    Labels are compacted to ``0..k-1``.  If ket and bra together need more
-    labels than ``EINSUM_LABEL_LIMIT``, the ket alone is contracted into its
-    (smaller x larger side) factor, which the size guard then bounds like
-    any other array; if the ket alone needs more, :class:`ResourceGuardError`.
+    ``n_legs + e``, shared by both endpoints; an acted vertex's isometry
+    has no in-slot for its loops, whose pair it already holds, so their
+    ``(d_e N)^-1`` leaves ``scale``.  A leg at a vertex with no unitary is
+    its edge's in-slot itself; an edge with neither endpoint acted is an
+    identity on its own two labels.  The bra shares the labels of the larger
+    side's legs, which are summed, and primes every other label; the smaller
+    side's legs stay open on both.  Labels are compacted to ``0..k-1``.  If
+    ket and bra together need more labels than ``EINSUM_LABEL_LIMIT``, the
+    ket alone is contracted into its (smaller x larger side) factor, which
+    the size guard then bounds like any other array; if the ket alone needs
+    more, :class:`ResourceGuardError`.
     """
     n = graph.n_legs
     dims = [leg.ratio * N for leg in graph.legs]
-    surviving = [l for l in range(n) if l not in traced]
+    surviving = tuple(l for l in range(n) if l not in traced)
     ds = math.prod(dims[l] for l in surviving)
     dt = math.prod(dims[l] for l in traced)
     kept, summed = (surviving, traced) if ds <= dt else (traced, surviving)
     label = [leg.leg_id if leg.vertex in acted else n + leg.edge
              for leg in graph.legs]
     terms = []  # (shape, ket labels) per ket operand
+    held = set()  # loops inside an isometry
     for v in acted:
         legs = graph.legs_of(v)
-        terms.append(([dims[l] for l in legs] * 2,
-                      list(legs) + [n + graph.legs[l].edge for l in legs]))
+        loops = graph.loop_indices(v)
+        held.update(loops)
+        inputs = [l for l in legs if graph.legs[l].edge not in loops]
+        terms.append(([dims[l] for l in legs] + [dims[l] for l in inputs],
+                      list(legs) + [n + graph.legs[l].edge for l in inputs]))
     eyes = [e for e, edge in enumerate(graph.edges)
             if edge.u not in acted and edge.v not in acted]
     for e in eyes:
@@ -301,123 +296,88 @@ def _gram_plan(graph: Graph, traced: tuple[int, ...], N: int,
         eye.setflags(write=False)
         for copy_labels in labels:
             fixed += [eye, copy_labels]
-    vertices = tuple(
-        (graph.vertices.index(v), v, math.prod(shape[: len(shape) // 2]),
-         shape, labels)
-        for v, (shape, _), labels in zip(acted, terms, labelled)
-    )
+    vertices = []
+    for v, (shape, _), labels in zip(acted, terms, labelled):
+        out = len(graph.legs_of(v))
+        vertices.append((graph.vertices.index(v), math.prod(shape[:out]),
+                         math.prod(shape[out:]), shape, labels))
     return _GramPlan(
-        vertices=vertices, fixed=tuple(fixed), output=output,
-        doubled=len(copies) == 2, side=min(ds, dt),
-        scale=1.0 / math.prod(dims[::2]), path=tuple(path),
+        vertices=tuple(vertices), fixed=tuple(fixed), output=output,
+        doubled=len(copies) == 2, side=min(ds, dt), dim=ds,
+        surviving=surviving,
+        scale=1.0 / math.prod(dims[2 * e] for e in range(len(graph.edges))
+                              if e not in held),
+        path=tuple(path),
         largest=_largest_array(path, inputs, output, size),
     )
 
 
-def _is(action, mode: str) -> bool:
-    return isinstance(action, str) and action == mode
-
-
-def _route(marginal: Marginal, N: int, spec: dict[str, object],
-           skip_traced: bool, skip_surviving: bool,
-           vector_fast_path: bool) -> tuple[tuple[str, ...], _GramPlan | None]:
-    """The flags of a state and its Gram plan (``None`` on the vector path),
-    once ``N`` and every size guard have passed; nothing is sampled."""
+def _route(marginal: Marginal, N: int, unitaries: str, skip_traced: bool,
+           skip_surviving: bool) -> tuple[tuple[str, ...], _GramPlan]:
+    """The flags of a state and its Gram plan, once the inputs and every
+    size guard have passed; nothing is sampled."""
+    if unitaries not in ("sample", "identity"):
+        raise ValidationError(f"unknown unitary mode {unitaries!r}")
     if N < 2:
         raise ValidationError("N must be at least 2")
     g = marginal.graph
-    dims = leg_dimensions(marginal, N)
-    if (vector_fast_path and len(g.vertices) == 1
-            and _is(spec[g.vertices[0]], "sample")):
-        _check_size(math.prod(dims), "state dimension")
-        return ("vector_path",), None
     flags: list[str] = []
     acted: list[str] = []
     for v in g.vertices:
-        action = spec[v]
-        if _is(action, "identity"):
+        if unitaries == "identity":
             flags.append(f"identity:{v}")
-        elif _is(action, "sample") and marginal.s(v) == 0 and skip_traced:
+        elif marginal.s(v) == 0 and skip_traced:
             flags.append(f"skipped_traced:{v}")
-        elif _is(action, "sample") and marginal.t(v) == 0 and skip_surviving:
+        elif marginal.t(v) == 0 and skip_surviving:
             flags.append(f"skipped_surviving:{v}")
         else:
-            if _is(action, "sample"):
-                _check_haar_dim(math.prod(dims[l] for l in g.legs_of(v)),
-                                f"vertex {v!r} Haar dimension")
             acted.append(v)
     plan = _gram_plan(g, tuple(sorted(marginal.completed_traced_legs())), N,
                       tuple(acted))
+    for slot, _, cols, _, _ in plan.vertices:
+        _check_haar_dim(cols, f"vertex {g.vertices[slot]!r} Haar isometry columns")
     _check_size(plan.largest, "largest contraction array")
     return tuple(flags), plan
 
 
-def build_reduced_state(marginal: Marginal, N: int, unitaries=None,
+def build_reduced_state(marginal: Marginal, N: int, unitaries: str = "sample",
                         rng: np.random.Generator | None = None, *,
-                        skip_traced: bool = True, skip_surviving: bool = True,
-                        vector_fast_path: bool = True) -> ReducedState:
+                        skip_traced: bool = True,
+                        skip_surviving: bool = True) -> ReducedState:
     """Build the Gram matrix of the graph state's smaller side.
 
-    ``unitaries`` is ``"sample"`` (default), ``"identity"``, or a mapping
-    from vertex to a matrix or one of those strings.  Sampled unitaries on
-    fully traced vertices are skipped (the partial trace absorbs them
-    exactly); on fully surviving vertices they are skipped when
+    ``unitaries`` is ``"sample"`` (default) or ``"identity"``.  Sampled
+    unitaries on fully traced vertices are skipped (the partial trace
+    absorbs them exactly); on fully surviving vertices they are skipped when
     ``skip_surviving`` is set (spectrum-invariant).  Both skips are recorded
-    in the flags, as is the single-vertex fast path, which replaces
-    "fixed state + Haar unitary" by a uniformly random state vector.
+    in the flags.
 
-    Otherwise the Gram matrix is one ``einsum`` over each acted unitary,
-    reshaped to (out legs..., in legs...), on the ket and its conjugate on
-    the bra, along the plan of :func:`_gram_plan`.  Every guard is checked
-    before anything is sampled.
+    Every other vertex draws its Haar isometry ``U_v (|Phi>_loops x 1)``
+    from its own stream, with :func:`haar_unitary` at ``cols = r_v``, the
+    product of its non-loop leg dimensions.  The Gram matrix is one
+    ``einsum`` over each isometry, reshaped to (out legs..., non-loop
+    in-slots...), on the ket and its conjugate on the bra, along the plan of
+    :func:`_gram_plan`.  Every guard is checked before anything is sampled.
     """
-    g = marginal.graph
-    spec = _resolve_unitary_spec(marginal, unitaries)
-    flags, plan = _route(marginal, N, spec, skip_traced, skip_surviving,
-                         vector_fast_path)
-    dims = leg_dimensions(marginal, N)
-    traced = marginal.completed_traced_legs()
-    surviving = tuple(l for l in range(g.n_legs) if l not in traced)
-    ds = math.prod(dims[l] for l in surviving)
+    flags, plan = _route(marginal, N, unitaries, skip_traced, skip_surviving)
     if rng is None:
         rng = np.random.default_rng()
-    streams = rng.spawn(len(g.vertices) + 1)
-
-    if plan is None:
-        # a Haar unitary applied to any fixed vector is a uniform vector
-        vec = ginibre(math.prod(dims), 1, streams[-1])[:, 0]
-        psi = (vec / np.linalg.norm(vec)).reshape(dims)
-        gram = _gram(psi.transpose(list(surviving) + sorted(traced)).reshape(ds, -1))
-    else:
-        operands: list = []
-        for slot, v, vdim, shape, labels in plan.vertices:
-            action = spec[v]
-            if isinstance(action, str):
-                matrix = haar_unitary(vdim, streams[slot])
-            else:
-                matrix = np.asarray(action, dtype=complex)
-                if matrix.shape != (vdim, vdim):
-                    raise ValidationError(
-                        f"unitary for vertex {v!r} has shape {matrix.shape}, "
-                        f"expected {(vdim, vdim)}"
-                    )
-                defect = np.abs(matrix.conj().T @ matrix - np.eye(vdim)).max()
-                if defect > 1e-8:
-                    raise ValidationError(f"matrix for vertex {v!r} is not unitary")
-            tensor = matrix.reshape(shape)
-            operands += [tensor, labels[0]]
-            if plan.doubled:
-                operands += [tensor.conj(), labels[1]]
-        out = np.einsum(*operands, *plan.fixed, plan.output, optimize=plan.path)
+    streams = rng.spawn(len(marginal.graph.vertices))
+    operands: list = []
+    for slot, vdim, cols, shape, labels in plan.vertices:
+        tensor = haar_unitary(vdim, streams[slot], cols=cols).reshape(shape)
+        operands += [tensor, labels[0]]
         if plan.doubled:
-            gram = out.reshape(plan.side, plan.side) * plan.scale
-        else:
-            gram = _gram(out.reshape(plan.side, -1)) * plan.scale
-
+            operands += [tensor.conj(), labels[1]]
+    out = np.einsum(*operands, *plan.fixed, plan.output, optimize=plan.path)
+    if plan.doubled:
+        gram = out.reshape(plan.side, plan.side) * plan.scale
+    else:
+        gram = _gram(out.reshape(plan.side, -1)) * plan.scale
     norm = np.trace(gram).real
     if abs(norm - 1.0) > 1e-10:
         raise ValidationError(f"state normalization drifted to {norm}")
-    return ReducedState(gram=gram, dim=ds, surviving_legs=surviving,
+    return ReducedState(gram=gram, dim=plan.dim, surviving_legs=plan.surviving,
                         flags=flags)
 
 
@@ -464,7 +424,8 @@ def _summarize_spectrum(eig: np.ndarray,
     eig[eig < EIGENVALUE_CLIP_REL * top] = 0.0
     rank = int(np.count_nonzero(eig > RANK_THRESHOLD_REL * top))
     positive = eig[eig > 0]
-    entropy = float(-np.sum(positive * np.log(positive))) if positive.size else 0.0
+    # ``0.0 - x`` and ``x + 0.0`` turn a zero of either sign into +0.0
+    entropy = 0.0 - float(np.sum(positive * np.log(positive)))
     renyi: dict[float, float] = {}
     for q in q_list:
         if q == 0.0:
@@ -475,7 +436,7 @@ def _summarize_spectrum(eig: np.ndarray,
             # factor out the largest eigenvalue so that a large q cannot
             # underflow the sum to zero
             log_sum = q * math.log(top) + math.log(float(np.sum((positive / top) ** q)))
-            renyi[q] = log_sum / (1.0 - q)
+            renyi[q] = log_sum / (1.0 - q) + 0.0
     return SpectralReport(eigenvalues=eig, entropy=entropy, renyi=renyi, rank=rank)
 
 
@@ -484,7 +445,7 @@ def _experiment_sample(payload):
     marginal, N, seed, index, q_list, skip_traced, skip_surviving = payload
     rng = np.random.default_rng([seed, index])
     state = build_reduced_state(
-        marginal, N, None, rng,
+        marginal, N, rng=rng,
         skip_traced=skip_traced, skip_surviving=skip_surviving,
     )
     return spectral_report(state, q_list), state.flags
@@ -528,8 +489,7 @@ def run_experiment(marginal: Marginal, N: int, samples: int, seed: int,
         raise ValidationError(f"jobs must be at least 1, got {jobs}")
     _check_seed(seed)
     q_list = _renyi_orders(q_list)
-    _route(marginal, N, _resolve_unitary_spec(marginal, None), skip_traced,
-           skip_surviving, True)
+    _route(marginal, N, "sample", skip_traced, skip_surviving)
     payloads = [
         (marginal, N, seed, i, q_list, skip_traced, skip_surviving)
         for i in range(samples)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .boundary_flow import build_network, max_flow
+from .boundary_flow import FlowResult, build_network, max_flow
 from .errors import UnknownCaseError, ValidationError
 from .graph_model import Marginal, is_adapted
 from .nc_combinatorics import MAX_P, narayana
@@ -197,12 +197,14 @@ def _detect_template(marginal: Marginal):
     return None
 
 
-def predict_entropy(marginal: Marginal, N: int) -> EntropyPrediction:
+def predict_entropy(marginal: Marginal, N: int,
+                    flow: FlowResult | None = None) -> EntropyPrediction:
     """Dispatch a marginal to its most specific known prediction.
 
     Case priority: adapted, single loop, unique surviving vertex, path /
     double-edge template, generic.  The leading area always equals the
-    maximal flow of the marginal's network.
+    maximal flow of the marginal's network; the generic case reads it from
+    ``flow`` when the caller has already solved it.
     """
     if N < 2:
         raise ValidationError("N must be at least 2")
@@ -260,6 +262,7 @@ def predict_entropy(marginal: Marginal, N: int) -> EntropyPrediction:
         )
 
     return EntropyPrediction(
-        case="generic", leading_area=max_flow(build_network(marginal)).value,
+        case="generic",
+        leading_area=(flow or max_flow(build_network(marginal))).value,
         leading_offset=0.0, correction=None, exact=False,
     )

@@ -251,6 +251,37 @@ def test_transport_certify(write_doc, capsys):
     assert "rank 4 = N^Y3" in capsys.readouterr().out
 
 
+def test_certificate_entropies_have_no_negative_zero(write_doc, tmp_path):
+    # both sites send their one singlet half to A: Y3 = 0, a pure state
+    payload = {
+        "facilities": ["P1", "P2"],
+        "pairs": [{"a": "P1", "b": "P2", "count": 1}],
+        "quotas": {"P1": {"A": 1, "B": 0}, "P2": {"A": 1, "B": 0}},
+    }
+    instance = write_doc("inst.json", payload)
+    out = tmp_path / "r.json"
+    assert main(["transport", "-i", instance, "--certify", "-N", "2",
+                 "--out", str(out)]) == 0
+    text = out.read_text()
+    assert json.loads(text)["transport"]["Y"] == [0, 0, 0]
+    assert "-0.0" not in text
+
+
+def test_verify_solves_the_flow_once(write_doc, monkeypatch):
+    calls = []
+    max_flow = arealaw.max_flow
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return max_flow(*args, **kwargs)
+
+    monkeypatch.setattr("arealaw.cli.max_flow", counted)
+    monkeypatch.setattr("arealaw.spectral_predictor.max_flow", counted)
+    graph = write_doc("triangle.json", triangle_doc())
+    assert main(["verify", "-g", graph, "-N", "4", "-n", "2", "--seed", "2"]) == 0
+    assert len(calls) == 1
+
+
 def test_transport_infeasible_exit_code(write_doc):
     payload = {
         "facilities": ["P1", "P2"],
@@ -417,7 +448,7 @@ def test_non_finite_report_is_internal_error(write_doc, capsys, tmp_path,
     # every report is strict JSON: a non-finite value is a defect (exit 5),
     # never written as NaN or Infinity
     nan_prediction = SimpleNamespace(to_document=lambda: {"value": math.nan})
-    monkeypatch.setattr("arealaw.cli.predict_entropy", lambda marginal, N: nan_prediction)
+    monkeypatch.setattr("arealaw.cli.predict_entropy", lambda *args: nan_prediction)
     graph = write_doc("loop.json", single_loop_doc())
     out = tmp_path / "r.json"
     assert main(["simulate", "-g", graph, "-N", "2", "-n", "1", "--seed", "0",
@@ -443,6 +474,22 @@ def test_guard_exit_code(write_doc):
     # its 8^5-sided Gram matrix exceeds the default state guard
     assert main(["simulate", "-g", graph, "-N", "8", "-n", "1",
                  "--seed", "0"]) == 4
+
+
+def test_state_guard_bounds_a_loop_isometry(write_doc, capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr("arealaw.mc_simulator.build_reduced_state", no_sampling)
+    # one vertex with three loops at N = 8: its isometry is an 8^6 vector
+    graph = write_doc("loops.json", doc(["V"], [("V", "V", 1)] * 3,
+                                        {"mode": "counts", "s": {"V": 2}}))
+    monkeypatch.setenv("AREALAW_STATE_DIM_LIMIT", str(8 ** 6 - 1))
+    assert main(["simulate", "-g", graph, "-N", "8", "-n", "1", "--seed", "0"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("resource guard: largest contraction array 262144 exceeds "
+                   "the guard 262143 (set AREALAW_STATE_DIM_LIMIT to override)\n")
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])

@@ -16,7 +16,7 @@ from arealaw import (
     wishart_experiment,
 )
 from arealaw import mc_simulator
-from arealaw.mc_simulator import ginibre, leg_dimensions, sample_wishart_spectrum
+from arealaw.mc_simulator import ginibre, sample_wishart_spectrum
 
 from conftest import (
     adapted_five,
@@ -29,6 +29,11 @@ from conftest import (
     single_loop,
     two_loops,
 )
+
+
+def leg_dimensions(m, N):
+    """Per-leg Hilbert space dimensions ``d_e * N`` in leg order."""
+    return tuple(leg.ratio * N for leg in m.graph.legs)
 
 
 def test_haar_unitarity():
@@ -59,6 +64,22 @@ def test_haar_first_entry_moment():
     mean = float(np.concatenate(acc).mean())
     sigma = math.sqrt((dim - 1) / (dim ** 2 * (dim + 1)) / total)
     assert abs(mean - 1.0 / dim) < 3.0 * sigma
+
+
+def test_haar_isometry():
+    rng = np.random.default_rng(4)
+    v = haar_unitary(12, rng, cols=3)
+    assert v.shape == (12, 3)
+    assert np.abs(v.conj().T @ v - np.eye(3)).max() < 1e-12
+    batch = haar_unitary(6, rng, size=4, cols=2)
+    assert batch.shape == (4, 6, 2)
+    assert np.abs(batch.conj().transpose(0, 2, 1) @ batch - np.eye(2)).max() < 1e-12
+    # cols = dim is the default draw, from the same stream
+    assert np.array_equal(haar_unitary(5, np.random.default_rng(6), cols=5),
+                          haar_unitary(5, np.random.default_rng(6)))
+    for cols in (0, 13):
+        with pytest.raises(ValidationError, match="cols"):
+            haar_unitary(12, rng, cols=cols)
 
 
 def test_haar_guard(monkeypatch):
@@ -140,19 +161,16 @@ def test_reduced_state_invariants():
 def test_explicit_unitary_validation():
     m = single_loop()
     rng = np.random.default_rng(0)
-    with pytest.raises(ValidationError, match="shape"):
-        build_reduced_state(m, 2, unitaries={"V": np.eye(3)}, rng=rng)
-    with pytest.raises(ValidationError, match="not unitary"):
-        build_reduced_state(m, 2, unitaries={"V": np.ones((4, 4))}, rng=rng)
-    with pytest.raises(ValidationError, match="unknown vertex"):
-        build_reduced_state(m, 2, unitaries={"W": np.eye(4)}, rng=rng)
+    for bad in ({"V": np.eye(4)}, None, "haar"):
+        with pytest.raises(ValidationError, match="unknown unitary mode"):
+            build_reduced_state(m, 2, unitaries=bad, rng=rng)
     state = build_reduced_state(m, 2, unitaries="identity", rng=rng)
     assert "identity:V" in state.flags
 
 
 def test_single_loop_vector_path_matches_wishart():
-    # same topology through the dense path (explicit Haar) and through the
-    # Wishart sampler; rescaled moments must agree within 3 sigma
+    # the loop's Haar isometry is a uniform vector: rescaled moments of the
+    # default route and of the Wishart sampler must agree within 3 sigma
     m = single_loop(s=1)
     N, samples = 16, 60
 
@@ -163,7 +181,7 @@ def test_single_loop_vector_path_matches_wishart():
     dense = []
     for i in range(samples):
         rng = np.random.default_rng([123, i])
-        state = build_reduced_state(m, N, rng=rng, vector_fast_path=False)
+        state = build_reduced_state(m, N, rng=rng)
         dense.append(spectral_report(state).eigenvalues)
     wish = [sample_wishart_spectrum(N, N, np.random.default_rng([321, i]))
             for i in range(samples)]
@@ -194,7 +212,7 @@ def test_run_experiment_black_hole_case2():
 def test_run_experiment_two_loops():
     report = run_experiment(two_loops(s=2), 8, samples=50, seed=5)
     assert abs(report.mean_H - (2.0 * math.log(8) - 0.5)) <= 0.03
-    assert "vector_path" in report.flags
+    assert report.flags == ()  # one vertex, acted on, nothing skipped
 
 
 def test_run_experiment_adapted_zero_variance():
@@ -289,6 +307,13 @@ def test_empirical_vs_mp_degenerate_pure():
     assert len(result.distances) == 4  # reported, no crash
 
 
+def test_pure_spectrum_entropies_are_positive_zeros():
+    report = mc_simulator._summarize_spectrum(np.array([1.0, 0.0, 0.0]),
+                                              (0.0, 0.5, 1.0, 2.0, 3.0))
+    for value in (report.entropy, *report.renyi.values()):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
 def test_wishart_experiment_page_values():
     r64 = wishart_experiment(64, 64, samples=20, seed=3)
     assert abs(r64.mean_H - (math.log(64) - 0.5)) <= 0.02
@@ -333,16 +358,39 @@ def _apply_on_axes(psi, axes, matrix):
     return shaped.reshape(inner_shape).transpose(np.argsort(perm))
 
 
+def _loop_embedding(g, v, dims):
+    """The isometry ``|Phi>_loops x 1`` from the non-loop legs of ``v`` into
+    all its legs, both in leg order (a loop's two legs are adjacent)."""
+    loops = g.loop_indices(v)
+    w = np.ones((1, 1))
+    for e in sorted({g.legs[l].edge for l in g.legs_of(v)}):
+        d = dims[2 * e]
+        w = np.kron(w, np.eye(d).reshape(-1, 1) / math.sqrt(d) if e in loops
+                    else np.eye(d))
+    return w
+
+
+def _completion(v_iso, w_iso):
+    """A unitary ``U`` with ``U W = V`` for two isometries of one shape."""
+    cols = v_iso.shape[1]
+    v_rest = np.linalg.qr(v_iso, mode="complete")[0][:, cols:]
+    w_rest = np.linalg.qr(w_iso, mode="complete")[0][:, cols:]
+    u = v_iso @ w_iso.conj().T + v_rest @ w_rest.conj().T
+    assert np.abs(u @ w_iso - v_iso).max() <= 1e-12
+    assert np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() <= 1e-12
+    return u
+
+
 def _oracle_spectrum(m, N, unitaries, rng, skip_traced, skip_surviving):
     """The dense route: kron of the edge pairs, each vertex's unitary
     applied on its legs, then the squared singular values of the
-    (surviving x traced) factor.  Draws the same per-vertex streams."""
+    (surviving x traced) factor.  A sampled vertex draws the builder's
+    isometry from the same stream and applies a unitary completing it."""
     g = m.graph
     dims = leg_dimensions(m, N)
-    spec = mc_simulator._resolve_unitary_spec(m, unitaries)
     traced = sorted(m.completed_traced_legs())
     surviving = [l for l in range(g.n_legs) if l not in traced]
-    streams = rng.spawn(len(g.vertices) + 1)
+    streams = rng.spawn(len(g.vertices))
     vec = np.ones(1, dtype=complex)
     for e in g.edges:
         d = e.d * N
@@ -350,20 +398,18 @@ def _oracle_spectrum(m, N, unitaries, rng, skip_traced, skip_surviving):
     psi = vec.reshape(dims)
     flags = []
     for slot, v in enumerate(g.vertices):
-        action = spec[v]
-        legs = g.legs_of(v)
-        if isinstance(action, str):
-            if action == "identity":
-                flags.append(f"identity:{v}")
-                continue
-            if m.s(v) == 0 and skip_traced:
-                flags.append(f"skipped_traced:{v}")
-                continue
-            if m.t(v) == 0 and skip_surviving:
-                flags.append(f"skipped_surviving:{v}")
-                continue
-            action = haar_unitary(math.prod(dims[l] for l in legs), streams[slot])
-        psi = _apply_on_axes(psi, list(legs), action)
+        if unitaries == "identity":
+            flags.append(f"identity:{v}")
+            continue
+        if m.s(v) == 0 and skip_traced:
+            flags.append(f"skipped_traced:{v}")
+            continue
+        if m.t(v) == 0 and skip_surviving:
+            flags.append(f"skipped_surviving:{v}")
+            continue
+        w = _loop_embedding(g, v, dims)
+        isometry = haar_unitary(w.shape[0], streams[slot], cols=w.shape[1])
+        psi = _apply_on_axes(psi, list(g.legs_of(v)), _completion(isometry, w))
     ds = math.prod(dims[l] for l in surviving)
     factor = psi.transpose(surviving + traced).reshape(ds, -1)
     sv = np.linalg.svd(factor, compute_uv=False)
@@ -371,17 +417,6 @@ def _oracle_spectrum(m, N, unitaries, rng, skip_traced, skip_surviving):
     eig[: sv.size] = sv ** 2
     eig[::-1].sort()
     return eig, tuple(flags)
-
-
-def _explicit(m, N, rng):
-    """Haar matrices for the first vertex, identity on the second, the
-    rest sampled by the builder."""
-    dims = leg_dimensions(m, N)
-    v0 = m.graph.vertices[0]
-    spec = {v0: haar_unitary(math.prod(dims[l] for l in m.graph.legs_of(v0)), rng)}
-    if len(m.graph.vertices) > 1:
-        spec[m.graph.vertices[1]] = "identity"
-    return spec
 
 
 ORACLE_CASES = [
@@ -402,7 +437,7 @@ ORACLE_CASES = [
 def _assert_matches_oracle(m, unitaries, seed, skip):
     state = build_reduced_state(
         m, 2, unitaries, np.random.default_rng(seed), skip_traced=skip[0],
-        skip_surviving=skip[1], vector_fast_path=False,
+        skip_surviving=skip[1],
     )
     expected, flags = _oracle_spectrum(m, 2, unitaries,
                                        np.random.default_rng(seed), *skip)
@@ -419,10 +454,8 @@ def _assert_matches_oracle(m, unitaries, seed, skip):
 @pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
 def test_contraction_matches_dense_oracle(case, skip):
     m = ORACLE_CASES[case]
-    _assert_matches_oracle(m, None, 100 + case, skip)
+    _assert_matches_oracle(m, "sample", 100 + case, skip)
     _assert_matches_oracle(m, "identity", 100 + case, skip)
-    _assert_matches_oracle(m, _explicit(m, 2, np.random.default_rng(case)),
-                           200 + case, skip)
 
 
 def test_contraction_matches_dense_oracle_random_marginals():
@@ -430,8 +463,7 @@ def test_contraction_matches_dense_oracle_random_marginals():
     for i in range(40):
         m = random_marginal(rng, max_vertices=4, max_edges=4)
         skip = (bool(i % 2), bool(i // 2 % 2))
-        _assert_matches_oracle(m, None, i, skip)
-        _assert_matches_oracle(m, _explicit(m, 2, rng), 1000 + i, skip)
+        _assert_matches_oracle(m, "sample", i, skip)
 
 
 def test_spectrum_from_either_gram_side():
@@ -462,8 +494,7 @@ def lattice(rows, cols):
 
 
 def _sample_plan(m, N, skip=(True, True)):
-    spec = mc_simulator._resolve_unitary_spec(m, None)
-    return mc_simulator._route(m, N, spec, *skip, True)[1]
+    return mc_simulator._route(m, N, "sample", *skip)[1]
 
 
 def test_guard_bounds_the_largest_array(monkeypatch):
@@ -538,12 +569,11 @@ def test_ket_route_beyond_the_label_limit(label_limit):
     for i, m in enumerate(marginals):
         for skip in ((True, True), (False, False)):
             try:
-                plan = mc_simulator._route(m, 2, mc_simulator._resolve_unitary_spec(
-                    m, None), *skip, False)[1]
+                plan = _sample_plan(m, 2, skip)
             except ResourceGuardError:
                 continue  # the ket alone needs more than 12 labels
             routes.add(plan.doubled)
-            _assert_matches_oracle(m, None, 500 + i, skip)
+            _assert_matches_oracle(m, "sample", 500 + i, skip)
             _assert_matches_oracle(m, "identity", 500 + i, skip)
     assert routes == {True, False}
 
@@ -572,6 +602,37 @@ def test_plan_contracts_pairwise():
         random_marginal(rng, max_vertices=4, max_edges=5) for _ in range(30)]
     for m in marginals:
         plan = _sample_plan(m, 2)
-        if plan is not None:  # None: the single-vertex vector path
-            assert all(len(step) == 2 for step in plan.path[1:]), plan.path
-    _assert_matches_oracle(twisted, None, 7, (True, True))
+        assert all(len(step) == 2 for step in plan.path[1:]), plan.path
+    _assert_matches_oracle(twisted, "sample", 7, (True, True))
+
+
+def test_loop_vertex_draws_an_isometry(monkeypatch):
+    drawn = []
+    haar = mc_simulator.haar_unitary
+
+    def recorded(dim, rng, size=None, cols=None):
+        drawn.append((dim, cols))
+        return haar(dim, rng, size, cols)
+
+    monkeypatch.setattr(mc_simulator, "haar_unitary", recorded)
+    # A: a loop and the edge to B; B: that edge and a loop; all legs 2-dim
+    build_reduced_state(ORACLE_CASES[0], 2, rng=np.random.default_rng(0))
+    assert drawn == [(8, 2), (8, 2)]
+    drawn.clear()
+    # no loop: the full unitary of V2, the only vertex acted on
+    build_reduced_state(black_hole(traced=[0, 2]), 2, rng=np.random.default_rng(0))
+    assert drawn == [(4, 4)]
+
+
+def test_three_loops_run_under_the_default_guards(monkeypatch):
+    # vdim = 8^6, far above the Haar guard, but the isometry has one column:
+    # a 2^18-entry vector on the ket and its conjugate on the bra
+    monkeypatch.delenv("AREALAW_HAAR_DIM_LIMIT", raising=False)
+    monkeypatch.delenv("AREALAW_STATE_DIM_LIMIT", raising=False)
+    m = marginal_from(["V"], [("V", "V", 1)] * 3, {"mode": "counts", "s": {"V": 2}})
+    plan = _sample_plan(m, 8)
+    assert [(vdim, cols) for _, vdim, cols, _, _ in plan.vertices] == [(8 ** 6, 1)]
+    assert plan.largest == 8 ** 6
+    report = run_experiment(m, 8, samples=2, seed=0)
+    assert report.flags == ()
+    assert all(0.0 < h <= math.log(64) for h in report.per_sample_H)
