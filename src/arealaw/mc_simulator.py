@@ -6,21 +6,26 @@ out the selected legs.  At a loop the unitary meets only the fixed pair, so
 each acted vertex enters as the Haar isometry ``U_v (|Phi>_loops x 1)``, of
 size ``vdim x r_v`` with ``r_v`` the product of its non-loop leg dimensions
 (a vertex with no loop draws its full unitary).  Neither the state nor the
-reduced density matrix is formed: one ``einsum`` over the doubled network
+reduced density matrix is formed: a contraction of the doubled network
 (the isometries on the ket, their conjugates on the bra, the legs of the
 larger side shared, those of the smaller side left open) lands straight on
 the min(ds, dt)-sided Gram matrix, whose nonzero spectrum is that of the
 reduced state.  The labels, reshapes and greedy contraction path depend
 only on the graph, the traced legs, ``N`` and which vertices act, so they
-form a plan built once and memoised; the state-dimension guard bounds the
-largest array that plan takes or builds.  One routine summarises a
-spectrum and one builds the ``MCReport`` from the summaries.
+form a plan built once and memoised, with the path compiled into pairwise
+``matmul`` steps; the state-dimension guard bounds the largest array that
+plan takes or builds for one sample.  Samples run in contiguous chunks:
+a chunk draws, contracts and diagonalises its samples together on a
+leading sample axis, each sample meeting the same matrix products as it
+would alone.  One routine summarises a spectrum and one builds the
+``MCReport`` from the summaries.
 
 Determinism contract: every sample derives its own generator from
 ``(seed, sample_index)`` and every vertex from ``(seed, sample_index,
-vertex_slot)``, so results do not depend on execution order, parallelism or
-which vertices are skipped.  Aggregation uses exact summation in sample
-order.  Cross-platform bit-equality is not promised (eigensolvers).
+vertex_slot)``, so results do not depend on execution order, chunking,
+parallelism or which vertices are skipped.  Aggregation uses exact
+summation in sample order.  Cross-platform bit-equality is not promised
+(eigensolvers).
 """
 from __future__ import annotations
 
@@ -29,7 +34,7 @@ import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +47,9 @@ DEFAULT_STATE_DIM_LIMIT = 2 ** 24
 DEFAULT_HAAR_DIM_LIMIT = 4096
 #: Distinct labels numpy's interleaved ``einsum`` accepts.
 EINSUM_LABEL_LIMIT = 52
+#: Elements a Monte Carlo chunk stacks: it holds
+#: ``max(1, CHUNK_ELEMENTS // largest)`` samples.
+CHUNK_ELEMENTS = 2 ** 14
 
 #: Normative numeric thresholds for spectra.
 EIGENVALUE_CLIP_REL = 1e-12
@@ -99,10 +107,14 @@ def _check_seed(seed: int) -> None:
         raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
 
 
-def ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Matrix of i.i.d. standard complex Gaussian entries."""
-    return (rng.standard_normal((rows, cols))
-            + 1j * rng.standard_normal((rows, cols))) / math.sqrt(2.0)
+def ginibre(rows: int, cols: int, rng: np.random.Generator,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """Matrix of i.i.d. standard complex Gaussian entries, written into
+    ``out`` when given."""
+    shape = (rows, cols)
+    z = np.add(rng.standard_normal(shape), 1j * rng.standard_normal(shape), out=out)
+    z /= math.sqrt(2.0)
+    return z
 
 
 def haar_unitary(dim: int, rng: np.random.Generator,
@@ -123,10 +135,14 @@ def haar_unitary(dim: int, rng: np.random.Generator,
     _check_haar_dim(cols, "Haar isometry columns")
     shape = (dim, cols) if size is None else (size, dim, cols)
     z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    return _isometry(z)
+
+
+def _isometry(z: np.ndarray) -> np.ndarray:
+    """The phase-fixed Q factor of a (stack of) Ginibre matrices."""
     q, r = np.linalg.qr(z)
-    diag = np.einsum("...ii->...i", r)
-    phases = diag / np.abs(diag)
-    return q * phases[..., None, :]
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,9 +202,11 @@ class _GramPlan:
     """What every sample of one doubled-network contraction shares."""
 
     # per acted vertex: (stream slot, vertex dimension, isometry columns,
-    # reshape to (out legs..., non-loop in-slots...), (ket labels, bra labels))
+    # shape (out legs..., non-loop in-slots...))
     vertices: tuple[tuple, ...]
-    fixed: tuple             # identity operands interleaved with their labels
+    fixed: tuple             # identity operands, each with a unit sample axis
+    inputs: tuple            # labels of every operand: per vertex its ket (and
+                             # bra) copy, then the identities
     output: tuple[int, ...]  # ket then bra labels of the smaller side's legs
     doubled: bool            # False: ket only, output (smaller, larger side)
     side: int                # min(ds, dt)
@@ -197,22 +215,100 @@ class _GramPlan:
     scale: float             # ket and bra normalisation of the edges outside
                              # the isometries: prod (d_e N)^-1
     path: tuple              # greedy ``einsum_path``, computed once
-    largest: int             # elements of the largest array taken or built
+    steps: tuple             # the path compiled by :func:`_compile`
+    largest: int             # elements of the largest array one sample
+                             # takes or builds
 
 
-def _largest_array(path: Sequence, inputs: Sequence[Sequence[int]],
-                   output: Sequence[int], size: dict[int, int]) -> int:
-    """Largest operand or result along an einsum path: each step contracts
-    its operands into the labels that another operand or the output still
-    needs."""
-    live = [set(labels) for labels in inputs]
-    largest = max(math.prod(size[x] for x in labels) for labels in live)
-    for step in path[1:]:
-        merged = set().union(*(live.pop(i) for i in sorted(step, reverse=True)))
-        result = merged & set(output).union(*live)
-        live.append(result)
+def _compile(path: Sequence, inputs: Sequence[Sequence[int]],
+             output: Sequence[int], size: dict[int, int]) -> tuple[tuple, int]:
+    """An einsum path as array steps over a leading sample axis, and the
+    elements of the largest array it takes or builds per sample.
+
+    Each step pops its operands (highest position first), contracts them
+    into the labels that another operand or the output still needs (sorted
+    by size, then label; the last step gives the output order) and appends
+    the result.  A pair is laid out as numpy's own pairwise einsum lays it
+    out: batch, kept and contracted labels in term order, one ``matmul`` of
+    the fused matrices (``multiply`` when nothing is contracted), then the
+    result reshaped and transposed.  The sample axis leads every operand as
+    the first batch axis, so each sample meets the same matrix products as a
+    contraction of that sample alone.  A step of one operand transposes it;
+    a step of more than two, which numpy's greedy search leaves when every
+    pair would build an array above its bound, is refused.
+    """
+    terms = [tuple(labels) for labels in inputs]
+    largest = max(math.prod(size[x] for x in labels) for labels in terms)
+    steps = []
+    last = len(path) - 1  # path[0] names the search
+    for n, take in enumerate(path[1:], 1):
+        take = tuple(sorted(take, reverse=True))
+        if len(take) > 2:
+            raise ResourceGuardError(
+                "the contraction has no pairwise path that keeps every array "
+                f"within {DEFAULT_STATE_DIM_LIMIT} elements")
+        taken = [terms.pop(i) for i in take]
+        if n == last:
+            result = tuple(output)
+        else:
+            needed = set(output).union(*terms)
+            result = tuple(sorted({x for t in taken for x in t if x in needed},
+                                  key=lambda x: (size[x], x)))
+        terms.append(result)
         largest = max(largest, math.prod(size[x] for x in result))
-    return largest
+        steps.append((take, *_step_layout(taken, result, size)))
+    return tuple(steps), largest
+
+
+def _step_layout(taken, result, size):
+    """(per operand (transpose, reshape), product, result reshape,
+    result transpose) of one step; see :func:`_compile`."""
+
+    def axes(term, order):
+        return (0, *(1 + term.index(x) for x in order))
+
+    if len(taken) == 1:
+        fused = (-1, *(size[x] for x in result))
+        return ((axes(taken[0], result), fused),), None, None, None
+    a, b = taken
+    batch = [x for x in a if x in b and x in result]
+    contracted = [x for x in a if x in b and x not in result]
+    a_keep = [x for x in a if x not in b]
+    b_keep = [x for x in b if x not in a]
+    if not contracted:
+        prep = tuple(
+            (axes(t, [x for x in result if x in t]),
+             (-1, *(size[x] if x in t else 1 for x in result)))
+            for t in taken)
+        return prep, np.multiply, None, None
+
+    def fused(*groups):
+        return (-1, *(math.prod(size[x] for x in g) for g in groups))
+
+    lead = [batch] if batch else []  # a batch axis only for batch labels
+    produced = batch + a_keep + b_keep
+    return (
+        ((axes(a, batch + a_keep + contracted), fused(*lead, a_keep, contracted)),
+         (axes(b, batch + contracted + b_keep), fused(*lead, contracted, b_keep))),
+        np.matmul,
+        (-1, *(size[x] for x in produced)),
+        axes(produced, result),
+    )
+
+
+def _contract(steps: tuple, operands: list) -> np.ndarray:
+    """Run compiled steps on operands that carry a leading sample axis."""
+    for take, *layout in steps:
+        operands.append(_run_step(layout, [operands.pop(i) for i in take]))
+    return operands[0]
+
+
+def _run_step(layout, arrays: list) -> np.ndarray:
+    """One compiled step; its reshaped copies die when it returns."""
+    prep, product, shape, order = layout
+    args = [a.transpose(axes).reshape(fused) for a, (axes, fused) in zip(arrays, prep)]
+    out = product(*args) if product else args[0]
+    return out.reshape(shape).transpose(order) if shape else out
 
 
 @lru_cache(maxsize=256)
@@ -231,7 +327,8 @@ def _gram_plan(graph: Graph, traced: tuple[int, ...], N: int,
     ket and bra together need more labels than ``EINSUM_LABEL_LIMIT``, the
     ket alone is contracted into its (smaller x larger side) factor, which
     the size guard then bounds like any other array; if the ket alone needs
-    more, :class:`ResourceGuardError`.
+    more, :class:`ResourceGuardError`.  The greedy ``np.einsum_path`` over
+    these labels is compiled once into matmul steps (:func:`_compile`).
     """
     n = graph.n_legs
     dims = [leg.ratio * N for leg in graph.legs]
@@ -264,7 +361,7 @@ def _gram_plan(graph: Graph, traced: tuple[int, ...], N: int,
     copies = (list, prime)
     output = kept_labels + prime(kept_labels)
     if len({x for _, ket in terms for x in ket + prime(ket)}) > EINSUM_LABEL_LIMIT:
-        # too many labels for one einsum: contract the ket alone into its
+        # too many labels for the path search: contract the ket alone into its
         # (smaller x larger side) factor and take the Gram matrix by a product
         copies = (list,)
         output = kept_labels + [label[l] for l in summed]
@@ -278,10 +375,8 @@ def _gram_plan(graph: Graph, traced: tuple[int, ...], N: int,
     compact = {x: i for i, x in enumerate(sorted(size))}
     size = {compact[x]: d for x, d in size.items()}
     output = tuple(compact[x] for x in output)
-    # per ket operand, the labels of its ket (and bra) copy
-    labelled = [tuple(tuple(compact[x] for x in copy(ket)) for copy in copies)
-                for _, ket in terms]
-    inputs = [labels for copied in labelled for labels in copied]
+    inputs = tuple(tuple(compact[x] for x in copy(ket))
+                   for _, ket in terms for copy in copies)
     shapes = [shape for shape, _ in terms for _ in copies]
     # numpy's greedy search by default skips any pair whose result is larger
     # than every input and the output, and then contracts all remaining
@@ -290,25 +385,24 @@ def _gram_plan(graph: Graph, traced: tuple[int, ...], N: int,
         *(x for shape, labels in zip(shapes, inputs)
           for x in (np.broadcast_to(0.0, shape), labels)),
         output, optimize=("greedy", DEFAULT_STATE_DIM_LIMIT))[0]
+    steps, largest = _compile(path, inputs, output, size)
     fixed = []
-    for e, labels in zip(eyes, labelled[len(acted):]):
-        eye = np.eye(dims[2 * e])
+    for e in eyes:
+        eye = np.eye(dims[2 * e])[None]
         eye.setflags(write=False)
-        for copy_labels in labels:
-            fixed += [eye, copy_labels]
+        fixed += [eye] * len(copies)
     vertices = []
-    for v, (shape, _), labels in zip(acted, terms, labelled):
+    for v, (shape, _) in zip(acted, terms):
         out = len(graph.legs_of(v))
         vertices.append((graph.vertices.index(v), math.prod(shape[:out]),
-                         math.prod(shape[out:]), shape, labels))
+                         math.prod(shape[out:]), tuple(shape)))
     return _GramPlan(
-        vertices=tuple(vertices), fixed=tuple(fixed), output=output,
-        doubled=len(copies) == 2, side=min(ds, dt), dim=ds,
+        vertices=tuple(vertices), fixed=tuple(fixed), inputs=inputs,
+        output=output, doubled=len(copies) == 2, side=min(ds, dt), dim=ds,
         surviving=surviving,
         scale=1.0 / math.prod(dims[2 * e] for e in range(len(graph.edges))
                               if e not in held),
-        path=tuple(path),
-        largest=_largest_array(path, inputs, output, size),
+        path=tuple(path), steps=steps, largest=largest,
     )
 
 
@@ -334,10 +428,58 @@ def _route(marginal: Marginal, N: int, unitaries: str, skip_traced: bool,
             acted.append(v)
     plan = _gram_plan(g, tuple(sorted(marginal.completed_traced_legs())), N,
                       tuple(acted))
-    for slot, _, cols, _, _ in plan.vertices:
+    for slot, _, cols, _ in plan.vertices:
         _check_haar_dim(cols, f"vertex {g.vertices[slot]!r} Haar isometry columns")
     _check_size(plan.largest, "largest contraction array")
     return tuple(flags), plan
+
+
+def _vertex_stream(seed: int, index: int, slot: int) -> np.random.Generator:
+    """Sample ``index``'s generator at a vertex slot: the one
+    ``default_rng([seed, index]).spawn(n)[slot]`` gives, built alone."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence([seed, index], spawn_key=(slot,))))
+
+
+def _ginibre_stack(streams: Sequence, slot: int, rows: int,
+                   cols: int) -> np.ndarray:
+    """One Ginibre matrix per sample, each drawn from its own sample's
+    stream at a vertex slot, written into one ``(samples, rows, cols)``
+    stack."""
+    z = np.empty((len(streams), rows, cols), dtype=complex)
+    for k, stream in enumerate(streams):
+        ginibre(rows, cols, stream(slot), out=z[k])
+    return z
+
+
+def _gram_stack(plan: _GramPlan, streams: Sequence) -> np.ndarray:
+    """The Gram matrices of ``len(streams)`` samples, stacked on a leading
+    axis; ``streams[k](slot)`` is sample k's generator at a vertex slot.
+
+    Each acted vertex takes one QR of its Ginibre stack; the plan's compiled
+    steps then contract the isometries, reshaped to (out legs..., non-loop
+    in-slots...), on the ket and their conjugates on the bra for every
+    sample at once.  Each sample's trace is checked.
+    """
+    count = len(streams)
+    operands = []
+    for slot, vdim, cols, shape in plan.vertices:
+        tensor = _isometry(_ginibre_stack(streams, slot, vdim, cols))
+        tensor = tensor.reshape(count, *shape)
+        operands.append(tensor)
+        if plan.doubled:
+            operands.append(tensor.conj())
+    out = _contract(plan.steps, operands + list(plan.fixed))
+    out = np.broadcast_to(out, (count, *out.shape[1:]))  # nothing acted
+    if plan.doubled:
+        gram = out.reshape(count, plan.side, plan.side) * plan.scale
+    else:
+        gram = _gram(out.reshape(count, plan.side, -1)) * plan.scale
+    for sample in gram:
+        norm = np.trace(sample).real
+        if abs(norm - 1.0) > 1e-10:
+            raise ValidationError(f"state normalization drifted to {norm}")
+    return gram
 
 
 def build_reduced_state(marginal: Marginal, N: int, unitaries: str = "sample",
@@ -353,55 +495,42 @@ def build_reduced_state(marginal: Marginal, N: int, unitaries: str = "sample",
     in the flags.
 
     Every other vertex draws its Haar isometry ``U_v (|Phi>_loops x 1)``
-    from its own stream, with :func:`haar_unitary` at ``cols = r_v``, the
-    product of its non-loop leg dimensions.  The Gram matrix is one
-    ``einsum`` over each isometry, reshaped to (out legs..., non-loop
-    in-slots...), on the ket and its conjugate on the bra, along the plan of
-    :func:`_gram_plan`.  Every guard is checked before anything is sampled.
+    from its own stream, spawned from ``rng``, as :func:`haar_unitary` does
+    at ``cols = r_v``, the product of its non-loop leg dimensions.  This is
+    the one-sample case of the Monte Carlo builder (:func:`_gram_stack`).
+    Every guard is checked before anything is sampled.
     """
     flags, plan = _route(marginal, N, unitaries, skip_traced, skip_surviving)
     if rng is None:
         rng = np.random.default_rng()
     streams = rng.spawn(len(marginal.graph.vertices))
-    operands: list = []
-    for slot, vdim, cols, shape, labels in plan.vertices:
-        tensor = haar_unitary(vdim, streams[slot], cols=cols).reshape(shape)
-        operands += [tensor, labels[0]]
-        if plan.doubled:
-            operands += [tensor.conj(), labels[1]]
-    out = np.einsum(*operands, *plan.fixed, plan.output, optimize=plan.path)
-    if plan.doubled:
-        gram = out.reshape(plan.side, plan.side) * plan.scale
-    else:
-        gram = _gram(out.reshape(plan.side, -1)) * plan.scale
-    norm = np.trace(gram).real
-    if abs(norm - 1.0) > 1e-10:
-        raise ValidationError(f"state normalization drifted to {norm}")
+    gram = _gram_stack(plan, [streams.__getitem__])[0]
     return ReducedState(gram=gram, dim=plan.dim, surviving_legs=plan.surviving,
                         flags=flags)
 
 
 def _gram(factor: np.ndarray) -> np.ndarray:
-    """The smaller Gram matrix of a factor, ``F F^dagger`` or
-    ``F^dagger F``; both share the nonzero spectrum."""
-    rows, cols = factor.shape
-    return factor @ factor.conj().T if rows <= cols else factor.conj().T @ factor
+    """The smaller Gram matrix of a factor (or a stack of them),
+    ``F F^dagger`` or ``F^dagger F``; both share the nonzero spectrum."""
+    rows, cols = factor.shape[-2:]
+    adjoint = factor.conj().swapaxes(-1, -2)
+    return factor @ adjoint if rows <= cols else adjoint @ factor
 
 
 def _spectrum(gram: np.ndarray, dim: int) -> np.ndarray:
-    """Eigenvalues of a Gram matrix padded with structural zeros to
-    ``dim``, descending."""
+    """Eigenvalues of a Gram matrix (or of each in a stack) padded with
+    structural zeros to ``dim``, descending."""
     try:
         values = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:
         scale = float(np.abs(gram).max())
         raise AreaLawError(
-            f"eigensolver failed on a {gram.shape} Gram matrix "
+            f"eigensolver failed on a {gram.shape[-2:]} Gram matrix "
             f"(max magnitude {scale:.3e}): {exc}"
         ) from exc
-    eig = np.zeros(dim)
-    eig[: values.shape[0]] = values
-    eig[::-1].sort()
+    eig = np.zeros((*values.shape[:-1], dim))
+    eig[..., : values.shape[-1]] = values
+    eig[..., ::-1].sort()
     return eig
 
 
@@ -440,15 +569,14 @@ def _summarize_spectrum(eig: np.ndarray,
     return SpectralReport(eigenvalues=eig, entropy=entropy, renyi=renyi, rank=rank)
 
 
-def _experiment_sample(payload):
-    """One Monte Carlo sample; top level so process pools can pickle it."""
-    marginal, N, seed, index, q_list, skip_traced, skip_surviving = payload
-    rng = np.random.default_rng([seed, index])
-    state = build_reduced_state(
-        marginal, N, rng=rng,
-        skip_traced=skip_traced, skip_surviving=skip_surviving,
-    )
-    return spectral_report(state, q_list), state.flags
+def _sample_chunk(payload) -> list[SpectralReport]:
+    """The reports of samples ``start, ..., stop - 1`` of a run, built and
+    diagonalised together; top level so process pools can pickle it."""
+    marginal, N, seed, start, stop, q_list, skip_traced, skip_surviving = payload
+    _, plan = _route(marginal, N, "sample", skip_traced, skip_surviving)
+    grams = _gram_stack(plan, [partial(_vertex_stream, seed, i)
+                               for i in range(start, stop)])
+    return [_summarize_spectrum(eig, q_list) for eig in _spectrum(grams, plan.dim)]
 
 
 def _mc_report(reports: Sequence[SpectralReport], flags: tuple[str, ...],
@@ -480,8 +608,11 @@ def run_experiment(marginal: Marginal, N: int, samples: int, seed: int,
     """Estimate the mean entanglement entropy of a marginal.
 
     Per-sample generators derive from ``(seed, sample_index)``, so reports
-    are reproducible and independent of ``jobs``.  Inputs and guards are
-    checked before any sampling starts.
+    are reproducible and independent of ``jobs`` and of chunking.  Inputs
+    and guards are checked before any sampling starts.  Samples run in
+    contiguous chunks of ``max(1, CHUNK_ELEMENTS // largest)``, where
+    ``largest`` is the largest array one sample takes or builds; with
+    ``jobs > 1`` a process pool of at most one worker per chunk runs them.
     """
     if samples < 1:
         raise ValidationError("need at least one sample")
@@ -489,19 +620,21 @@ def run_experiment(marginal: Marginal, N: int, samples: int, seed: int,
         raise ValidationError(f"jobs must be at least 1, got {jobs}")
     _check_seed(seed)
     q_list = _renyi_orders(q_list)
-    _route(marginal, N, "sample", skip_traced, skip_surviving)
+    flags, plan = _route(marginal, N, "sample", skip_traced, skip_surviving)
+    size = max(1, CHUNK_ELEMENTS // plan.largest)
     payloads = [
-        (marginal, N, seed, i, q_list, skip_traced, skip_surviving)
-        for i in range(samples)
+        (marginal, N, seed, start, min(start + size, samples), q_list,
+         skip_traced, skip_surviving)
+        for start in range(0, samples, size)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_experiment_sample, payloads))
+    workers = min(jobs, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_sample_chunk, payloads))
     else:
-        raw = [_experiment_sample(p) for p in payloads]
-    flags = tuple(sorted(set(flag for _, sample_flags in raw
-                             for flag in sample_flags)))
-    return _mc_report([report for report, _ in raw], flags, seed, N, q_list)
+        chunks = [_sample_chunk(p) for p in payloads]
+    return _mc_report([report for chunk in chunks for report in chunk],
+                      tuple(sorted(flags)), seed, N, q_list)
 
 
 @dataclass(frozen=True)

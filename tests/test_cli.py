@@ -480,7 +480,7 @@ def test_state_guard_bounds_a_loop_isometry(write_doc, capsys, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("a sample was drawn")
 
-    monkeypatch.setattr("arealaw.mc_simulator.build_reduced_state", no_sampling)
+    monkeypatch.setattr("arealaw.mc_simulator._gram_stack", no_sampling)
     # one vertex with three loops at N = 8: its isometry is an 8^6 vector
     graph = write_doc("loops.json", doc(["V"], [("V", "V", 1)] * 3,
                                         {"mode": "counts", "s": {"V": 2}}))
@@ -497,13 +497,36 @@ def test_too_many_labels_exit_code(write_doc, capsys, monkeypatch, command):
     def no_sampling(*args, **kwargs):
         raise AssertionError("a sample was drawn")
 
-    monkeypatch.setattr("arealaw.mc_simulator.build_reduced_state", no_sampling)
+    monkeypatch.setattr("arealaw.mc_simulator._gram_stack", no_sampling)
     graph = write_doc("lattice.json", lattice_doc(2, 7))
     assert main([command, "-g", graph, "-N", "2", "-n", "1", "--seed", "0"]) == 4
     out, err = capsys.readouterr()
     assert out == ""
     assert err == ("resource guard: the contraction needs 53 einsum labels, "
                    "more than numpy's 52\n")
+
+
+@pytest.mark.parametrize("case", ["loops", "lattice"])
+def test_sampling_seam_is_reached(write_doc, monkeypatch, case):
+    # the two tests above patch _gram_stack to prove that nothing was
+    # sampled; a run that samples these graphs goes through it
+    calls = []
+    stack = arealaw.mc_simulator._gram_stack
+
+    def counted(plan, streams):
+        calls.append(len(streams))
+        return stack(plan, streams)
+
+    monkeypatch.setattr("arealaw.mc_simulator._gram_stack", counted)
+    if case == "loops":
+        graph = write_doc("loops.json", doc(["V"], [("V", "V", 1)] * 3,
+                                            {"mode": "counts", "s": {"V": 2}}))
+        args = ["-N", "8"]
+    else:
+        graph = write_doc("lattice.json", lattice_doc(2, 4))
+        args = ["-N", "2"]
+    assert main(["simulate", "-g", graph, *args, "-n", "2", "--seed", "0"]) == 0
+    assert sum(calls) == 2
 
 
 @pytest.mark.parametrize("variable", ["AREALAW_STATE_DIM_LIMIT",

@@ -1,10 +1,12 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from arealaw import (
+    ReducedState,
     ResourceGuardError,
     ValidationError,
     build_reduced_state,
@@ -287,7 +289,7 @@ def test_negative_renyi_order_rejected_before_sampling(monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("a sample was drawn")
 
-    monkeypatch.setattr(mc_simulator, "build_reduced_state", no_sampling)
+    monkeypatch.setattr(mc_simulator, "_gram_stack", no_sampling)
     for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValidationError, match="Renyi"):
             run_experiment(single_loop(), 4, samples=2, seed=0, q_list=(0.0, bad))
@@ -483,7 +485,7 @@ def test_nonpositive_jobs_rejected_before_sampling(monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("a sample was drawn")
 
-    monkeypatch.setattr(mc_simulator, "build_reduced_state", no_sampling)
+    monkeypatch.setattr(mc_simulator, "_gram_stack", no_sampling)
     for jobs in (0, -2):
         with pytest.raises(ValidationError, match="jobs"):
             run_experiment(single_loop(), 4, samples=2, seed=0, jobs=jobs)
@@ -525,7 +527,7 @@ def test_too_many_labels_rejected_before_sampling(monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("a sample was drawn")
 
-    monkeypatch.setattr(mc_simulator, "build_reduced_state", no_sampling)
+    monkeypatch.setattr(mc_simulator, "_gram_stack", no_sampling)
     with pytest.raises(ResourceGuardError, match="53 einsum labels"):
         run_experiment(lattice(2, 7), 2, samples=1, seed=0)
 
@@ -606,15 +608,32 @@ def test_plan_contracts_pairwise():
     _assert_matches_oracle(twisted, "sample", 7, (True, True))
 
 
+def test_no_pairwise_path_rejected_before_sampling(monkeypatch):
+    # at N = 16 every pair of the triangle's doubled network would build more
+    # than 2^24 elements, so numpy's greedy search leaves a three-operand
+    # step, which only an unblocked loop over all its labels could run
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(mc_simulator, "_gram_stack", no_sampling)
+    triangle = marginal_from(["A", "B", "C"],
+                             [("A", "B", 1), ("B", "C", 1), ("C", "A", 1)],
+                             {"mode": "counts", "s": {"A": 1, "B": 1, "C": 1}})
+    assert all(len(step) == 2 for step in _sample_plan(triangle, 8).path[1:])
+    with pytest.raises(ResourceGuardError, match="no pairwise path"):
+        run_experiment(triangle, 16, samples=1, seed=0)
+
+
 def test_loop_vertex_draws_an_isometry(monkeypatch):
+    # each acted vertex draws one vdim x r_v Ginibre matrix per sample
     drawn = []
-    haar = mc_simulator.haar_unitary
+    draw = mc_simulator.ginibre
 
-    def recorded(dim, rng, size=None, cols=None):
-        drawn.append((dim, cols))
-        return haar(dim, rng, size, cols)
+    def recorded(rows, cols, rng, out=None):
+        drawn.append((rows, cols))
+        return draw(rows, cols, rng, out)
 
-    monkeypatch.setattr(mc_simulator, "haar_unitary", recorded)
+    monkeypatch.setattr(mc_simulator, "ginibre", recorded)
     # A: a loop and the edge to B; B: that edge and a loop; all legs 2-dim
     build_reduced_state(ORACLE_CASES[0], 2, rng=np.random.default_rng(0))
     assert drawn == [(8, 2), (8, 2)]
@@ -631,8 +650,127 @@ def test_three_loops_run_under_the_default_guards(monkeypatch):
     monkeypatch.delenv("AREALAW_STATE_DIM_LIMIT", raising=False)
     m = marginal_from(["V"], [("V", "V", 1)] * 3, {"mode": "counts", "s": {"V": 2}})
     plan = _sample_plan(m, 8)
-    assert [(vdim, cols) for _, vdim, cols, _, _ in plan.vertices] == [(8 ** 6, 1)]
+    assert [(vdim, cols) for _, vdim, cols, _ in plan.vertices] == [(8 ** 6, 1)]
     assert plan.largest == 8 ** 6
     report = run_experiment(m, 8, samples=2, seed=0)
     assert report.flags == ()
     assert all(0.0 < h <= math.log(64) for h in report.per_sample_H)
+
+
+def test_vertex_streams_match_spawned_streams():
+    # a sample's vertex stream is built alone, without spawning every slot
+    for seed, index, slot in ((0, 0, 0), (7, 3, 5), (2 ** 40, 12, 1), (1, 49, 7)):
+        spawned = np.random.default_rng([seed, index]).spawn(8)[slot]
+        direct = mc_simulator._vertex_stream(seed, index, slot)
+        assert np.array_equal(spawned.standard_normal(16),
+                              direct.standard_normal(16))
+
+
+def test_sampling_seam_is_reached(monkeypatch):
+    # the tests that prove nothing was sampled patch _gram_stack; every
+    # sampled state, chunked or single, is built there
+    calls = []
+    stack = mc_simulator._gram_stack
+
+    def counted(plan, streams):
+        calls.append(len(streams))
+        return stack(plan, streams)
+
+    monkeypatch.setattr(mc_simulator, "_gram_stack", counted)
+    run_experiment(single_loop(), 4, samples=2, seed=0)
+    build_reduced_state(single_loop(), 4, rng=np.random.default_rng(0))
+    assert calls == [2, 1]
+
+
+def _einsum_oracle(m, N, samples, seed, skip, q_list=(0.0, 1.0, 2.0)):
+    """The per-sample route that chunks replaced: each sample spawns its
+    vertex streams, draws each isometry with haar_unitary and contracts one
+    np.einsum over the plan's labels and path, then spectral_report."""
+    flags, plan = mc_simulator._route(m, N, "sample", *skip)
+    copies = 2 if plan.doubled else 1
+    reports = []
+    for i in range(samples):
+        streams = np.random.default_rng([seed, i]).spawn(len(m.graph.vertices))
+        arrays = []
+        for slot, vdim, cols, shape in plan.vertices:
+            tensor = haar_unitary(vdim, streams[slot], cols=cols).reshape(shape)
+            arrays += [tensor, tensor.conj()][:copies]
+        arrays += [eye[0] for eye in plan.fixed]
+        out = np.einsum(*(x for pair in zip(arrays, plan.inputs) for x in pair),
+                        plan.output, optimize=plan.path)
+        if plan.doubled:
+            gram = out.reshape(plan.side, plan.side) * plan.scale
+        else:
+            f = out.reshape(plan.side, -1)
+            gram = (f @ f.conj().T if f.shape[0] <= f.shape[1]
+                    else f.conj().T @ f) * plan.scale
+        state = ReducedState(gram=gram, dim=plan.dim,
+                             surviving_legs=plan.surviving, flags=flags)
+        reports.append(spectral_report(state, q_list))
+    return mc_simulator._mc_report(reports, tuple(sorted(flags)), seed, N,
+                                   q_list)
+
+
+def _assert_same_reports(got, expected):
+    assert got.per_sample_H == expected.per_sample_H
+    assert got.ranks == expected.ranks
+    assert got.renyi_mean == expected.renyi_mean
+    assert got.flags == expected.flags
+    assert len(got.spectra) == len(expected.spectra)
+    for a, b in zip(got.spectra, expected.spectra):
+        assert np.array_equal(a, b)
+
+
+def ring_11():
+    # nine of eleven vertices keep one leg: 9 kept legs against 13
+    names = [f"V{i}" for i in range(11)]
+    return marginal_from(
+        names, [(names[i], names[(i + 1) % 11], 1) for i in range(11)],
+        {"mode": "counts", "s": {v: int(i not in (0, 5)) for i, v in enumerate(names)}})
+
+
+# (marginal, N, samples, skip_traced and skip_surviving)
+EQUIVALENCE_CASES = {
+    "lattice": (lambda: lattice(2, 4), 2, 8, (True, True)),
+    "black_hole": (lambda: black_hole(traced=[0, 2]), 8, 4, (True, True)),
+    "two_loops": (lambda: two_loops(s=2), 8, 6, (True, True)),
+    # every vertex acted: ket and bra need 55 labels, the ket 33
+    "ring_ket_route": (ring_11, 2, 2, (False, False)),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 2 ** 30])
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+def test_chunks_match_the_per_sample_einsum(monkeypatch, case, chunk):
+    # one sample per chunk, or every sample in one chunk: bit for bit the
+    # reports of one einsum per sample
+    make, N, samples, skip = EQUIVALENCE_CASES[case]
+    m = make()
+    if case == "ring_ket_route":
+        assert not _sample_plan(m, N, skip).doubled
+    monkeypatch.setattr(mc_simulator, "CHUNK_ELEMENTS", chunk)
+    got = run_experiment(m, N, samples, seed=11, skip_traced=skip[0],
+                         skip_surviving=skip[1])
+    _assert_same_reports(got, _einsum_oracle(m, N, samples, 11, skip))
+
+
+def test_jobs_do_not_change_a_chunked_run():
+    m = lattice(2, 4)
+    runs = [run_experiment(m, 2, samples=8, seed=5, jobs=jobs) for jobs in (1, 2, 8)]
+    for other in runs[1:]:
+        _assert_same_reports(other, runs[0])
+
+
+def test_no_einsum_per_sample(monkeypatch):
+    # numpy's einsum re-parses its path on every call; the compiled steps
+    # run on matmul, and the path is searched once per plan
+    calls = Counter()
+    for name in ("einsum", "einsum_path"):
+        def counted(*args, _name=name, _fn=getattr(np, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    mc_simulator._gram_plan.cache_clear()
+    run_experiment(lattice(2, 4), 2, samples=8, seed=3)
+    assert calls == {"einsum_path": 1}
