@@ -1,5 +1,13 @@
 """Boundary areas, entropy predictions and Monte Carlo checks for random
-graph states."""
+graph states.
+
+The combinatorial layers (flow, markings, predictor, transport) load with the
+package and need only the standard library.  The Monte Carlo names below
+live in ``mc_simulator``, which needs numpy; they load on first access, so
+``area``, ``predict`` and plain ``transport`` never import numpy.
+"""
+
+from importlib import import_module
 
 from .boundary_flow import (
     FlowNetwork,
@@ -40,17 +48,6 @@ from .marking import (
     fatten,
     marking_from_flow,
 )
-from .mc_simulator import (
-    MCReport,
-    ReducedState,
-    SpectralReport,
-    build_reduced_state,
-    empirical_vs_mp,
-    haar_unitary,
-    run_experiment,
-    spectral_report,
-    wishart_experiment,
-)
 from .nc_combinatorics import (
     case_B,
     catalan,
@@ -81,3 +78,29 @@ from .transport import (
 )
 
 __version__ = "0.1.0"
+
+_MONTE_CARLO = frozenset({
+    "MCReport",
+    "ReducedState",
+    "SpectralReport",
+    "build_reduced_state",
+    "empirical_vs_mp",
+    "haar_unitary",
+    "run_experiment",
+    "spectral_report",
+    "wishart_experiment",
+})
+
+
+def __getattr__(name: str):
+    """The Monte Carlo names and ``mc_simulator`` itself, imported on first
+    access and read from the module each time (so a patched function is
+    seen)."""
+    if name == "mc_simulator" or name in _MONTE_CARLO:
+        module = import_module(".mc_simulator", __name__)
+        return module if name == "mc_simulator" else getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), "mc_simulator", *_MONTE_CARLO})

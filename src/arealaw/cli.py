@@ -15,8 +15,8 @@ import argparse
 import json
 import math
 import os
-import secrets
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import marking as marking_mod
@@ -30,7 +30,6 @@ from .errors import (
     ValidationError,
 )
 from .graph_model import parse_marginal
-from .mc_simulator import run_experiment
 from .spectral_predictor import predict_entropy
 from .transport import _active_sites, _solve, certify, parse_instance, scenarios
 
@@ -158,6 +157,8 @@ def _simulate_report(marginal, args, seed: int):
     for path in (args.out, args.spectra):
         if path:
             _check_writable(path)
+    from .mc_simulator import run_experiment
+
     mc = run_experiment(
         marginal, args.N, args.samples, seed, q_list=q_list, jobs=args.jobs,
     )
@@ -186,9 +187,18 @@ def _simulate_report(marginal, args, seed: int):
     return report, prediction
 
 
+def _seed(args) -> int:
+    """``--seed``, or a seed drawn from entropy (the report records it)."""
+    if args.seed is not None:
+        return args.seed
+    import secrets
+
+    return secrets.randbits(32)
+
+
 def cmd_simulate(args) -> int:
     marginal = _load_marginal(args.graph)
-    seed = args.seed if args.seed is not None else secrets.randbits(32)
+    seed = _seed(args)
     report, _ = _simulate_report(marginal, args, seed)
     mc = report["mc"]
     print(f"samples: {mc['samples']}  seed: {seed}")
@@ -204,7 +214,7 @@ def cmd_verify(args) -> int:
     if args.expect is not None and not math.isfinite(args.expect):
         raise ValidationError(f"--expect must be finite, got {args.expect}")
     marginal = _load_marginal(args.graph)
-    seed = args.seed if args.seed is not None else secrets.randbits(32)
+    seed = _seed(args)
     report, prediction = _simulate_report(marginal, args, seed)
     report["command"] = "verify"
     mc = report["mc"]
@@ -347,9 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, ValidationError) as exc:

@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Sequence
@@ -475,10 +474,11 @@ def _gram_stack(plan: _GramPlan, streams: Sequence) -> np.ndarray:
         gram = out.reshape(count, plan.side, plan.side) * plan.scale
     else:
         gram = _gram(out.reshape(count, plan.side, -1)) * plan.scale
-    for sample in gram:
-        norm = np.trace(sample).real
-        if abs(norm - 1.0) > 1e-10:
-            raise ValidationError(f"state normalization drifted to {norm}")
+    norms = np.trace(gram, axis1=1, axis2=2).real
+    drifted = np.abs(norms - 1.0) > 1e-10
+    if drifted.any():
+        norm = norms[drifted.argmax()]
+        raise ValidationError(f"state normalization drifted to {norm}")
     return gram
 
 
@@ -629,6 +629,8 @@ def run_experiment(marginal: Marginal, N: int, samples: int, seed: int,
     ]
     workers = min(jobs, len(payloads))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_sample_chunk, payloads))
     else:

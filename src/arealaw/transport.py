@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from .boundary_flow import build_network, max_flow
 from .errors import (
     CertificateError,
@@ -27,7 +25,6 @@ from .errors import (
 )
 from .graph_model import Edge, Graph, Marginal, TraceSpec, resolve_trace
 from .marking import Marking, marking_from_flow
-from .mc_simulator import build_reduced_state, run_experiment, spectral_report
 
 
 def _is_int(value) -> bool:
@@ -298,6 +295,8 @@ def certify(instance: TransportInstance, N: int | None = None,
     uniform spectrum and ``H_q = Y3 ln N``.  Haar-random unitaries are then
     sampled to confirm that randomness never beats the flow bound.
     """
+    from .mc_simulator import build_reduced_state, run_experiment, spectral_report
+
     if N is None:
         N = instance.N
     marginal, (y1, y2, y3), plan = _solve(instance)
@@ -316,7 +315,7 @@ def certify(instance: TransportInstance, N: int | None = None,
             f"routed state has rank {report.rank}, expected {expected_rank}"
         )
     nonzero = report.eigenvalues[: expected_rank]
-    deviation = float(np.abs(nonzero - 1.0 / expected_rank).max())
+    deviation = float(abs(nonzero - 1.0 / expected_rank).max())
     if deviation > 1e-9:
         raise CertificateError(
             f"routed spectrum deviates from uniform by {deviation}"

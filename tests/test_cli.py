@@ -383,7 +383,16 @@ def _no_sampling(monkeypatch):
     def sampled(*args, **kwargs):
         raise AssertionError("run_experiment was entered")
 
-    monkeypatch.setattr("arealaw.cli.run_experiment", sampled)
+    monkeypatch.setattr("arealaw.mc_simulator.run_experiment", sampled)
+
+
+def test_no_sampling_seam_is_reached(write_doc, monkeypatch):
+    # the CLI reads run_experiment from mc_simulator at call time, so the
+    # patch above is what a valid run enters
+    _no_sampling(monkeypatch)
+    graph = write_doc("loop.json", single_loop_doc())
+    with pytest.raises(AssertionError, match="run_experiment was entered"):
+        main(["simulate", "-g", graph, "-N", "2", "-n", "1", "--seed", "0"])
 
 
 @pytest.mark.parametrize("option", ["--out", "--spectra"])
@@ -549,14 +558,48 @@ def test_bad_renyi_orders_exit_code(write_doc, capsys, orders):
     assert err.count("\n") == 1 and err.startswith("input error:")
 
 
-def test_cli_import_leaves_scipy_unloaded():
+# Runs in a fresh interpreter: each step prints which of the watched
+# modules are loaded after it.
+IMPORT_STEPS = """
+import contextlib, io, json, sys
+watched = ("numpy", "scipy", "secrets", "concurrent.futures.process")
+graph, instance = sys.argv[1:]
+
+def loaded(step):
+    print(json.dumps([step, [m for m in watched if m in sys.modules]]))
+
+import arealaw
+loaded("import arealaw")
+import arealaw.cli
+loaded("import arealaw.cli")
+for argv in (["area", "-g", graph], ["predict", "-g", graph, "-N", "16"],
+             ["transport", "-i", instance],
+             ["simulate", "-g", graph, "-N", "2", "-n", "2", "--jobs", "1",
+              "--seed", "0"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = arealaw.cli.main(argv)
+    loaded(f"{argv[0]} {code}")
+"""
+
+
+def test_cli_import_leaves_scipy_unloaded(write_doc):
     src = str(Path(arealaw.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, arealaw.cli; assert 'scipy' not in sys.modules"
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_STEPS, write_doc("bh.json", black_hole2_doc()),
+         write_doc("inst.json", instance_doc())],
+        env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    steps = dict(json.loads(line) for line in proc.stdout.splitlines())
+    # a serial run samples with numpy and starts no process pool
+    simulate = set(steps.pop("simulate 0"))
+    assert "numpy" in simulate
+    assert not simulate & {"scipy", "concurrent.futures.process"}
+    # the package, the parser and the combinatorial commands need only the
+    # standard library
+    assert steps == {"import arealaw": [], "import arealaw.cli": [],
+                     "area 0": [], "predict 0": [], "transport 0": []}
 
 
 def test_missing_file_exit_code(tmp_path):
@@ -569,3 +612,57 @@ def test_predicted_value_printed(write_doc, capsys):
     out = capsys.readouterr().out
     expected = 2.0 * math.log(16) - 0.5
     assert f"{expected:.6f}" in out
+
+
+MONTE_CARLO_EXPORTS = ("MCReport", "ReducedState", "SpectralReport",
+                       "build_reduced_state", "empirical_vs_mp", "haar_unitary",
+                       "run_experiment", "spectral_report", "wishart_experiment")
+
+
+@pytest.mark.parametrize("name", MONTE_CARLO_EXPORTS)
+def test_lazy_monte_carlo_export(name):
+    from arealaw import mc_simulator
+
+    assert getattr(arealaw, name) is getattr(mc_simulator, name)
+    assert name in dir(arealaw)
+
+
+def test_unknown_package_attribute():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        arealaw.no_such_name
+
+
+def test_parser_built_once(monkeypatch, write_doc):
+    from arealaw import cli
+
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        graph = write_doc("loop.json", single_loop_doc())
+        assert main(["area", "-g", graph]) == 0
+        assert main(["predict", "-g", graph, "-N", "4"]) == 0
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["area", "--help"],
+                                  ["simulate", "--help"], ["verify", "--help"],
+                                  ["transport", "--help"]])
+def test_help_text_unchanged(capsys, argv):
+    from arealaw.cli import build_parser
+
+    texts = []
+    for parse in (build_parser().parse_args, main, main):
+        with pytest.raises(SystemExit) as exit_info:
+            parse(argv)
+        assert exit_info.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] and texts[1] == texts[0] and texts[2] == texts[0]

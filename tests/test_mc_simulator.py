@@ -682,6 +682,24 @@ def test_sampling_seam_is_reached(monkeypatch):
     assert calls == [2, 1]
 
 
+def test_normalization_drift_names_the_first_drifting_sample(monkeypatch):
+    # three lattice samples share one chunk; samples 1 and 2 are scaled by
+    # 1.5 and 2 after the contraction, and the message names sample 1's trace
+    m = lattice(2, 4)
+    plan = _sample_plan(m, 2)
+    assert plan.doubled and mc_simulator.CHUNK_ELEMENTS // plan.largest >= 3
+    contract = mc_simulator._contract
+
+    def scaled(steps, operands):
+        out = contract(steps, operands)
+        return out * np.array([1.0, 1.5, 2.0]).reshape(-1, *[1] * (out.ndim - 1))
+
+    monkeypatch.setattr(mc_simulator, "_contract", scaled)
+    with pytest.raises(ValidationError,
+                       match=r"^state normalization drifted to 1\.(5|49999)"):
+        run_experiment(m, 2, samples=3, seed=0)
+
+
 def _einsum_oracle(m, N, samples, seed, skip, q_list=(0.0, 1.0, 2.0)):
     """The per-sample route that chunks replaced: each sample spawns its
     vertex streams, draws each isometry with haar_unitary and contracts one
