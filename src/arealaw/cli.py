@@ -255,11 +255,11 @@ def cmd_verify(args) -> int:
 
 def cmd_transport(args) -> int:
     instance = parse_instance(_read(args.instance))
+    if args.out:
+        _check_writable(args.out)
     cert = plan = None
     if args.certify:
-        n = args.N if args.N is not None else instance.N
-        cert = certify(instance, n, haar_samples=args.haar_samples,
-                       seed=args.seed or 0)
+        cert = certify(instance, args.N, haar_samples=args.haar_samples, seed=args.seed)
         y, plan = (cert.Y1, cert.Y2, cert.Y3), cert.plan
     elif _active_sites(instance):
         _, y, plan = _solve(instance)

@@ -12,13 +12,14 @@ larger side shared, those of the smaller side left open) lands straight on
 the min(ds, dt)-sided Gram matrix, whose nonzero spectrum is that of the
 reduced state.  The labels, reshapes and greedy contraction path depend
 only on the graph, the traced legs, ``N`` and which vertices act, so they
-form a plan built once and memoised, with the path compiled into pairwise
-``matmul`` steps; the state-dimension guard bounds the largest array that
-plan takes or builds for one sample.  Samples run in contiguous chunks:
-a chunk draws, contracts and diagonalises its samples together on a
-leading sample axis, each sample meeting the same matrix products as it
-would alone.  One routine summarises a spectrum and one builds the
-``MCReport`` from the summaries.
+form a plan built once and memoised, with the path planned here on integer
+labels and compiled into pairwise ``matmul`` steps; the state-dimension
+guard, the only size refusal, bounds the largest array that plan takes or
+builds for one sample.  Samples run in contiguous chunks: a chunk draws,
+contracts and diagonalises its samples together on a leading sample axis,
+each sample meeting the same matrix products as it would alone.  One
+routine summarises a spectrum and one builds the ``MCReport`` from the
+summaries.
 
 Determinism contract: every sample derives its own generator from
 ``(seed, sample_index)`` and every vertex from ``(seed, sample_index,
@@ -32,20 +33,21 @@ from __future__ import annotations
 import math
 import numbers
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import chain, combinations
 from typing import Sequence
 
 import numpy as np
 
-from .errors import AreaLawError, ResourceGuardError, ValidationError
+from .errors import (AreaLawError, InconsistencyError, ResourceGuardError,
+                     ValidationError)
 from .graph_model import Graph, Marginal
 from .spectral_predictor import mp_moment
 
 DEFAULT_STATE_DIM_LIMIT = 2 ** 24
 DEFAULT_HAAR_DIM_LIMIT = 4096
-#: Distinct labels numpy's interleaved ``einsum`` accepts.
-EINSUM_LABEL_LIMIT = 52
 #: Elements a Monte Carlo chunk stacks: it holds
 #: ``max(1, CHUNK_ELEMENTS // largest)`` samples.
 CHUNK_ELEMENTS = 2 ** 14
@@ -204,24 +206,63 @@ class _GramPlan:
     # shape (out legs..., non-loop in-slots...))
     vertices: tuple[tuple, ...]
     fixed: tuple             # identity operands, each with a unit sample axis
-    inputs: tuple            # labels of every operand: per vertex its ket (and
-                             # bra) copy, then the identities
+    inputs: tuple            # labels of every operand: per vertex its ket and
+                             # bra copy, then the identities
     output: tuple[int, ...]  # ket then bra labels of the smaller side's legs
-    doubled: bool            # False: ket only, output (smaller, larger side)
     side: int                # min(ds, dt)
     dim: int                 # ds, the surviving dimension
     surviving: tuple[int, ...]  # surviving legs, ascending
     scale: float             # ket and bra normalisation of the edges outside
                              # the isometries: prod (d_e N)^-1
-    path: tuple              # greedy ``einsum_path``, computed once
+    path: tuple              # greedy pairs (:func:`_greedy_path`), found once
     steps: tuple             # the path compiled by :func:`_compile`
     largest: int             # elements of the largest array one sample
                              # takes or builds
 
 
+def _greedy_path(inputs: Sequence[Sequence[int]], output: Sequence[int],
+                 size: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    """numpy's greedy ``einsum_path`` order on integer labels of any number.
+
+    Each step contracts the pair that removes the most elements, then the
+    one with the fewest multiply-adds; a tie goes to the first candidate in
+    numpy's order (the pairs sharing a label, each step's new ones appended;
+    every pair only once none shares one).  No pair is skipped for its size:
+    the state guard bounds the largest array of the path.
+    """
+    terms = [frozenset(t) for t in inputs]
+
+    def numel(labels):
+        return math.prod(size[x] for x in labels)
+
+    def joined(a, b):  # the labels another term or the output still needs
+        return frozenset(x for x in a | b if count[x] > (x in a) + (x in b))
+
+    def cost(pair):
+        a, b = (terms[i] for i in pair)
+        result, both = joined(a, b), a | b
+        return (numel(result) - numel(a) - numel(b),
+                numel(both) * (1 + (result != both)))
+
+    pairs = [(i, j) for i, j in combinations(range(len(terms)), 2)
+             if terms[i] & terms[j]]
+    path = []
+    while len(terms) > 1:
+        count = Counter(chain(output, *terms))  # holders of each label, for joined
+        pairs = pairs or list(combinations(range(len(terms)), 2))
+        i, j = best = min(pairs, key=cost)
+        terms.append(joined(terms.pop(j), terms.pop(i)))
+        path.append(best)
+        pairs = [(k - (k > i) - (k > j), m - (m > i) - (m > j))
+                 for k, m in pairs if k not in best and m not in best]
+        pairs += [(k, len(terms) - 1) for k in range(len(terms) - 1)
+                  if terms[k] & terms[-1]]
+    return tuple(path)
+
+
 def _compile(path: Sequence, inputs: Sequence[Sequence[int]],
              output: Sequence[int], size: dict[int, int]) -> tuple[tuple, int]:
-    """An einsum path as array steps over a leading sample axis, and the
+    """A pairwise path as array steps over a leading sample axis, and the
     elements of the largest array it takes or builds per sample.
 
     Each step pops its operands (highest position first), contracts them
@@ -232,22 +273,15 @@ def _compile(path: Sequence, inputs: Sequence[Sequence[int]],
     the fused matrices (``multiply`` when nothing is contracted), then the
     result reshaped and transposed.  The sample axis leads every operand as
     the first batch axis, so each sample meets the same matrix products as a
-    contraction of that sample alone.  A step of one operand transposes it;
-    a step of more than two, which numpy's greedy search leaves when every
-    pair would build an array above its bound, is refused.
+    contraction of that sample alone.
     """
     terms = [tuple(labels) for labels in inputs]
     largest = max(math.prod(size[x] for x in labels) for labels in terms)
     steps = []
-    last = len(path) - 1  # path[0] names the search
-    for n, take in enumerate(path[1:], 1):
+    for n, take in enumerate(path, 1):
         take = tuple(sorted(take, reverse=True))
-        if len(take) > 2:
-            raise ResourceGuardError(
-                "the contraction has no pairwise path that keeps every array "
-                f"within {DEFAULT_STATE_DIM_LIMIT} elements")
         taken = [terms.pop(i) for i in take]
-        if n == last:
+        if n == len(path):
             result = tuple(output)
         else:
             needed = set(output).union(*terms)
@@ -266,9 +300,6 @@ def _step_layout(taken, result, size):
     def axes(term, order):
         return (0, *(1 + term.index(x) for x in order))
 
-    if len(taken) == 1:
-        fused = (-1, *(size[x] for x in result))
-        return ((axes(taken[0], result), fused),), None, None, None
     a, b = taken
     batch = [x for x in a if x in b and x in result]
     contracted = [x for x in a if x in b and x not in result]
@@ -306,7 +337,7 @@ def _run_step(layout, arrays: list) -> np.ndarray:
     """One compiled step; its reshaped copies die when it returns."""
     prep, product, shape, order = layout
     args = [a.transpose(axes).reshape(fused) for a, (axes, fused) in zip(arrays, prep)]
-    out = product(*args) if product else args[0]
+    out = product(*args)
     return out.reshape(shape).transpose(order) if shape else out
 
 
@@ -322,12 +353,9 @@ def _gram_plan(graph: Graph, traced: tuple[int, ...], N: int,
     its edge's in-slot itself; an edge with neither endpoint acted is an
     identity on its own two labels.  The bra shares the labels of the larger
     side's legs, which are summed, and primes every other label; the smaller
-    side's legs stay open on both.  Labels are compacted to ``0..k-1``.  If
-    ket and bra together need more labels than ``EINSUM_LABEL_LIMIT``, the
-    ket alone is contracted into its (smaller x larger side) factor, which
-    the size guard then bounds like any other array; if the ket alone needs
-    more, :class:`ResourceGuardError`.  The greedy ``np.einsum_path`` over
-    these labels is compiled once into matmul steps (:func:`_compile`).
+    side's legs stay open on both.  The greedy path over these labels
+    (:func:`_greedy_path`, any number of them) is compiled once into matmul
+    steps (:func:`_compile`).
     """
     n = graph.n_legs
     dims = [leg.ratio * N for leg in graph.legs]
@@ -357,39 +385,16 @@ def _gram_plan(graph: Graph, traced: tuple[int, ...], N: int,
         return [x if x in shared else x + 2 * n for x in labels]
 
     kept_labels = [label[l] for l in kept]
-    copies = (list, prime)
-    output = kept_labels + prime(kept_labels)
-    if len({x for _, ket in terms for x in ket + prime(ket)}) > EINSUM_LABEL_LIMIT:
-        # too many labels for the path search: contract the ket alone into its
-        # (smaller x larger side) factor and take the Gram matrix by a product
-        copies = (list,)
-        output = kept_labels + [label[l] for l in summed]
-    size = {x: d for shape, ket in terms for copy in copies
-            for x, d in zip(copy(ket), shape)}
-    if len(size) > EINSUM_LABEL_LIMIT:
-        raise ResourceGuardError(
-            f"the contraction needs {len(size)} einsum labels, more than "
-            f"numpy's {EINSUM_LABEL_LIMIT}"
-        )
-    compact = {x: i for i, x in enumerate(sorted(size))}
-    size = {compact[x]: d for x, d in size.items()}
-    output = tuple(compact[x] for x in output)
-    inputs = tuple(tuple(compact[x] for x in copy(ket))
-                   for _, ket in terms for copy in copies)
-    shapes = [shape for shape, _ in terms for _ in copies]
-    # numpy's greedy search by default skips any pair whose result is larger
-    # than every input and the output, and then contracts all remaining
-    # operands in one unblocked loop; the default guard is its bound instead
-    path = np.einsum_path(
-        *(x for shape, labels in zip(shapes, inputs)
-          for x in (np.broadcast_to(0.0, shape), labels)),
-        output, optimize=("greedy", DEFAULT_STATE_DIM_LIMIT))[0]
+    output = tuple(kept_labels + prime(kept_labels))
+    inputs = tuple(tuple(copy(ket)) for _, ket in terms for copy in (list, prime))
+    size = {x: d for shape, ket in terms for x, d in zip(ket + prime(ket), shape * 2)}
+    path = _greedy_path(inputs, output, size)
     steps, largest = _compile(path, inputs, output, size)
     fixed = []
     for e in eyes:
         eye = np.eye(dims[2 * e])[None]
         eye.setflags(write=False)
-        fixed += [eye] * len(copies)
+        fixed += [eye, eye]
     vertices = []
     for v, (shape, _) in zip(acted, terms):
         out = len(graph.legs_of(v))
@@ -397,11 +402,10 @@ def _gram_plan(graph: Graph, traced: tuple[int, ...], N: int,
                          math.prod(shape[out:]), tuple(shape)))
     return _GramPlan(
         vertices=tuple(vertices), fixed=tuple(fixed), inputs=inputs,
-        output=output, doubled=len(copies) == 2, side=min(ds, dt), dim=ds,
-        surviving=surviving,
+        output=output, side=min(ds, dt), dim=ds, surviving=surviving,
         scale=1.0 / math.prod(dims[2 * e] for e in range(len(graph.edges))
                               if e not in held),
-        path=tuple(path), steps=steps, largest=largest,
+        path=path, steps=steps, largest=largest,
     )
 
 
@@ -458,27 +462,23 @@ def _gram_stack(plan: _GramPlan, streams: Sequence) -> np.ndarray:
     Each acted vertex takes one QR of its Ginibre stack; the plan's compiled
     steps then contract the isometries, reshaped to (out legs..., non-loop
     in-slots...), on the ket and their conjugates on the bra for every
-    sample at once.  Each sample's trace is checked.
+    sample at once.  Each sample's trace must be within 1e-10 of one; a
+    drifted or NaN trace is a defect, :class:`InconsistencyError`.
     """
     count = len(streams)
     operands = []
     for slot, vdim, cols, shape in plan.vertices:
         tensor = _isometry(_ginibre_stack(streams, slot, vdim, cols))
         tensor = tensor.reshape(count, *shape)
-        operands.append(tensor)
-        if plan.doubled:
-            operands.append(tensor.conj())
+        operands += [tensor, tensor.conj()]
     out = _contract(plan.steps, operands + list(plan.fixed))
     out = np.broadcast_to(out, (count, *out.shape[1:]))  # nothing acted
-    if plan.doubled:
-        gram = out.reshape(count, plan.side, plan.side) * plan.scale
-    else:
-        gram = _gram(out.reshape(count, plan.side, -1)) * plan.scale
+    gram = out.reshape(count, plan.side, plan.side) * plan.scale
     norms = np.trace(gram, axis1=1, axis2=2).real
-    drifted = np.abs(norms - 1.0) > 1e-10
+    drifted = ~(np.abs(norms - 1.0) <= 1e-10)  # NaN drifts too
     if drifted.any():
         norm = norms[drifted.argmax()]
-        raise ValidationError(f"state normalization drifted to {norm}")
+        raise InconsistencyError(f"state normalization drifted to {norm}")
     return gram
 
 

@@ -407,6 +407,28 @@ def test_unwritable_output_exit_code(write_doc, capsys, tmp_path, monkeypatch,
     assert err.count("\n") == 1 and err.startswith(f"input error: cannot write {target}")
 
 
+def test_transport_unwritable_output_before_certifying(write_doc, capsys,
+                                                      tmp_path, monkeypatch):
+    def certified(*args, **kwargs):
+        raise AssertionError("certify was entered")
+
+    monkeypatch.setattr("arealaw.cli.certify", certified)
+    instance = write_doc("inst.json", instance_doc())
+    target = str(tmp_path / "missing" / "x.json")
+    expected = (f"input error: cannot write {target}: "
+                f"no directory {str(tmp_path / 'missing')!r}\n")
+    for extra in (["--certify"], []):
+        assert main(["transport", "-i", instance, *extra, "--out", target]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == expected
+    # the same one line as simulate gives for that path
+    graph = write_doc("loop.json", single_loop_doc())
+    _no_sampling(monkeypatch)
+    assert main(["simulate", "-g", graph, "-N", "2", "-n", "1", "--seed", "0",
+                 "--out", target]) == 2
+    assert capsys.readouterr().err == expected
+
+
 @pytest.mark.parametrize("option", ["--out", "--spectra"])
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 def test_output_directory_rejected_before_sampling(write_doc, capsys, tmp_path,
@@ -501,23 +523,39 @@ def test_state_guard_bounds_a_loop_isometry(write_doc, capsys, monkeypatch):
                    "the guard 262143 (set AREALAW_STATE_DIM_LIMIT to override)\n")
 
 
-@pytest.mark.parametrize("command", ["simulate", "verify"])
-def test_too_many_labels_exit_code(write_doc, capsys, monkeypatch, command):
+def test_state_guard_is_the_only_size_refusal(write_doc, capsys, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("a sample was drawn")
 
     monkeypatch.setattr("arealaw.mc_simulator._gram_stack", no_sampling)
-    graph = write_doc("lattice.json", lattice_doc(2, 7))
-    assert main([command, "-g", graph, "-N", "2", "-n", "1", "--seed", "0"]) == 4
+    monkeypatch.delenv("AREALAW_STATE_DIM_LIMIT", raising=False)
+    # at N = 16 every pairwise step of the triangle's doubled network builds
+    # more than 2^24 elements; its path is planned and refused by the guard
+    graph = write_doc("triangle.json", triangle_doc())
+    assert main(["simulate", "-g", graph, "-N", "16", "-n", "1", "--seed", "0"]) == 4
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == ("resource guard: the contraction needs 53 einsum labels, "
-                   "more than numpy's 52\n")
+    assert err == ("resource guard: largest contraction array 4294967296 exceeds "
+                   "the guard 16777216 (set AREALAW_STATE_DIM_LIMIT to override)\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_normalization_drift_exit_code(write_doc, capsys, monkeypatch, command):
+    # a drifted trace is a defect of the package, not of the input
+    contract = arealaw.mc_simulator._contract
+    monkeypatch.setattr("arealaw.mc_simulator._contract",
+                        lambda steps, operands: 1.5 * contract(steps, operands))
+    graph = write_doc("lattice.json", lattice_doc(2, 4))
+    assert main([command, "-g", graph, "-N", "2", "-n", "1", "--seed", "0"]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("internal error: state normalization drifted to 1.")
 
 
 @pytest.mark.parametrize("case", ["loops", "lattice"])
 def test_sampling_seam_is_reached(write_doc, monkeypatch, case):
-    # the two tests above patch _gram_stack to prove that nothing was
+    # the tests above patch _gram_stack to prove that nothing was
     # sampled; a run that samples these graphs goes through it
     calls = []
     stack = arealaw.mc_simulator._gram_stack

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from arealaw import (
+    InconsistencyError,
     ReducedState,
     ResourceGuardError,
     ValidationError,
@@ -504,7 +505,6 @@ def test_guard_bounds_the_largest_array(monkeypatch):
     # contraction builds is larger than a few thousand
     m = lattice(2, 4)
     plan = _sample_plan(m, 2)
-    assert plan.doubled
     assert 64 ** 2 <= plan.largest < 2 ** 20
     monkeypatch.setenv("AREALAW_STATE_DIM_LIMIT", str(plan.largest - 1))
     with pytest.raises(ResourceGuardError, match="AREALAW_STATE_DIM_LIMIT"):
@@ -517,67 +517,100 @@ def test_wide_lattice_runs_under_the_default_guard():
     # 2^26 amplitudes, refused while the state was built; 52 labels
     m = lattice(2, 5)
     plan = _sample_plan(m, 2)
-    assert plan.doubled and plan.largest <= mc_simulator.DEFAULT_STATE_DIM_LIMIT
+    assert plan.largest <= mc_simulator.DEFAULT_STATE_DIM_LIMIT
     report = run_experiment(m, 2, samples=2, seed=0)
     assert all(0.0 < h <= math.log(2 ** 8) for h in report.per_sample_H)
     assert max(report.ranks) <= 2 ** 8
 
 
-def test_too_many_labels_rejected_before_sampling(monkeypatch):
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("a sample was drawn")
+@pytest.mark.parametrize("rows, cols", [(2, 6), (3, 4)])
+def test_lattices_beyond_einsum_labels_run_under_the_default_guards(
+        monkeypatch, rows, cols):
+    # 66 and 70 labels in the doubled network, more than numpy's einsum takes
+    monkeypatch.delenv("AREALAW_STATE_DIM_LIMIT", raising=False)
+    monkeypatch.delenv("AREALAW_HAAR_DIM_LIMIT", raising=False)
+    m = lattice(rows, cols)
+    plan = _sample_plan(m, 2)
+    assert len(set().union(*plan.inputs)) > 52
+    report = run_experiment(m, 2, samples=2, seed=0)
+    assert all(0.0 < h <= 10 * math.log(2) for h in report.per_sample_H)
 
-    monkeypatch.setattr(mc_simulator, "_gram_stack", no_sampling)
-    with pytest.raises(ResourceGuardError, match="53 einsum labels"):
-        run_experiment(lattice(2, 7), 2, samples=1, seed=0)
+
+def test_2x7_lattice_plan_fits_the_default_guard(monkeypatch):
+    # 80 labels; planned and guarded only: a sample takes about 20 s on two cores
+    monkeypatch.delenv("AREALAW_STATE_DIM_LIMIT", raising=False)
+    plan = _sample_plan(lattice(2, 7), 2)
+    assert len(set().union(*plan.inputs)) == 80
+    assert plan.largest == 2 ** 24 == mc_simulator.DEFAULT_STATE_DIM_LIMIT
 
 
-def test_einsum_path_once_per_run(monkeypatch):
-    calls = []
-    einsum_path = np.einsum_path
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return einsum_path(*args, **kwargs)
-
-    monkeypatch.setattr(np, "einsum_path", counted)
-    mc_simulator._gram_plan.cache_clear()
-    m = lattice(2, 4)
-    first = run_experiment(m, 2, samples=5, seed=3)
-    assert len(calls) == 1
-    again = run_experiment(m, 2, samples=5, seed=3)
-    assert len(calls) == 1  # the plan is memoised across runs
-    assert again.per_sample_H == first.per_sample_H
+def _numpy_greedy_path(inputs, output, size):
+    """np.einsum_path's greedy pairs, on the labels compacted to 0..k-1."""
+    compact = {x: i for i, x in enumerate(sorted(size))}
+    operands = [y for labels in inputs
+                for y in (np.broadcast_to(0.0, [size[x] for x in labels]),
+                          [compact[x] for x in labels])]
+    path = np.einsum_path(*operands, [compact[x] for x in output],
+                          optimize=("greedy", 2 ** 24))[0]
+    return tuple(path[1:])
 
 
 @pytest.fixture
-def label_limit(monkeypatch):
-    """Lowers the einsum label limit; plans built under it are dropped."""
-    def lower(limit):
-        monkeypatch.setattr(mc_simulator, "EINSUM_LABEL_LIMIT", limit)
-        mc_simulator._gram_plan.cache_clear()
-    yield lower
+def planned(monkeypatch):
+    """Every path planned while the test runs, as (inputs, output, size,
+    path); the plan cache is emptied before and after."""
+    calls = []
+    plan = mc_simulator._greedy_path
+
+    def recorded(inputs, output, size):
+        calls.append((inputs, output, size, plan(inputs, output, size)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(mc_simulator, "_greedy_path", recorded)
+    mc_simulator._gram_plan.cache_clear()
+    yield calls
     mc_simulator._gram_plan.cache_clear()
 
 
-def test_ket_route_beyond_the_label_limit(label_limit):
-    # when ket and bra together need too many labels, the ket alone is
-    # contracted into the factor: same spectra and flags as the oracle
-    label_limit(12)
-    rng = np.random.default_rng(43)
-    marginals = ORACLE_CASES + [random_marginal(rng, max_vertices=4, max_edges=4)
-                                for _ in range(20)]
-    routes = set()
-    for i, m in enumerate(marginals):
-        for skip in ((True, True), (False, False)):
-            try:
-                plan = _sample_plan(m, 2, skip)
-            except ResourceGuardError:
-                continue  # the ket alone needs more than 12 labels
-            routes.add(plan.doubled)
-            _assert_matches_oracle(m, "sample", 500 + i, skip)
-            _assert_matches_oracle(m, "identity", 500 + i, skip)
-    assert routes == {True, False}
+def test_greedy_path_matches_numpy(planned):
+    # the suite's plans, rebuilt: the dense-oracle cases under every skip
+    # flag, the random marginals of the dense-oracle test, the transport
+    # instances, the lattices and black-hole case 2 at N = 8 and 32
+    from arealaw import certify
+
+    from test_transport import (doubled_edge_instance, isolated_pads_instance,
+                                path_instance, single_edge_instance)
+
+    skips = [(True, True), (False, False), (True, False), (False, True)]
+    for m in ORACLE_CASES:
+        for skip in skips:
+            for unitaries in ("sample", "identity"):
+                mc_simulator._route(m, 2, unitaries, *skip)
+    rng = np.random.default_rng(41)
+    for i in range(40):
+        m = random_marginal(rng, max_vertices=4, max_edges=4)
+        mc_simulator._route(m, 2, "sample", bool(i % 2), bool(i // 2 % 2))
+    for instance, N in ((single_edge_instance(), 2), (doubled_edge_instance(), 2),
+                        (path_instance(), 2), (isolated_pads_instance(), 2),
+                        (doubled_edge_instance(8), 8), (path_instance(), 3)):
+        certify(instance, N, haar_samples=1, seed=0)
+    for m in (lattice(2, 4), lattice(2, 5)):
+        _sample_plan(m, 2)
+    for N in (8, 32):
+        _sample_plan(black_hole(traced=[0, 2]), N)
+    checked = [call for call in planned if len(call[2]) <= 52]
+    assert len(checked) == len(planned) == 69  # distinct plans
+    for inputs, output, size, path in checked:
+        assert path == _numpy_greedy_path(inputs, output, size)
+
+
+def test_greedy_path_once_per_plan(planned):
+    m = lattice(2, 4)
+    first = run_experiment(m, 2, samples=5, seed=3)
+    assert len(planned) == 1
+    again = run_experiment(m, 2, samples=5, seed=3)
+    assert len(planned) == 1  # the plan is memoised across runs
+    assert again.per_sample_H == first.per_sample_H
 
 
 def test_identity_route_is_exact():
@@ -604,23 +637,27 @@ def test_plan_contracts_pairwise():
         random_marginal(rng, max_vertices=4, max_edges=5) for _ in range(30)]
     for m in marginals:
         plan = _sample_plan(m, 2)
-        assert all(len(step) == 2 for step in plan.path[1:]), plan.path
+        assert all(len(step) == 2 for step in plan.path), plan.path
     _assert_matches_oracle(twisted, "sample", 7, (True, True))
 
 
 def test_no_pairwise_path_rejected_before_sampling(monkeypatch):
-    # at N = 16 every pair of the triangle's doubled network would build more
-    # than 2^24 elements, so numpy's greedy search leaves a three-operand
-    # step, which only an unblocked loop over all its labels could run
+    # at N = 16 every pair of the triangle's doubled network builds more than
+    # 2^24 elements (numpy's greedy search, bounded there, leaves a
+    # three-operand step); the pairwise path is planned and the state guard
+    # refuses its 2^32-element intermediate
     def no_sampling(*args, **kwargs):
         raise AssertionError("a sample was drawn")
 
     monkeypatch.setattr(mc_simulator, "_gram_stack", no_sampling)
+    monkeypatch.delenv("AREALAW_STATE_DIM_LIMIT", raising=False)
     triangle = marginal_from(["A", "B", "C"],
                              [("A", "B", 1), ("B", "C", 1), ("C", "A", 1)],
                              {"mode": "counts", "s": {"A": 1, "B": 1, "C": 1}})
-    assert all(len(step) == 2 for step in _sample_plan(triangle, 8).path[1:])
-    with pytest.raises(ResourceGuardError, match="no pairwise path"):
+    assert all(len(step) == 2 for step in _sample_plan(triangle, 8).path)
+    with pytest.raises(ResourceGuardError,
+                       match=r"^largest contraction array 4294967296 exceeds the "
+                             r"guard 16777216 \(set AREALAW_STATE_DIM_LIMIT"):
         run_experiment(triangle, 16, samples=1, seed=0)
 
 
@@ -687,7 +724,7 @@ def test_normalization_drift_names_the_first_drifting_sample(monkeypatch):
     # 1.5 and 2 after the contraction, and the message names sample 1's trace
     m = lattice(2, 4)
     plan = _sample_plan(m, 2)
-    assert plan.doubled and mc_simulator.CHUNK_ELEMENTS // plan.largest >= 3
+    assert mc_simulator.CHUNK_ELEMENTS // plan.largest >= 3
     contract = mc_simulator._contract
 
     def scaled(steps, operands):
@@ -695,9 +732,41 @@ def test_normalization_drift_names_the_first_drifting_sample(monkeypatch):
         return out * np.array([1.0, 1.5, 2.0]).reshape(-1, *[1] * (out.ndim - 1))
 
     monkeypatch.setattr(mc_simulator, "_contract", scaled)
-    with pytest.raises(ValidationError,
+    with pytest.raises(InconsistencyError,
                        match=r"^state normalization drifted to 1\.(5|49999)"):
         run_experiment(m, 2, samples=3, seed=0)
+
+
+def test_nan_trace_is_a_drift(monkeypatch):
+    # abs(nan - 1) > tol is false: a NaN trace must still be caught, before
+    # the eigensolver meets it
+    m = lattice(2, 4)
+    contract = mc_simulator._contract
+
+    def poisoned(steps, operands):
+        out = contract(steps, operands)
+        return out * np.array([1.0, np.nan, 1.0]).reshape(-1, *[1] * (out.ndim - 1))
+
+    monkeypatch.setattr(mc_simulator, "_contract", poisoned)
+    with pytest.raises(InconsistencyError,
+                       match=r"^state normalization drifted to nan$"):
+        run_experiment(m, 2, samples=3, seed=0)
+
+
+def _isometries(m, plan, seed, index):
+    """Sample ``index``'s isometries, each drawn with haar_unitary from the
+    vertex stream that ``default_rng([seed, index])`` spawns."""
+    streams = np.random.default_rng([seed, index]).spawn(len(m.graph.vertices))
+    return [haar_unitary(vdim, streams[slot], cols=cols).reshape(shape)
+            for slot, vdim, cols, shape in plan.vertices]
+
+
+def _einsum(arrays, inputs, output, **kwargs):
+    """np.einsum over integer labels compacted to 0..k-1 (it takes 52)."""
+    compact = {x: i for i, x in enumerate(sorted(set().union(*inputs)))}
+    return np.einsum(*(y for a, labels in zip(arrays, inputs)
+                       for y in (a, [compact[x] for x in labels])),
+                     [compact[x] for x in output], **kwargs)
 
 
 def _einsum_oracle(m, N, samples, seed, skip, q_list=(0.0, 1.0, 2.0)):
@@ -705,23 +774,14 @@ def _einsum_oracle(m, N, samples, seed, skip, q_list=(0.0, 1.0, 2.0)):
     vertex streams, draws each isometry with haar_unitary and contracts one
     np.einsum over the plan's labels and path, then spectral_report."""
     flags, plan = mc_simulator._route(m, N, "sample", *skip)
-    copies = 2 if plan.doubled else 1
     reports = []
     for i in range(samples):
-        streams = np.random.default_rng([seed, i]).spawn(len(m.graph.vertices))
-        arrays = []
-        for slot, vdim, cols, shape in plan.vertices:
-            tensor = haar_unitary(vdim, streams[slot], cols=cols).reshape(shape)
-            arrays += [tensor, tensor.conj()][:copies]
+        arrays = [t for tensor in _isometries(m, plan, seed, i)
+                  for t in (tensor, tensor.conj())]
         arrays += [eye[0] for eye in plan.fixed]
-        out = np.einsum(*(x for pair in zip(arrays, plan.inputs) for x in pair),
-                        plan.output, optimize=plan.path)
-        if plan.doubled:
-            gram = out.reshape(plan.side, plan.side) * plan.scale
-        else:
-            f = out.reshape(plan.side, -1)
-            gram = (f @ f.conj().T if f.shape[0] <= f.shape[1]
-                    else f.conj().T @ f) * plan.scale
+        out = _einsum(arrays, plan.inputs, plan.output,
+                      optimize=["einsum_path", *plan.path])
+        gram = out.reshape(plan.side, plan.side) * plan.scale
         state = ReducedState(gram=gram, dim=plan.dim,
                              surviving_legs=plan.surviving, flags=flags)
         reports.append(spectral_report(state, q_list))
@@ -752,8 +812,6 @@ EQUIVALENCE_CASES = {
     "lattice": (lambda: lattice(2, 4), 2, 8, (True, True)),
     "black_hole": (lambda: black_hole(traced=[0, 2]), 8, 4, (True, True)),
     "two_loops": (lambda: two_loops(s=2), 8, 6, (True, True)),
-    # every vertex acted: ket and bra need 55 labels, the ket 33
-    "ring_ket_route": (ring_11, 2, 2, (False, False)),
 }
 
 
@@ -764,12 +822,34 @@ def test_chunks_match_the_per_sample_einsum(monkeypatch, case, chunk):
     # reports of one einsum per sample
     make, N, samples, skip = EQUIVALENCE_CASES[case]
     m = make()
-    if case == "ring_ket_route":
-        assert not _sample_plan(m, N, skip).doubled
     monkeypatch.setattr(mc_simulator, "CHUNK_ELEMENTS", chunk)
     got = run_experiment(m, N, samples, seed=11, skip_traced=skip[0],
                          skip_surviving=skip[1])
     _assert_same_reports(got, _einsum_oracle(m, N, samples, 11, skip))
+
+
+@pytest.mark.parametrize("chunk", [1, 2 ** 30])
+def test_ring_beyond_einsum_labels_matches_the_ket_factor(monkeypatch, chunk):
+    # every vertex acted: the doubled network has 53 labels, more than
+    # np.einsum takes, the ket alone 33; its factor F gives F F^dagger
+    m = ring_11()
+    flags, plan = mc_simulator._route(m, 2, "sample", False, False)
+    assert len(set().union(*plan.inputs)) == 53
+    kets = plan.inputs[0::2]  # the inputs alternate ket and bra copies
+    kept = plan.output[: len(plan.output) // 2]
+    summed = sorted(set().union(*kets) & set().union(*plan.inputs[1::2]))
+    monkeypatch.setattr(mc_simulator, "CHUNK_ELEMENTS", chunk)
+    got = run_experiment(m, 2, 3, seed=13, skip_traced=False, skip_surviving=False)
+    assert got.flags == flags == ()
+    for i, (h, spectrum) in enumerate(zip(got.per_sample_H, got.spectra)):
+        arrays = _isometries(m, plan, 13, i) + [eye[0] for eye in plan.fixed[0::2]]
+        f = _einsum(arrays, kets, [*kept, *summed], optimize="greedy")
+        f = f.reshape(plan.side, -1)
+        gram = f @ f.conj().T * plan.scale
+        expected = spectral_report(ReducedState(
+            gram=gram, dim=plan.dim, surviving_legs=plan.surviving, flags=flags))
+        assert np.abs(spectrum - expected.eigenvalues).max() <= 1e-12
+        assert abs(h - expected.entropy) <= 1e-12
 
 
 def test_jobs_do_not_change_a_chunked_run():
@@ -781,7 +861,7 @@ def test_jobs_do_not_change_a_chunked_run():
 
 def test_no_einsum_per_sample(monkeypatch):
     # numpy's einsum re-parses its path on every call; the compiled steps
-    # run on matmul, and the path is searched once per plan
+    # run on matmul, and the path is planned in the package
     calls = Counter()
     for name in ("einsum", "einsum_path"):
         def counted(*args, _name=name, _fn=getattr(np, name), **kwargs):
@@ -791,4 +871,4 @@ def test_no_einsum_per_sample(monkeypatch):
         monkeypatch.setattr(np, name, counted)
     mc_simulator._gram_plan.cache_clear()
     run_experiment(lattice(2, 4), 2, samples=8, seed=3)
-    assert calls == {"einsum_path": 1}
+    assert not calls
