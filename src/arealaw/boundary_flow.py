@@ -7,16 +7,19 @@ distinct vertices in both directions.  Loops carry no capacity.  The maximal
 flow equals the boundary area of the partition (see :mod:`arealaw.marking`
 for the dual, marking-based definition).
 
-Networks here are tiny (vertex count + 2 nodes; the assignment network of
-:func:`arealaw.marking.marking_from_flow` adds one node per edge), so the
-solver favours auditability: breadth-first augmenting paths, an explicit
-decomposition of the final flow into unit source-sink paths, and min-cut tie
-detection via the two extremal cuts of the residual graph.
+One engine solves every flow, on node positions rather than names: a network
+derives its capacity matrix and, per node, the positions it is linked to
+(once, cached).  Breadth-first augmenting paths (Edmonds-Karp, neighbours in
+node order) update one residual matrix, which then gives both extremal
+minimum cuts (residual reachability from the source, and co-reachability of
+the sink; a tie is two distinct cuts) and the decomposition of the final
+flow into unit source-sink paths.  Positions become names only in the
+:class:`FlowResult`.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Hashable, Iterable, Mapping
@@ -36,15 +39,21 @@ class FlowNetwork:
     capacities: Mapping[tuple[Hashable, Hashable], int]  # (tail, head) -> cap
 
     @cached_property
-    def _linked(self) -> dict[Hashable, tuple[Hashable, ...]]:
-        """Per node, the nodes joined to it by an arc either way, in node
-        order: the only candidates for a residual arc."""
-        linked: dict[Hashable, set] = {n: set() for n in self.nodes}
-        for a, b in self.capacities:
-            linked[a].add(b)
-            linked[b].add(a)
-        return {n: tuple(m for m in self.nodes if m in linked[n])
-                for n in self.nodes}
+    def _arcs(self) -> tuple[list[list[int]], tuple[tuple[int, ...], ...]]:
+        """The capacity matrix on node positions (read only: a flow works on
+        a copy), and per position the positions joined to it by an arc
+        either way, ascending: the only candidates for a residual arc."""
+        if self.nodes[0] != SOURCE or self.nodes[-1] != SINK:
+            raise ValidationError("a network's nodes must run from source to sink")
+        index = {node: i for i, node in enumerate(self.nodes)}
+        matrix = [[0] * len(self.nodes) for _ in self.nodes]
+        linked = [set() for _ in self.nodes]
+        for (a, b), c in self.capacities.items():
+            i, j = index[a], index[b]
+            matrix[i][j] = c
+            linked[i].add(j)
+            linked[j].add(i)
+        return matrix, tuple(tuple(sorted(s)) for s in linked)
 
     def cap(self, a: Hashable, b: Hashable) -> int:
         return self.capacities.get((a, b), 0)
@@ -83,7 +92,6 @@ class MinCut:
 def build_network(marginal: Marginal) -> FlowNetwork:
     """Construct the flow network of a marginal."""
     g = marginal.graph
-    nodes = (SOURCE, *g.vertices, SINK)
     caps: dict[tuple[str, str], int] = {}
     for v in g.vertices:
         t = marginal.t(v)
@@ -92,91 +100,80 @@ def build_network(marginal: Marginal) -> FlowNetwork:
             caps[(SOURCE, v)] = t
         if s > 0:
             caps[(v, SINK)] = s
-    for i, v in enumerate(g.vertices):
-        for w in g.vertices[i + 1:]:
-            mult = g.multiplicity(v, w)
-            if mult > 0:
-                caps[(v, w)] = caps[(w, v)] = mult
-    return FlowNetwork(nodes=nodes, capacities=caps)
+    for e in g.edges:
+        if e.u != e.v:
+            caps[(e.u, e.v)] = caps[(e.v, e.u)] = caps.get((e.u, e.v), 0) + 1
+    return FlowNetwork(nodes=(SOURCE, *g.vertices, SINK), capacities=caps)
 
 
-def _residual(network: FlowNetwork, flow: Mapping[tuple[Hashable, Hashable], int],
-              a: Hashable, b: Hashable) -> int:
-    """Residual capacity from ``a`` to ``b`` under a flow per ordered pair."""
-    return network.cap(a, b) - flow.get((a, b), 0) + flow.get((b, a), 0)
-
-
-def _max_flow_net(network: FlowNetwork) -> dict[tuple[Hashable, Hashable], int]:
-    """Edmonds-Karp; returns net flow per ordered pair (flows in opposite
-    directions are cancelled)."""
-    flow: dict[tuple[Hashable, Hashable], int] = defaultdict(int)
+def _augment(network: FlowNetwork) -> list[list[int]]:
+    """Edmonds-Karp on node positions (source first, sink last); returns the
+    residual matrix of a maximum flow.  The net flow on an arc is its
+    capacity minus its residual."""
+    capacity, linked = network._arcs
+    residual = [row[:] for row in capacity]
+    sink = len(linked) - 1
     while True:
-        # shortest augmenting path in the residual graph
-        parent: dict[Hashable, Hashable] = {SOURCE: SOURCE}
-        queue = deque([SOURCE])
-        while queue:
-            node = queue.popleft()
-            if node == SINK:
-                break
-            for other in network._linked[node]:
-                if (other not in parent
-                        and _residual(network, flow, node, other) > 0):
+        # shortest augmenting path; a parent is final once set, so the
+        # search may stop as soon as it finds the sink
+        parent = [-1] * len(linked)
+        parent[0] = 0
+        queue = [0]
+        for node in queue:
+            row = residual[node]
+            for other in linked[node]:
+                if parent[other] < 0 and row[other] > 0:
                     parent[other] = node
                     queue.append(other)
-        if SINK not in parent:
-            break
-        path = [SINK]
-        while path[-1] != SOURCE:
+            if parent[sink] >= 0:
+                break
+        else:
+            return residual
+        path = [sink]
+        while path[-1]:
             path.append(parent[path[-1]])
-        path.reverse()
-        bottleneck = min(_residual(network, flow, a, b)
-                         for a, b in zip(path, path[1:]))
-        for a, b in zip(path, path[1:]):
-            cancel = min(flow[(b, a)], bottleneck)
-            flow[(b, a)] -= cancel
-            flow[(a, b)] += bottleneck - cancel
-    return {k: v for k, v in flow.items() if v > 0}
+        arcs = list(zip(path[1:], path))
+        bottleneck = min(residual[a][b] for a, b in arcs)
+        for a, b in arcs:
+            residual[a][b] -= bottleneck
+            residual[b][a] += bottleneck
 
 
-def _reachable(network: FlowNetwork, net: Mapping[tuple[Hashable, Hashable], int],
-               start: Hashable, forward: bool) -> set[Hashable]:
-    """Residual reachability from ``start``; ``forward=False`` follows
-    residual arcs backwards (who can still reach ``start``)."""
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        for other in network._linked[node]:
-            if other in seen:
-                continue
-            a, b = (node, other) if forward else (other, node)
-            if _residual(network, net, a, b) > 0:
-                seen.add(other)
+def _reached(residual: list[list[int]], linked: tuple[tuple[int, ...], ...],
+             start: int, forward: bool) -> list[bool]:
+    """Residual reachability from ``start`` per position; ``forward=False``
+    follows residual arcs backwards (who can still reach ``start``)."""
+    seen = [False] * len(linked)
+    seen[start] = True
+    queue = [start]
+    for node in queue:
+        for other in linked[node]:
+            if not seen[other] and (residual[node][other] if forward
+                                    else residual[other][node]) > 0:
+                seen[other] = True
                 queue.append(other)
     return seen
 
 
-def _decompose_unit_paths(network: FlowNetwork,
-                          net: Mapping[tuple[str, str], int],
-                          value: int) -> tuple[tuple[str, ...], ...]:
-    """Split a net flow into ``value`` unit source-sink paths, cancelling any
-    circulation encountered along the way."""
-    out: dict[str, dict[str, int]] = defaultdict(dict)
-    for (a, b), f in net.items():
-        if f > 0:
-            out[a][b] = f
+def _unit_paths(flow: list[list[int]], linked: tuple[tuple[int, ...], ...],
+                value: int) -> list[list[int]]:
+    """Split a net flow into ``value`` unit source-sink paths of positions,
+    cancelling any circulation encountered along the way.  Only positive
+    entries are read; consumes ``flow``."""
+    sink = len(linked) - 1
 
-    def next_hop(node: str) -> str | None:
-        for other in network.nodes:  # deterministic node order
-            if out[node].get(other, 0) > 0:
+    def next_hop(node: int) -> int | None:
+        row = flow[node]
+        for other in linked[node]:  # deterministic node order
+            if row[other] > 0:
                 return other
         return None
 
     paths = []
     for _ in range(value):
-        path = [SOURCE]
-        position = {SOURCE: 0}
-        while path[-1] != SINK:
+        path = [0]
+        position = {0: 0}
+        while path[-1] != sink:
             nxt = next_hop(path[-1])
             if nxt is None:
                 raise InconsistencyError("flow conservation violated during decomposition")
@@ -184,7 +181,7 @@ def _decompose_unit_paths(network: FlowNetwork,
                 # cancel the cycle and resume from its entry point
                 start = position[nxt]
                 for a, b in zip(path[start:], path[start + 1:] + [nxt]):
-                    out[a][b] -= 1
+                    flow[a][b] -= 1
                 for node in path[start + 1:]:
                     del position[node]
                 del path[start + 1:]
@@ -192,9 +189,9 @@ def _decompose_unit_paths(network: FlowNetwork,
             position[nxt] = len(path)
             path.append(nxt)
         for a, b in zip(path, path[1:]):
-            out[a][b] -= 1
-        paths.append(tuple(path))
-    return tuple(paths)
+            flow[a][b] -= 1
+        paths.append(path)
+    return paths
 
 
 def cut_capacity(network: FlowNetwork, source_side: Iterable[Hashable]) -> int:
@@ -209,19 +206,28 @@ def cut_capacity(network: FlowNetwork, source_side: Iterable[Hashable]) -> int:
 def max_flow(network: FlowNetwork) -> FlowResult:
     """Exact integer maximum flow with a unit-path decomposition and a
     minimum-cut certificate."""
-    net = _max_flow_net(network)
-    value = sum(f for (a, _), f in net.items() if a == SOURCE) \
-        - sum(f for (_, b), f in net.items() if b == SOURCE)
-    minimal = _reachable(network, net, SOURCE, forward=True)
-    coreach = _reachable(network, net, SINK, forward=False)
-    maximal = set(network.nodes) - coreach
-    cut = tuple(n for n in network.nodes if n in minimal)
-    if cut_capacity(network, minimal) != value:
+    capacity, linked = network._arcs
+    residual = _augment(network)
+    value = sum(capacity[0]) - sum(residual[0])
+    minimal = _reached(residual, linked, 0, forward=True)
+    coreach = _reached(residual, linked, len(linked) - 1, forward=False)
+    inside = [i for i, reached in enumerate(minimal) if reached]
+    outside = [j for j, reached in enumerate(minimal) if not reached]
+    if sum(capacity[i][j] for i in inside for j in outside) != value:
         raise InconsistencyError("min cut does not certify the flow value")
-    tied = minimal != maximal
-    paths = _decompose_unit_paths(network, net, value)
-    return FlowResult(value=value, paths=paths, cut=cut, cut_tied=tied,
-                      network=network)
+    # a node neither reached from the source nor reaching the sink lies
+    # between the smallest and the largest minimum cut
+    tied = not all(a or b for a, b in zip(minimal, coreach))
+    # net flow per arc; the decomposition reads only positive entries
+    flow = [[c - r for c, r in zip(crow, rrow)]
+            for crow, rrow in zip(capacity, residual)]
+    nodes = network.nodes
+    return FlowResult(
+        value=value,
+        paths=tuple(tuple(nodes[i] for i in p)
+                    for p in _unit_paths(flow, linked, value)),
+        cut=tuple(nodes[i] for i in inside),
+        cut_tied=tied, network=network)
 
 
 def min_cut(network: FlowNetwork) -> MinCut:

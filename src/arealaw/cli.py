@@ -229,12 +229,14 @@ def cmd_verify(args) -> int:
         generic = prediction.case == "generic" and prediction.correction is None
 
     if generic:
-        # only the leading term is known: the mean may sit below it by an
-        # unknown constant, but must never exceed it
+        # only the leading term is known, the rank bound of the flow's min
+        # cut: the mean may sit below it by an unknown constant, but must
+        # never exceed it
         gap = predicted - mean
         passed = gap >= -tolerance
+        bound = "X ln N + cut ln d" if prediction.leading_offset else "X ln N"
         print(f"generic case: leading-order-only check "
-              f"(X ln N = {predicted:.6f}, deficit = {gap:.6f})")
+              f"({bound} = {predicted:.6f}, deficit = {gap:.6f})")
     else:
         gap = abs(mean - predicted)
         passed = gap <= tolerance
@@ -254,6 +256,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_transport(args) -> int:
+    # checked with or without --certify, so a flag is never silently ignored
+    if args.N is not None and args.N < 2:
+        raise ValidationError(f"-N must be at least 2, got {args.N}")
+    if args.haar_samples < 1:
+        raise ValidationError(
+            f"--haar-samples must be at least 1, got {args.haar_samples}")
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be an integer >= 0, got {args.seed}")
     instance = parse_instance(_read(args.instance))
     if args.out:
         _check_writable(args.out)

@@ -8,7 +8,9 @@ crossing count over all compatible markings.  That maximum equals the
 maximal flow of the associated network.  :func:`marking_from_flow` realizes
 it constructively: no marking crosses more edges than a minimum cut's
 capacity, and one assignment flow on the same max-flow engine finds a
-marking that crosses exactly that many.
+marking that crosses exactly that many.  :func:`area_bruteforce` is the
+independent route: it never touches a flow and enumerates the markings as
+leg bitmasks.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .boundary_flow import (
     SOURCE,
     FlowNetwork,
     FlowResult,
-    _max_flow_net,
+    _augment,
     build_network,
     cut_capacity,
     replay_paths,
@@ -82,16 +84,28 @@ def marking_count(marginal: Marginal) -> int:
     return math.prod(math.comb(g.degree(v), marginal.s(v)) for v in g.vertices)
 
 
+def _marking_masks(marginal: Marginal):
+    """Every compatible marking as a bitmask of its marked legs, in the
+    order of :func:`iter_compatible_markings`."""
+    g = marginal.graph
+    per_vertex = [
+        [sum(1 << leg for leg in combo)
+         for combo in itertools.combinations(g.legs_of(v), marginal.s(v))]
+        for v in g.vertices
+    ]
+    return map(sum, itertools.product(*per_vertex))  # disjoint bits: sum is OR
+
+
+def _mask_marking(mask: int, n_legs: int) -> Marking:
+    return Marking(marked=frozenset(l for l in range(n_legs) if mask >> l & 1))
+
+
 def iter_compatible_markings(marginal: Marginal):
     """Deterministic enumeration: per-vertex leg combinations in ascending
     order, vertices in document order."""
-    g = marginal.graph
-    per_vertex = [
-        list(itertools.combinations(g.legs_of(v), marginal.s(v)))
-        for v in g.vertices
-    ]
-    for choice in itertools.product(*per_vertex):
-        yield Marking(marked=frozenset(itertools.chain.from_iterable(choice)))
+    n_legs = marginal.graph.n_legs
+    for mask in _marking_masks(marginal):
+        yield _mask_marking(mask, n_legs)
 
 
 @dataclass(frozen=True)
@@ -105,24 +119,31 @@ def area_bruteforce(marginal: Marginal, combination_limit: int = 10 ** 6
                     ) -> BruteForceArea:
     """Exact boundary area by exhausting all compatible markings.
 
-    Raises :class:`CombinatorialLimitError` when the marking count exceeds
-    ``combination_limit``; callers should then rely on the flow value, which
-    is provably equal.
+    The independent route to the area: no flow is solved.  Markings are
+    enumerated as leg bitmasks in the order of
+    :func:`iter_compatible_markings`, and the witness is the first one with
+    the most crossings.  Raises :class:`CombinatorialLimitError` when the
+    marking count exceeds ``combination_limit``; callers should then rely on
+    the flow value, which is provably equal.
     """
     count = marking_count(marginal)
     if count > combination_limit:
         raise CombinatorialLimitError(
             f"{count} compatible markings exceed the limit {combination_limit}"
         )
-    fat = fatten(marginal.graph)
+    # legs 2i and 2i+1 are the two ends of edge i: bit 2i of m ^ (m >> 1)
+    # is set iff edge i crosses
+    even = sum(1 << leg for leg in range(0, marginal.graph.n_legs, 2))
     best = -1
-    witness = None
-    for marking in iter_compatible_markings(marginal):
-        cr = crossings(fat, marking)
-        if cr > best:
-            best = cr
-            witness = marking
-    return BruteForceArea(area=best, witness=witness, combinations=count)
+    witness = 0
+    for mask in _marking_masks(marginal):
+        crossed = ((mask ^ (mask >> 1)) & even).bit_count()
+        if crossed > best:
+            best = crossed
+            witness = mask
+    return BruteForceArea(area=best,
+                          witness=_mask_marking(witness, marginal.graph.n_legs),
+                          combinations=count)
 
 
 # -- constructive translation: flow -> marking ------------------------------
@@ -165,19 +186,27 @@ def marking_from_flow(marginal: Marginal, flow: FlowResult) -> Marking:
             caps[(i, e.u)] = caps[(i, e.v)] = 1
     drains = {v: marginal.s(v) if v in side else marginal.t(v) for v in g.vertices}
     caps.update({(v, SINK): d for v, d in drains.items() if d > 0})
-    assignment = _max_flow_net(FlowNetwork(
+    residual = _augment(FlowNetwork(
         nodes=(SOURCE, *range(len(g.edges)), *g.vertices, SINK), capacities=caps))
-    if sum(f for (_, b), f in assignment.items() if b == SINK) != sum(drains.values()):
+    # node positions: the source, the edges, the vertices, the sink
+    position = {v: 1 + len(g.edges) + k for k, v in enumerate(g.vertices)}
+    # a drain the flow does not fill keeps residual capacity into the sink
+    if any(residual[position[v]][-1] for v in g.vertices):
         raise InconsistencyError("the cut admits no leg assignment")
 
     fed = set()
     for i, e in enumerate(g.edges):
-        if (i, e.u) in assignment:
+        if (e.u in side) != (e.v in side):
+            continue
+        # a unit arc carries flow iff its residual is zero
+        row = residual[1 + i]
+        if row[position[e.u]] == 0:
             fed.add(2 * i)
-        elif (i, e.v) in assignment:
+        elif row[position[e.v]] == 0:
             fed.add(2 * i + 1)
-    marking = Marking(marked=frozenset(
-        leg.leg_id for leg in g.legs if (leg.leg_id in fed) == (leg.vertex in side)))
-    if crossings(fatten(g), marking) != flow.value:
+    marked = frozenset(
+        leg.leg_id for leg in g.legs if (leg.leg_id in fed) == (leg.vertex in side))
+    if sum((2 * i in marked) != (2 * i + 1 in marked)
+           for i in range(len(g.edges))) != flow.value:
         raise InconsistencyError("constructed marking misses the flow value")
-    return marking
+    return Marking(marked=marked)

@@ -9,8 +9,10 @@ mean entropy of an induced random state, written in the symmetric form
 ``predict_entropy`` dispatches a marginal to its most specific known case:
 adapted partitions are exact and deterministic; a unique surviving vertex,
 the two-edge path and the double-edge topologies have closed corrections;
-everything else falls back to the generic leading term (boundary area times
-``ln N``) with an unknown constant.  All stored entropies are in nats.
+everything else falls back to the generic leading term, the log of the
+minimum cut's dimension (boundary area times ``ln N`` plus the ``ln d`` of
+the cut's legs and edges), with an unknown constant below it.  All stored
+entropies are in nats.
 """
 
 from __future__ import annotations
@@ -197,6 +199,20 @@ def _detect_template(marginal: Marginal):
     return None
 
 
+def _cut_log_ratio(marginal: Marginal, cut) -> float:
+    """Sum of ``ln d`` over what a flow's cut counts: the surviving legs on
+    its source side, the traced legs off it and the edges leaving it.  With
+    the cut's ``X ln N`` this is the log of the cut's dimension, which
+    bounds the rank of the marginal."""
+    g = marginal.graph
+    side = set(cut)
+    traced = marginal.completed_traced_legs()
+    return math.fsum(
+        [math.log(leg.ratio) for leg in g.legs
+         if (leg.vertex in side) != (leg.leg_id in traced)]
+        + [math.log(e.d) for e in g.edges if (e.u in side) != (e.v in side)])
+
+
 def predict_entropy(marginal: Marginal, N: int,
                     flow: FlowResult | None = None) -> EntropyPrediction:
     """Dispatch a marginal to its most specific known prediction.
@@ -204,7 +220,9 @@ def predict_entropy(marginal: Marginal, N: int,
     Case priority: adapted, single loop, unique surviving vertex, path /
     double-edge template, generic.  The leading area always equals the
     maximal flow of the marginal's network; the generic case reads it from
-    ``flow`` when the caller has already solved it.
+    ``flow`` when the caller has already solved it, and its offset is the
+    log of the ratios its minimum cut counts, so the generic leading term is
+    the rank bound of that cut (the offset is 0 when every ratio is 1).
     """
     if N < 2:
         raise ValidationError("N must be at least 2")
@@ -261,8 +279,9 @@ def predict_entropy(marginal: Marginal, N: int,
             correction=limit_correction(case, da, db), exact=False,
         )
 
+    flow = flow or max_flow(build_network(marginal))
     return EntropyPrediction(
-        case="generic",
-        leading_area=(flow or max_flow(build_network(marginal))).value,
-        leading_offset=0.0, correction=None, exact=False,
+        case="generic", leading_area=flow.value,
+        leading_offset=_cut_log_ratio(marginal, flow.cut),
+        correction=None, exact=False,
     )

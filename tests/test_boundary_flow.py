@@ -1,10 +1,20 @@
+import itertools
+from collections import defaultdict, deque
+
 import numpy as np
+import pytest
 
 from arealaw import (
     FlowNetwork,
+    FlowResult,
     Graph,
     TraceSpec,
+    ValidationError,
+    area_bruteforce,
     build_network,
+    crossings,
+    fatten,
+    marking_from_flow,
     max_flow,
     min_cut,
     resolve_trace,
@@ -12,13 +22,243 @@ from arealaw import (
 from arealaw.boundary_flow import SINK, SOURCE, cut_capacity, replay_paths
 
 from conftest import (
+    all_counting_functions,
     black_hole,
+    enumerate_small_graphs,
     marginal_from,
     oxygen,
     random_marginal,
     single_loop,
     two_loops,
 )
+
+
+# -- reference: the name-keyed max-flow engine -------------------------------
+#
+# The engine solved flows on node names before it moved to node positions;
+# it stays here as the oracle the position engine must match exactly: the
+# same augmenting paths, cut, tie flag, unit paths and markings.
+
+
+def _linked(network):
+    """Per node, the nodes joined to it by an arc either way, in node order."""
+    linked = {n: set() for n in network.nodes}
+    for a, b in network.capacities:
+        linked[a].add(b)
+        linked[b].add(a)
+    return {n: tuple(m for m in network.nodes if m in linked[n])
+            for n in network.nodes}
+
+
+def _residual(network, flow, a, b):
+    """Residual capacity from ``a`` to ``b`` under a flow per ordered pair."""
+    return network.cap(a, b) - flow.get((a, b), 0) + flow.get((b, a), 0)
+
+
+def _max_flow_net(network):
+    """Edmonds-Karp; returns net flow per ordered pair (flows in opposite
+    directions are cancelled)."""
+    linked = _linked(network)
+    flow = defaultdict(int)
+    while True:
+        # shortest augmenting path in the residual graph
+        parent = {SOURCE: SOURCE}
+        queue = deque([SOURCE])
+        while queue:
+            node = queue.popleft()
+            if node == SINK:
+                break
+            for other in linked[node]:
+                if (other not in parent
+                        and _residual(network, flow, node, other) > 0):
+                    parent[other] = node
+                    queue.append(other)
+        if SINK not in parent:
+            break
+        path = [SINK]
+        while path[-1] != SOURCE:
+            path.append(parent[path[-1]])
+        path.reverse()
+        bottleneck = min(_residual(network, flow, a, b)
+                         for a, b in zip(path, path[1:]))
+        for a, b in zip(path, path[1:]):
+            cancel = min(flow[(b, a)], bottleneck)
+            flow[(b, a)] -= cancel
+            flow[(a, b)] += bottleneck - cancel
+    return {k: v for k, v in flow.items() if v > 0}
+
+
+def _reachable(network, net, start, forward):
+    """Residual reachability from ``start``; ``forward=False`` follows
+    residual arcs backwards (who can still reach ``start``)."""
+    linked = _linked(network)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        for other in linked[node]:
+            if other in seen:
+                continue
+            a, b = (node, other) if forward else (other, node)
+            if _residual(network, net, a, b) > 0:
+                seen.add(other)
+                queue.append(other)
+    return seen
+
+
+def _decompose_unit_paths(network, net, value):
+    """Split a net flow into ``value`` unit source-sink paths, cancelling any
+    circulation encountered along the way."""
+    out = defaultdict(dict)
+    for (a, b), f in net.items():
+        if f > 0:
+            out[a][b] = f
+
+    def next_hop(node):
+        for other in network.nodes:  # deterministic node order
+            if out[node].get(other, 0) > 0:
+                return other
+        return None
+
+    paths = []
+    for _ in range(value):
+        path = [SOURCE]
+        position = {SOURCE: 0}
+        while path[-1] != SINK:
+            nxt = next_hop(path[-1])
+            assert nxt is not None, "flow conservation violated"
+            if nxt in position:
+                # cancel the cycle and resume from its entry point
+                start = position[nxt]
+                for a, b in zip(path[start:], path[start + 1:] + [nxt]):
+                    out[a][b] -= 1
+                for node in path[start + 1:]:
+                    del position[node]
+                del path[start + 1:]
+                continue
+            position[nxt] = len(path)
+            path.append(nxt)
+        for a, b in zip(path, path[1:]):
+            out[a][b] -= 1
+        paths.append(tuple(path))
+    return tuple(paths)
+
+
+def reference_max_flow(network):
+    net = _max_flow_net(network)
+    value = sum(f for (a, _), f in net.items() if a == SOURCE) \
+        - sum(f for (_, b), f in net.items() if b == SOURCE)
+    minimal = _reachable(network, net, SOURCE, forward=True)
+    maximal = set(network.nodes) - _reachable(network, net, SINK, forward=False)
+    assert cut_capacity(network, minimal) == value
+    return FlowResult(
+        value=value, paths=_decompose_unit_paths(network, net, value),
+        cut=tuple(n for n in network.nodes if n in minimal),
+        cut_tied=minimal != maximal)
+
+
+def reference_marking(marginal, flow):
+    """The flow's marking, with the assignment flow on the name-keyed engine."""
+    g = marginal.graph
+    side = set(flow.cut)
+    caps = {}
+    for i, e in enumerate(g.edges):
+        if (e.u in side) == (e.v in side):
+            caps[(SOURCE, i)] = 1
+            caps[(i, e.u)] = caps[(i, e.v)] = 1
+    drains = {v: marginal.s(v) if v in side else marginal.t(v) for v in g.vertices}
+    caps.update({(v, SINK): d for v, d in drains.items() if d > 0})
+    assignment = _max_flow_net(FlowNetwork(
+        nodes=(SOURCE, *range(len(g.edges)), *g.vertices, SINK), capacities=caps))
+    assert sum(f for (_, b), f in assignment.items() if b == SINK) \
+        == sum(drains.values())
+    fed = set()
+    for i, e in enumerate(g.edges):
+        if (i, e.u) in assignment:
+            fed.add(2 * i)
+        elif (i, e.v) in assignment:
+            fed.add(2 * i + 1)
+    return frozenset(leg.leg_id for leg in g.legs
+                     if (leg.leg_id in fed) == (leg.vertex in side))
+
+
+def reference_bruteforce(marginal):
+    """(area, witness, combinations) over frozenset markings, first maximizer."""
+    g = marginal.graph
+    fat = fatten(g)
+    per_vertex = [list(itertools.combinations(g.legs_of(v), marginal.s(v)))
+                  for v in g.vertices]
+    best, witness, count = -1, None, 0
+    for choice in itertools.product(*per_vertex):
+        marked = frozenset(itertools.chain.from_iterable(choice))
+        count += 1
+        cr = sum(1 for a, b in fat.fat_edges if (a in marked) != (b in marked))
+        if cr > best:
+            best, witness = cr, marked
+    return best, sorted(witness), count
+
+
+def _random_network(rng):
+    """Named nodes with independent capacities per direction (one-way arcs,
+    zero capacities, arcs into the source and out of the sink)."""
+    inner = [f"N{i}" for i in range(int(rng.integers(0, 6)))]
+    nodes = (SOURCE, *inner, SINK)
+    caps = {}
+    for a, b in itertools.permutations(nodes, 2):
+        if rng.random() < 0.4:
+            caps[(a, b)] = int(rng.integers(0, 4))
+    return FlowNetwork(nodes=nodes, capacities=caps)
+
+
+def _random_assignment_network(rng):
+    """The shape of the marking's assignment flow: integer edge nodes fed by
+    the source, each feeding its endpoints, vertices draining to the sink."""
+    vertices = [f"V{i}" for i in range(int(rng.integers(1, 4)))]
+    n_edges = int(rng.integers(1, 6))
+    caps = {}
+    for i in range(n_edges):
+        u, v = rng.choice(vertices, size=2)
+        if rng.random() < 0.8:
+            caps[(SOURCE, i)] = 1
+        caps[(i, str(u))] = caps[(i, str(v))] = 1
+    for v in vertices:
+        drain = int(rng.integers(0, 4))
+        if drain:
+            caps[(v, SINK)] = drain
+    return FlowNetwork(nodes=(SOURCE, *range(n_edges), *vertices, SINK),
+                       capacities=caps)
+
+
+def test_engine_matches_reference_on_random_networks():
+    rng = np.random.default_rng(11)
+    one_way = FlowNetwork(nodes=(SOURCE, "A", "B", SINK), capacities={
+        (SOURCE, "A"): 1, (SOURCE, "B"): 2, ("A", "B"): 2, ("A", SINK): 2})
+    networks = [one_way] + [_random_network(rng) for _ in range(300)] \
+        + [_random_assignment_network(rng) for _ in range(300)]
+    for net in networks:
+        expected = reference_max_flow(net)
+        assert max_flow(net).to_document() == expected.to_document()
+        cut = min_cut(net)
+        assert (cut.source_side, cut.capacity, cut.tied) \
+            == (expected.cut, expected.value, expected.cut_tied)
+
+
+def test_engine_matches_reference_on_small_census():
+    # every census-family marginal with at most 3 vertices (up to 5 edges)
+    for g in enumerate_small_graphs(max_vertices=3, max_edges=5):
+        for s in all_counting_functions(g):
+            m = resolve_trace(g, TraceSpec.from_counts(s))
+            net = build_network(m)
+            expected = reference_max_flow(net)
+            flow = max_flow(net)
+            assert flow.to_document() == expected.to_document()
+            cut = min_cut(net)
+            assert (cut.source_side, cut.capacity, cut.tied) \
+                == (expected.cut, expected.value, expected.cut_tied)
+            assert marking_from_flow(m, flow).marked == reference_marking(m, flow)
+            brute = area_bruteforce(m)
+            assert (brute.area, brute.witness.to_document(), brute.combinations) \
+                == reference_bruteforce(m)
 
 
 def enumerate_min_cuts(network: FlowNetwork) -> list[tuple[str, ...]]:
@@ -75,6 +315,13 @@ def test_one_way_arc():
     # only the arcs leaving the source side count: A -> B enters {source, B}
     assert cut_capacity(net, (SOURCE, "B")) == 1
     assert cut_capacity(net, (SOURCE, "A")) == 2 + 2 + 2
+
+
+def test_nodes_must_run_from_source_to_sink():
+    # the engine works on positions: the source first, the sink last
+    net = FlowNetwork(nodes=(SINK, "A", SOURCE), capacities={(SOURCE, "A"): 1})
+    with pytest.raises(ValidationError, match="from source to sink"):
+        max_flow(net)
 
 
 def test_single_loop_flow():

@@ -218,6 +218,24 @@ def test_verify_generic_leading_order_only(write_doc, capsys, tmp_path):
     assert report["verdict"]["mean_nats"] <= report["verdict"]["predicted_nats"]
 
 
+def test_verify_generic_counts_the_cut_ratios(write_doc, capsys, tmp_path):
+    # A-B with d=2 and a loop at A with d=3.  The flow's min cut {source}
+    # counts A's two traced legs (d=2 and d=3), so the generic bound is the
+    # rank bound 2 ln 3 + ln 6 = ln 54, above the sampled mean (3.49 nats);
+    # X ln N alone (2.197) sits below it
+    graph = write_doc("ratios.json", doc(
+        ["A", "B"], [("A", "B", 2), ("A", "A", 3)],
+        {"mode": "counts", "s": {"A": 1, "B": 1}}))
+    out = tmp_path / "r.json"
+    assert main(["verify", "-g", graph, "-N", "3", "-n", "20", "--seed", "1",
+                 "--out", str(out)]) == 0
+    assert "(X ln N + cut ln d = 3.988984," in capsys.readouterr().out
+    report = json.loads(out.read_text())
+    assert report["prediction"]["leading_area"] == 2
+    assert report["prediction"]["leading_offset_nats"] == pytest.approx(math.log(6))
+    assert report["verdict"]["predicted_nats"] == pytest.approx(math.log(54))
+
+
 def test_verify_expect_self_test(write_doc, capsys):
     graph = write_doc("loop.json", single_loop_doc())
     code = main(["verify", "-g", graph, "-N", "16", "-n", "5", "--seed", "1",
@@ -377,6 +395,24 @@ def test_negative_seed_exit_code(write_doc, capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and "seed must be an integer >= 0" in err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("-N", "0", "-N must be at least 2, got 0"),
+    ("-N", "1", "-N must be at least 2, got 1"),
+    ("--haar-samples", "0", "--haar-samples must be at least 1, got 0"),
+    ("--haar-samples", "-5", "--haar-samples must be at least 1, got -5"),
+    ("--seed", "-1", "--seed must be an integer >= 0, got -1"),
+], ids=["N-0", "N-1", "haar-samples-0", "haar-samples-negative", "seed-negative"])
+@pytest.mark.parametrize("certify", [False, True], ids=["plain", "certify"])
+def test_transport_bad_flag_exit_code(capsys, tmp_path, flag, value, message,
+                                      certify):
+    # the instance file does not exist: the flag is checked before any work
+    argv = ["transport", "-i", str(tmp_path / "missing.json"), flag, value]
+    assert main(argv + (["--certify"] if certify else [])) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"input error: {message}\n"
 
 
 def _no_sampling(monkeypatch):

@@ -189,6 +189,25 @@ def test_generic_fallback():
     assert count_generic > 0
 
 
+
+def test_generic_bound_caps_every_sample_rank():
+    # the generic leading term is the log-dimension of the flow's min cut,
+    # which bounds the rank of every sampled marginal, whatever the ratios
+    from arealaw.mc_simulator import run_experiment
+
+    rng = np.random.default_rng(12)
+    checked = with_ratios = 0
+    while checked < 6:
+        m = random_marginal(rng, max_vertices=3, max_edges=3, dims=(1, 2, 3))
+        pred = predict_entropy(m, 2)
+        if pred.case != "generic":
+            continue
+        mc = run_experiment(m, 2, 2, checked, q_list=(0.0,))
+        assert math.log(max(mc.ranks)) <= pred.value(2) + 1e-9
+        checked += 1
+        with_ratios += pred.leading_offset > 0
+    assert with_ratios > 0
+
 def test_prediction_serialization():
     pred = predict_entropy(black_hole(traced=[0, 2]), 16)
     doc = pred.to_document()
