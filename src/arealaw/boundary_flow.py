@@ -49,7 +49,12 @@ class FlowNetwork:
         matrix = [[0] * len(self.nodes) for _ in self.nodes]
         linked = [set() for _ in self.nodes]
         for (a, b), c in self.capacities.items():
-            i, j = index[a], index[b]
+            try:
+                i, j = index[a], index[b]
+            except KeyError as exc:
+                raise ValidationError(
+                    f"arc ({a!r}, {b!r}) names {exc.args[0]!r}, which is not "
+                    f"a node of the network") from None
             matrix[i][j] = c
             linked[i].add(j)
             linked[j].add(i)

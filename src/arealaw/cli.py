@@ -6,7 +6,17 @@ from) and schema-versioned; the tests hold the report schema.  Exit codes:
 0 success or verification pass, 1 verification or certificate failure,
 2 invalid input, 3 combinatorial limit exceeded, 4 resource guard, 5 internal
 error (an inconsistent flow or certificate, an unknown predictor case, a
-failed eigensolver: a defect in this package, not in the input).
+failed eigensolver: a defect in this package, not in the input).  An
+argument the parser rejects is an input error too, on one line.
+
+Importing this module loads only the standard library and
+:mod:`arealaw.errors`.  Each command imports the layers it runs when it
+runs: ``area`` the graph model and the flow (and :mod:`arealaw.marking`
+unless ``--flow-only``), ``predict`` the graph model and the predictor,
+``simulate`` and ``verify`` those plus :mod:`arealaw.mc_simulator`, and
+``transport`` :mod:`arealaw.transport` (which loads ``mc_simulator`` only to
+certify).  A function is read from its module at call time, so a patch of
+the defining module is seen.
 """
 
 from __future__ import annotations
@@ -19,8 +29,6 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 
-from . import marking as marking_mod
-from .boundary_flow import build_network, max_flow
 from .errors import (
     AreaLawError,
     CertificateError,
@@ -29,9 +37,6 @@ from .errors import (
     ResourceGuardError,
     ValidationError,
 )
-from .graph_model import parse_marginal
-from .spectral_predictor import predict_entropy
-from .transport import _active_sites, _solve, certify, parse_instance, scenarios
 
 SCHEMA_VERSION = 1
 
@@ -84,12 +89,16 @@ def _fmt(value: float, bits: bool) -> str:
 
 
 def _load_marginal(path: str):
+    from .graph_model import parse_marginal
+
     return parse_marginal(_read(path))
 
 
 def cmd_area(args) -> int:
     if args.limit < 1:
         raise ValidationError(f"--limit must be at least 1, got {args.limit}")
+    from .boundary_flow import build_network, max_flow
+
     marginal = _load_marginal(args.graph)
     flow = max_flow(build_network(marginal))
     print(f"boundary area X = {flow.value}")
@@ -102,7 +111,9 @@ def cmd_area(args) -> int:
         "flow": flow.to_document(),
     }
     if not args.flow_only:
-        brute = marking_mod.area_bruteforce(marginal, args.limit)
+        from .marking import area_bruteforce
+
+        brute = area_bruteforce(marginal, args.limit)
         print(f"brute-force area = {brute.area} "
               f"({brute.combinations} markings enumerated)")
         print(f"witness marking (marked legs): {brute.witness.to_document()}")
@@ -120,6 +131,8 @@ def cmd_area(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    from .spectral_predictor import predict_entropy
+
     marginal = _load_marginal(args.graph)
     prediction = predict_entropy(marginal, args.N)
     print(f"case: {prediction.case}")
@@ -157,7 +170,9 @@ def _simulate_report(marginal, args, seed: int):
     for path in (args.out, args.spectra):
         if path:
             _check_writable(path)
+    from .boundary_flow import build_network, max_flow
     from .mc_simulator import run_experiment
+    from .spectral_predictor import predict_entropy
 
     mc = run_experiment(
         marginal, args.N, args.samples, seed, q_list=q_list, jobs=args.jobs,
@@ -264,6 +279,8 @@ def cmd_transport(args) -> int:
             f"--haar-samples must be at least 1, got {args.haar_samples}")
     if args.seed < 0:
         raise ValidationError(f"--seed must be an integer >= 0, got {args.seed}")
+    from .transport import _active_sites, _solve, certify, parse_instance, scenarios
+
     instance = parse_instance(_read(args.instance))
     if args.out:
         _check_writable(args.out)
@@ -299,8 +316,17 @@ def cmd_transport(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser (and, by inheritance, its subcommand parsers) whose
+    rejections are input errors: ``main`` prints them on one line, without
+    the usage block."""
+
+    def error(self, message: str):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="arealaw",
         description="Boundary areas, entropy predictions and Monte Carlo "
                     "checks for random graph states",
@@ -374,8 +400,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (ParseError, ValidationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

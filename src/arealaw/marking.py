@@ -1,16 +1,16 @@
-"""Fattened graphs, compatible markings, crossings and the boundary area.
+"""Compatible markings, crossings and the boundary area.
 
 Fattening makes every edge disjoint: the fat vertices are exactly the legs,
-one fat edge per graph edge.  A marking selects ``s(v)`` legs per vertex
-(marked = surviving); its crossings are the fat edges with exactly one
-marked endpoint, and the boundary area of a partition is the maximal
-crossing count over all compatible markings.  That maximum equals the
-maximal flow of the associated network.  :func:`marking_from_flow` realizes
-it constructively: no marking crosses more edges than a minimum cut's
-capacity, and one assignment flow on the same max-flow engine finds a
-marking that crosses exactly that many.  :func:`area_bruteforce` is the
-independent route: it never touches a flow and enumerates the markings as
-leg bitmasks.
+one fat edge per graph edge (edge ``i`` joins legs ``2i`` and ``2i + 1``).
+A marking selects ``s(v)`` legs per vertex (marked = surviving); its
+crossings are the fat edges with exactly one marked endpoint, and the
+boundary area of a partition is the maximal crossing count over all
+compatible markings.  That maximum equals the maximal flow of the
+associated network.  :func:`marking_from_flow` realizes it constructively:
+no marking crosses more edges than a minimum cut's capacity, and one
+assignment flow on the same max-flow engine finds a marking that crosses
+exactly that many.  :func:`area_bruteforce` is the independent route: it
+never touches a flow and enumerates the markings as leg bitmasks.
 """
 
 from __future__ import annotations
@@ -30,16 +30,7 @@ from .boundary_flow import (
     replay_paths,
 )
 from .errors import CombinatorialLimitError, InconsistencyError
-from .graph_model import Graph, Marginal
-
-
-@dataclass(frozen=True)
-class FattenedGraph:
-    """Every edge made disjoint; fat vertices are the legs."""
-
-    fat_vertices: tuple[int, ...]              # leg ids
-    fat_edges: tuple[tuple[int, int], ...]     # one per graph edge
-    projection: dict[int, str]                 # leg id -> graph vertex
+from .graph_model import Marginal
 
 
 @dataclass(frozen=True)
@@ -50,22 +41,6 @@ class Marking:
 
     def to_document(self) -> list[int]:
         return sorted(self.marked)
-
-
-def fatten(graph: Graph) -> FattenedGraph:
-    fat_edges = tuple((2 * i, 2 * i + 1) for i in range(len(graph.edges)))
-    projection = {leg.leg_id: leg.vertex for leg in graph.legs}
-    return FattenedGraph(
-        fat_vertices=tuple(range(graph.n_legs)),
-        fat_edges=fat_edges,
-        projection=projection,
-    )
-
-
-def crossings(fat: FattenedGraph, marking: Marking) -> int:
-    """Number of fat edges with exactly one marked endpoint."""
-    m = marking.marked
-    return sum(1 for a, b in fat.fat_edges if (a in m) != (b in m))
 
 
 def is_compatible(marginal: Marginal, marking: Marking) -> bool:
@@ -85,8 +60,9 @@ def marking_count(marginal: Marginal) -> int:
 
 
 def _marking_masks(marginal: Marginal):
-    """Every compatible marking as a bitmask of its marked legs, in the
-    order of :func:`iter_compatible_markings`."""
+    """Every compatible marking as a bitmask of its marked legs, in a fixed
+    order: per-vertex leg combinations in ascending order, vertices in
+    document order."""
     g = marginal.graph
     per_vertex = [
         [sum(1 << leg for leg in combo)
@@ -98,14 +74,6 @@ def _marking_masks(marginal: Marginal):
 
 def _mask_marking(mask: int, n_legs: int) -> Marking:
     return Marking(marked=frozenset(l for l in range(n_legs) if mask >> l & 1))
-
-
-def iter_compatible_markings(marginal: Marginal):
-    """Deterministic enumeration: per-vertex leg combinations in ascending
-    order, vertices in document order."""
-    n_legs = marginal.graph.n_legs
-    for mask in _marking_masks(marginal):
-        yield _mask_marking(mask, n_legs)
 
 
 @dataclass(frozen=True)
@@ -120,9 +88,8 @@ def area_bruteforce(marginal: Marginal, combination_limit: int = 10 ** 6
     """Exact boundary area by exhausting all compatible markings.
 
     The independent route to the area: no flow is solved.  Markings are
-    enumerated as leg bitmasks in the order of
-    :func:`iter_compatible_markings`, and the witness is the first one with
-    the most crossings.  Raises :class:`CombinatorialLimitError` when the
+    enumerated as leg bitmasks in the order of :func:`_marking_masks`, and
+    the witness is the first one with the most crossings.  Raises :class:`CombinatorialLimitError` when the
     marking count exceeds ``combination_limit``; callers should then rely on
     the flow value, which is provably equal.
     """

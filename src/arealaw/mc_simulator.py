@@ -44,7 +44,6 @@ import numpy as np
 from .errors import (AreaLawError, InconsistencyError, ResourceGuardError,
                      ValidationError)
 from .graph_model import Graph, Marginal
-from .spectral_predictor import mp_moment
 
 DEFAULT_STATE_DIM_LIMIT = 2 ** 24
 DEFAULT_HAAR_DIM_LIMIT = 4096
@@ -656,6 +655,8 @@ def empirical_vs_mp(report: MCReport, c: float, rescale: float,
     rescaled eigenvalue (zeros included, carrying the atom); ``rescale`` is
     the case-prescribed power of ``N``.
     """
+    from .spectral_predictor import mp_moment  # no command reads the moments
+
     orders = tuple(range(1, max_p + 1))
     empirical = []
     theoretical = []

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .boundary_flow import FlowResult, build_network, max_flow
 from .errors import UnknownCaseError, ValidationError
 from .graph_model import Marginal, is_adapted
-from .nc_combinatorics import MAX_P, narayana
+
 
 @dataclass(frozen=True)
 class MPParams:
@@ -52,8 +52,11 @@ def mp_moment(c, p: int):
 
     Evaluates ``sum_k narayana(p, k) c^k`` (the non-crossing partition sum),
     which keeps exact types exact: a ``Fraction`` argument yields a
-    ``Fraction``.
+    ``Fraction``.  No command calls it, so :mod:`arealaw.nc_combinatorics`
+    loads only here.
     """
+    from .nc_combinatorics import MAX_P, narayana
+
     if not 1 <= p <= MAX_P:
         raise ValidationError(f"moment order p={p} outside [1, {MAX_P}]")
     return sum(narayana(p, k) * c ** k for k in range(1, p + 1))

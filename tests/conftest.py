@@ -1,5 +1,6 @@
 """Shared fixture builders and test oracles: canonical graphs, marginals,
-graph families and the Marchenko-Pastur quadrature."""
+graph families, the Marchenko-Pastur quadrature and the fattened graph with
+its crossings and compatible markings."""
 
 from __future__ import annotations
 
@@ -7,11 +8,13 @@ import itertools
 import json
 import math
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from arealaw import Edge, Graph, Marginal, TraceSpec, parse_marginal, resolve_trace
+from arealaw import (Edge, Graph, Marginal, Marking, TraceSpec, parse_marginal,
+                     resolve_trace)
 
 
 @pytest.fixture
@@ -58,6 +61,42 @@ def mp_moment_quadrature(c: float, p: int) -> float:
 def mp_xlogx_quadrature(c: float) -> float:
     """Independent quadrature route for ``mp_xlogx``."""
     return _mp_quadrature(c, lambda x: x * math.log(x))
+
+
+@dataclass(frozen=True)
+class FattenedGraph:
+    """Every edge made disjoint; fat vertices are the legs."""
+
+    fat_vertices: tuple[int, ...]              # leg ids
+    fat_edges: tuple[tuple[int, int], ...]     # one per graph edge
+    projection: dict[int, str]                 # leg id -> graph vertex
+
+
+def fatten(graph: Graph) -> FattenedGraph:
+    fat_edges = tuple((2 * i, 2 * i + 1) for i in range(len(graph.edges)))
+    projection = {leg.leg_id: leg.vertex for leg in graph.legs}
+    return FattenedGraph(
+        fat_vertices=tuple(range(graph.n_legs)),
+        fat_edges=fat_edges,
+        projection=projection,
+    )
+
+
+def crossings(fat: FattenedGraph, marking: Marking) -> int:
+    """Number of fat edges with exactly one marked endpoint."""
+    m = marking.marked
+    return sum(1 for a, b in fat.fat_edges if (a in m) != (b in m))
+
+
+def iter_compatible_markings(marginal: Marginal):
+    """Every compatible marking, built from leg sets rather than bitmasks:
+    per-vertex leg combinations in ascending order, vertices in document
+    order."""
+    g = marginal.graph
+    per_vertex = [itertools.combinations(g.legs_of(v), marginal.s(v))
+                  for v in g.vertices]
+    for choice in itertools.product(*per_vertex):
+        yield Marking(marked=frozenset(itertools.chain.from_iterable(choice)))
 
 
 # -- canonical marginals -----------------------------------------------------

@@ -12,8 +12,6 @@ from arealaw import (
     ValidationError,
     area_bruteforce,
     build_network,
-    crossings,
-    fatten,
     marking_from_flow,
     max_flow,
     min_cut,
@@ -25,6 +23,7 @@ from conftest import (
     all_counting_functions,
     black_hole,
     enumerate_small_graphs,
+    fatten,
     marginal_from,
     oxygen,
     random_marginal,
@@ -321,6 +320,13 @@ def test_nodes_must_run_from_source_to_sink():
     # the engine works on positions: the source first, the sink last
     net = FlowNetwork(nodes=(SINK, "A", SOURCE), capacities={(SOURCE, "A"): 1})
     with pytest.raises(ValidationError, match="from source to sink"):
+        max_flow(net)
+
+
+def test_arc_to_a_missing_node_is_a_validation_error():
+    net = FlowNetwork(nodes=("source", "A", "sink"),
+                      capacities={("source", "B"): 1})
+    with pytest.raises(ValidationError, match="names 'B', which is not a node"):
         max_flow(net)
 
 

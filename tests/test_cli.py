@@ -293,7 +293,7 @@ def test_verify_solves_the_flow_once(write_doc, monkeypatch):
         calls.append(1)
         return max_flow(*args, **kwargs)
 
-    monkeypatch.setattr("arealaw.cli.max_flow", counted)
+    monkeypatch.setattr("arealaw.boundary_flow.max_flow", counted)
     monkeypatch.setattr("arealaw.spectral_predictor.max_flow", counted)
     graph = write_doc("triangle.json", triangle_doc())
     assert main(["verify", "-g", graph, "-N", "4", "-n", "2", "--seed", "2"]) == 0
@@ -359,7 +359,7 @@ def test_transport_solves_once(write_doc, capsys, transport_calls, certify):
                                "marking_from_flow": 1}
 
 
-@pytest.mark.parametrize("command, module", [("area", "arealaw.cli"),
+@pytest.mark.parametrize("command, module", [("area", "arealaw.boundary_flow"),
                                              ("transport", "arealaw.transport")])
 def test_internal_error_exit_code(write_doc, capsys, monkeypatch, command, module):
     def inconsistent(network):
@@ -448,7 +448,7 @@ def test_transport_unwritable_output_before_certifying(write_doc, capsys,
     def certified(*args, **kwargs):
         raise AssertionError("certify was entered")
 
-    monkeypatch.setattr("arealaw.cli.certify", certified)
+    monkeypatch.setattr("arealaw.transport.certify", certified)
     instance = write_doc("inst.json", instance_doc())
     target = str(tmp_path / "missing" / "x.json")
     expected = (f"input error: cannot write {target}: "
@@ -515,7 +515,8 @@ def test_non_finite_report_is_internal_error(write_doc, capsys, tmp_path,
     # every report is strict JSON: a non-finite value is a defect (exit 5),
     # never written as NaN or Infinity
     nan_prediction = SimpleNamespace(to_document=lambda: {"value": math.nan})
-    monkeypatch.setattr("arealaw.cli.predict_entropy", lambda *args: nan_prediction)
+    monkeypatch.setattr("arealaw.spectral_predictor.predict_entropy",
+                        lambda *args: nan_prediction)
     graph = write_doc("loop.json", single_loop_doc())
     out = tmp_path / "r.json"
     assert main(["simulate", "-g", graph, "-N", "2", "-n", "1", "--seed", "0",
@@ -633,26 +634,31 @@ def test_bad_renyi_orders_exit_code(write_doc, capsys, orders):
 
 
 # Runs in a fresh interpreter: each step prints which of the watched
-# modules are loaded after it.
+# modules and which package modules are loaded after it.  The commands run
+# in an order that shows what each one adds.
 IMPORT_STEPS = """
 import contextlib, io, json, sys
 watched = ("numpy", "scipy", "secrets", "concurrent.futures.process")
 graph, instance = sys.argv[1:]
 
 def loaded(step):
-    print(json.dumps([step, [m for m in watched if m in sys.modules]]))
+    print(json.dumps([step, [m for m in watched if m in sys.modules] + sorted(
+        m for m in sys.modules if m == "arealaw" or m.startswith("arealaw."))]))
 
 import arealaw
 loaded("import arealaw")
 import arealaw.cli
 loaded("import arealaw.cli")
-for argv in (["area", "-g", graph], ["predict", "-g", graph, "-N", "16"],
-             ["transport", "-i", instance],
-             ["simulate", "-g", graph, "-N", "2", "-n", "2", "--jobs", "1",
-              "--seed", "0"]):
+for step, argv in (
+        ("area --flow-only", ["area", "-g", graph, "--flow-only"]),
+        ("predict", ["predict", "-g", graph, "-N", "16"]),
+        ("area", ["area", "-g", graph]),
+        ("transport", ["transport", "-i", instance]),
+        ("simulate", ["simulate", "-g", graph, "-N", "2", "-n", "2", "--jobs",
+                      "1", "--seed", "0"])):
     with contextlib.redirect_stdout(io.StringIO()):
         code = arealaw.cli.main(argv)
-    loaded(f"{argv[0]} {code}")
+    loaded(f"{step} {code}")
 """
 
 
@@ -668,12 +674,21 @@ def test_cli_import_leaves_scipy_unloaded(write_doc):
     steps = dict(json.loads(line) for line in proc.stdout.splitlines())
     # a serial run samples with numpy and starts no process pool
     simulate = set(steps.pop("simulate 0"))
-    assert "numpy" in simulate
-    assert not simulate & {"scipy", "concurrent.futures.process"}
-    # the package, the parser and the combinatorial commands need only the
-    # standard library
-    assert steps == {"import arealaw": [], "import arealaw.cli": [],
-                     "area 0": [], "predict 0": [], "transport 0": []}
+    assert {"numpy", "arealaw.mc_simulator"} <= simulate
+    assert not simulate & {"scipy", "concurrent.futures.process",
+                           "arealaw.nc_combinatorics"}
+    # the package and the parser load no layer; the combinatorial commands
+    # need only the standard library and load only the layers they run
+    package = ["arealaw"]
+    cli = package + ["arealaw.cli", "arealaw.errors"]
+    flow = cli + ["arealaw.boundary_flow", "arealaw.graph_model"]
+    predict = flow + ["arealaw.spectral_predictor"]
+    area = predict + ["arealaw.marking"]
+    transport = area + ["arealaw.transport"]
+    assert steps == {"import arealaw": package, "import arealaw.cli": sorted(cli),
+                     "area --flow-only 0": sorted(flow),
+                     "predict 0": sorted(predict), "area 0": sorted(area),
+                     "transport 0": sorted(transport)}
 
 
 def test_missing_file_exit_code(tmp_path):
@@ -688,17 +703,24 @@ def test_predicted_value_printed(write_doc, capsys):
     assert f"{expected:.6f}" in out
 
 
-MONTE_CARLO_EXPORTS = ("MCReport", "ReducedState", "SpectralReport",
-                       "build_reduced_state", "empirical_vs_mp", "haar_unitary",
-                       "run_experiment", "spectral_report", "wishart_experiment")
-
-
-@pytest.mark.parametrize("name", MONTE_CARLO_EXPORTS)
+@pytest.mark.parametrize("name", arealaw.__all__)
 def test_lazy_monte_carlo_export(name):
-    from arealaw import mc_simulator
-
-    assert getattr(arealaw, name) is getattr(mc_simulator, name)
+    # every export loads on access, as the Monte Carlo ones first did: it is
+    # the object its defining module holds
+    value = getattr(arealaw, name)
+    assert value.__module__.startswith("arealaw.")
+    assert getattr(sys.modules[value.__module__], name) is value
     assert name in dir(arealaw)
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from arealaw import *", namespace)
+    assert {name: namespace.get(name) for name in arealaw.__all__} == {
+        name: getattr(arealaw, name) for name in arealaw.__all__}
+    # the submodules load on access too
+    assert {"cli", "marking", "mc_simulator", "transport"} <= set(dir(arealaw))
+    assert arealaw.transport is sys.modules["arealaw.transport"]
 
 
 def test_unknown_package_attribute():
@@ -725,6 +747,23 @@ def test_parser_built_once(monkeypatch, write_doc):
         assert len(built) == 1
     finally:
         cli._parser.cache_clear()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["predict", "-g", "g.json", "-N", "abc"], "argument -N: invalid int value: 'abc'"),
+    (["area"], "the following arguments are required: -g/--graph"),
+    (["frobnicate"], "argument subcommand: invalid choice: 'frobnicate' "),
+    ([], "the following arguments are required: subcommand"),
+    (["area", "-g", "g.json", "--bogus"], "unrecognized arguments: --bogus"),
+    (["area", "-g", "g.json", "--flow-only", "--bruteforce"],
+     "argument --bruteforce: not allowed with argument --flow-only"),
+], ids=["bad-int", "missing-graph", "unknown-command", "no-command",
+        "unknown-flag", "exclusive-flags"])
+def test_argument_error_is_one_line(capsys, argv, message):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"input error: {message}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["area", "--help"],

@@ -11,19 +11,20 @@ from arealaw import (
     TraceSpec,
     area_bruteforce,
     build_network,
-    crossings,
-    fatten,
     marking_from_flow,
     max_flow,
     resolve_trace,
 )
-from arealaw.marking import is_compatible, iter_compatible_markings, marking_count
+from arealaw.marking import _marking_masks, is_compatible, marking_count
 
 from conftest import (
     all_counting_functions,
     black_hole,
     black_hole_counts,
+    crossings,
     enumerate_small_graphs,
+    fatten,
+    iter_compatible_markings,
     oxygen,
     random_marginal,
     single_loop,
@@ -234,3 +235,9 @@ def test_enumeration_is_deterministic():
     second = [m_.marked for m_ in iter_compatible_markings(m)]
     assert first == second
     assert first == [frozenset(c) for c in itertools.combinations((0, 1, 2, 3), 2)]
+    # the brute force scans its bitmasks in the oracle's order
+    for marginal in (m, oxygen(traced=[0, 1]), black_hole_counts(1, 1, 1)):
+        n_legs = marginal.graph.n_legs
+        assert [frozenset(l for l in range(n_legs) if mask >> l & 1)
+                for mask in _marking_masks(marginal)] == [
+            m_.marked for m_ in iter_compatible_markings(marginal)]
