@@ -24,7 +24,7 @@ _EXPORTS = {
     "errors": (
         "AreaLawError", "CertificateError", "CombinatorialLimitError",
         "InconsistencyError", "InfeasibleError", "ParseError",
-        "ResourceGuardError", "UnknownCaseError", "ValidationError",
+        "ResourceGuardError", "ValidationError",
     ),
     "graph_model": (
         "Edge", "Graph", "Leg", "Marginal", "TraceSpec", "is_adapted",
@@ -34,8 +34,7 @@ _EXPORTS = {
         "BruteForceArea", "Marking", "area_bruteforce", "marking_from_flow",
     ),
     "mc_simulator": (
-        "MCReport", "ReducedState", "SpectralReport", "build_reduced_state",
-        "empirical_vs_mp", "haar_unitary", "run_experiment", "spectral_report",
+        "MCReport", "empirical_vs_mp", "haar_unitary", "run_experiment",
         "wishart_experiment",
     ),
     "nc_combinatorics": (
@@ -43,8 +42,8 @@ _EXPORTS = {
         "enumerate_nc", "fuss_catalan", "moment_from_B",
     ),
     "spectral_predictor": (
-        "EntropyPrediction", "MPParams", "limit_correction", "mp_moment",
-        "mp_xlogx", "page_entropy", "predict_entropy",
+        "EntropyPrediction", "mp_moment", "mp_xlogx", "page_entropy",
+        "predict_entropy",
     ),
     "transport": (
         "RoutingPlan", "TransportCertificate", "TransportInstance", "certify",

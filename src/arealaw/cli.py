@@ -5,9 +5,10 @@ stdout.  Reports are self-contained (they echo the inputs they were produced
 from) and schema-versioned; the tests hold the report schema.  Exit codes:
 0 success or verification pass, 1 verification or certificate failure,
 2 invalid input, 3 combinatorial limit exceeded, 4 resource guard, 5 internal
-error (an inconsistent flow or certificate, an unknown predictor case, a
-failed eigensolver: a defect in this package, not in the input).  An
-argument the parser rejects is an input error too, on one line.
+error (an inconsistent flow or certificate, a failed eigensolver: a defect
+in this package, not in the input).  An argument the parser rejects is an
+input error too.  Every error is one stderr line: a newline or carriage
+return in its message is written escaped.
 
 Importing this module loads only the standard library and
 :mod:`arealaw.errors`.  Each command imports the layers it runs when it
@@ -399,27 +400,28 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _fail(code: int, what: str, message) -> int:
+    """Print an error as one stderr line and return its exit code."""
+    line = str(message).replace("\r", "\\r").replace("\n", "\\n")
+    print(f"{what}: {line}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
     except (ParseError, ValidationError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, "input error", exc)
     except CombinatorialLimitError as exc:
-        print(f"combinatorial limit: {exc}", file=sys.stderr)
-        print("hint: rerun with --flow-only; the flow value equals the "
-              "enumerated area", file=sys.stderr)
-        return 3
+        return _fail(3, "combinatorial limit", f"{exc}; hint: rerun with "
+                     "--flow-only, the flow value equals the enumerated area")
     except ResourceGuardError as exc:
-        print(f"resource guard: {exc}", file=sys.stderr)
-        return 4
+        return _fail(4, "resource guard", exc)
     except CertificateError as exc:
-        print(f"certificate failure: {exc}", file=sys.stderr)
-        return 1
+        return _fail(1, "certificate failure", exc)
     except AreaLawError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 5
+        return _fail(5, "internal error", exc)
 
 
 if __name__ == "__main__":

@@ -37,7 +37,3 @@ class InconsistencyError(AreaLawError):
 
 class CertificateError(AreaLawError):
     """A rank/spectrum certificate assertion missed its tolerance."""
-
-
-class UnknownCaseError(AreaLawError):
-    """No closed-form correction is known for the requested case."""

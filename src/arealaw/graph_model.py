@@ -297,6 +297,8 @@ def trace_from_document(doc: dict) -> TraceSpec:
         if (not isinstance(rec.get("traced"), list)
                 or any(isinstance(leg, (list, dict)) for leg in rec["traced"])):
             raise ParseError("legs-mode trace needs a 'traced' list of leg ids")
+        if len(set(rec["traced"])) < len(rec["traced"]):
+            raise ParseError(f"legs-mode trace repeats a leg id: {rec['traced']!r}")
         return TraceSpec.from_legs(rec["traced"])
     raise ParseError(f"unknown trace mode {rec['mode']!r}")
 

@@ -17,9 +17,10 @@ labels and compiled into pairwise ``matmul`` steps; the state-dimension
 guard, the only size refusal, bounds the largest array that plan takes or
 builds for one sample.  Samples run in contiguous chunks: a chunk draws,
 contracts and diagonalises its samples together on a leading sample axis,
-each sample meeting the same matrix products as it would alone.  One
-routine summarises a spectrum and one builds the ``MCReport`` from the
-summaries.
+each sample meeting the same matrix products as it would alone.  Every
+spectrum, sampled or of the identity state a transport certificate checks,
+comes from :func:`run_experiment` on that one route; one routine summarises
+a spectrum and one builds the ``MCReport`` from the summaries.
 
 Determinism contract: every sample derives its own generator from
 ``(seed, sample_index)`` and every vertex from ``(seed, sample_index,
@@ -146,23 +147,9 @@ def _isometry(z: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ReducedState:
-    """Reduced density operator of a pure graph state.
-
-    ``gram`` is the Gram matrix of the smaller side: the reduced state
-    itself when ``dim`` (the surviving dimension) is at most the traced
-    one, else the traced side's Gram matrix.  Both share the nonzero
-    spectrum, and the rest of the ``dim`` eigenvalues are structural zeros.
-    """
-
-    gram: np.ndarray
-    dim: int
-    surviving_legs: tuple[int, ...]
-    flags: tuple[str, ...]
-
-
-@dataclass(frozen=True, eq=False)
 class SpectralReport:
+    """One sample's spectrum summary (:func:`_summarize_spectrum`)."""
+
     eigenvalues: np.ndarray           # descending, length = surviving dim
     entropy: float                    # von Neumann, nats
     renyi: dict[float, float]
@@ -210,7 +197,6 @@ class _GramPlan:
     output: tuple[int, ...]  # ket then bra labels of the smaller side's legs
     side: int                # min(ds, dt)
     dim: int                 # ds, the surviving dimension
-    surviving: tuple[int, ...]  # surviving legs, ascending
     scale: float             # ket and bra normalisation of the edges outside
                              # the isometries: prod (d_e N)^-1
     path: tuple              # greedy pairs (:func:`_greedy_path`), found once
@@ -401,7 +387,7 @@ def _gram_plan(graph: Graph, traced: tuple[int, ...], N: int,
                          math.prod(shape[out:]), tuple(shape)))
     return _GramPlan(
         vertices=tuple(vertices), fixed=tuple(fixed), inputs=inputs,
-        output=output, side=min(ds, dt), dim=ds, surviving=surviving,
+        output=output, side=min(ds, dt), dim=ds,
         scale=1.0 / math.prod(dims[2 * e] for e in range(len(graph.edges))
                               if e not in held),
         path=path, steps=steps, largest=largest,
@@ -481,33 +467,6 @@ def _gram_stack(plan: _GramPlan, streams: Sequence) -> np.ndarray:
     return gram
 
 
-def build_reduced_state(marginal: Marginal, N: int, unitaries: str = "sample",
-                        rng: np.random.Generator | None = None, *,
-                        skip_traced: bool = True,
-                        skip_surviving: bool = True) -> ReducedState:
-    """Build the Gram matrix of the graph state's smaller side.
-
-    ``unitaries`` is ``"sample"`` (default) or ``"identity"``.  Sampled
-    unitaries on fully traced vertices are skipped (the partial trace
-    absorbs them exactly); on fully surviving vertices they are skipped when
-    ``skip_surviving`` is set (spectrum-invariant).  Both skips are recorded
-    in the flags.
-
-    Every other vertex draws its Haar isometry ``U_v (|Phi>_loops x 1)``
-    from its own stream, spawned from ``rng``, as :func:`haar_unitary` does
-    at ``cols = r_v``, the product of its non-loop leg dimensions.  This is
-    the one-sample case of the Monte Carlo builder (:func:`_gram_stack`).
-    Every guard is checked before anything is sampled.
-    """
-    flags, plan = _route(marginal, N, unitaries, skip_traced, skip_surviving)
-    if rng is None:
-        rng = np.random.default_rng()
-    streams = rng.spawn(len(marginal.graph.vertices))
-    gram = _gram_stack(plan, [streams.__getitem__])[0]
-    return ReducedState(gram=gram, dim=plan.dim, surviving_legs=plan.surviving,
-                        flags=flags)
-
-
 def _gram(factor: np.ndarray) -> np.ndarray:
     """The smaller Gram matrix of a factor (or a stack of them),
     ``F F^dagger`` or ``F^dagger F``; both share the nonzero spectrum."""
@@ -531,12 +490,6 @@ def _spectrum(gram: np.ndarray, dim: int) -> np.ndarray:
     eig[..., : values.shape[-1]] = values
     eig[..., ::-1].sort()
     return eig
-
-
-def spectral_report(state: ReducedState,
-                    q_list: Sequence[float] = (0.0, 1.0, 2.0)) -> SpectralReport:
-    """Spectrum, von Neumann and Renyi entropies of a reduced state."""
-    return _summarize_spectrum(_spectrum(state.gram, state.dim), q_list)
 
 
 def _summarize_spectrum(eig: np.ndarray,
@@ -571,8 +524,9 @@ def _summarize_spectrum(eig: np.ndarray,
 def _sample_chunk(payload) -> list[SpectralReport]:
     """The reports of samples ``start, ..., stop - 1`` of a run, built and
     diagonalised together; top level so process pools can pickle it."""
-    marginal, N, seed, start, stop, q_list, skip_traced, skip_surviving = payload
-    _, plan = _route(marginal, N, "sample", skip_traced, skip_surviving)
+    (marginal, N, seed, start, stop, q_list, unitaries, skip_traced,
+     skip_surviving) = payload
+    _, plan = _route(marginal, N, unitaries, skip_traced, skip_surviving)
     grams = _gram_stack(plan, [partial(_vertex_stream, seed, i)
                                for i in range(start, stop)])
     return [_summarize_spectrum(eig, q_list) for eig in _spectrum(grams, plan.dim)]
@@ -602,16 +556,21 @@ def _mc_report(reports: Sequence[SpectralReport], flags: tuple[str, ...],
 
 def run_experiment(marginal: Marginal, N: int, samples: int, seed: int,
                    q_list: Sequence[float] = (0.0, 1.0, 2.0), *,
-                   jobs: int = 1, skip_traced: bool = True,
+                   jobs: int = 1, unitaries: str = "sample",
+                   skip_traced: bool = True,
                    skip_surviving: bool = True) -> MCReport:
     """Estimate the mean entanglement entropy of a marginal.
 
-    Per-sample generators derive from ``(seed, sample_index)``, so reports
-    are reproducible and independent of ``jobs`` and of chunking.  Inputs
-    and guards are checked before any sampling starts.  Samples run in
-    contiguous chunks of ``max(1, CHUNK_ELEMENTS // largest)``, where
-    ``largest`` is the largest array one sample takes or builds; with
-    ``jobs > 1`` a process pool of at most one worker per chunk runs them.
+    With ``unitaries="identity"`` no vertex acts.  A sampled unitary is
+    skipped on a fully traced vertex if ``skip_traced`` and on a fully
+    surviving one if ``skip_surviving`` (both spectrum-invariant); the
+    flags record every skip.  Per-sample generators derive from
+    ``(seed, sample_index)``, so reports are reproducible and independent
+    of ``jobs`` and of chunking.  Inputs and guards are checked before any
+    sampling starts.  Samples run in contiguous chunks of
+    ``max(1, CHUNK_ELEMENTS // largest)``, where ``largest`` is the largest
+    array one sample takes or builds; with ``jobs > 1`` a process pool of at
+    most one worker per chunk runs them.
     """
     if samples < 1:
         raise ValidationError("need at least one sample")
@@ -619,11 +578,11 @@ def run_experiment(marginal: Marginal, N: int, samples: int, seed: int,
         raise ValidationError(f"jobs must be at least 1, got {jobs}")
     _check_seed(seed)
     q_list = _renyi_orders(q_list)
-    flags, plan = _route(marginal, N, "sample", skip_traced, skip_surviving)
+    flags, plan = _route(marginal, N, unitaries, skip_traced, skip_surviving)
     size = max(1, CHUNK_ELEMENTS // plan.largest)
     payloads = [
         (marginal, N, seed, start, min(start + size, samples), q_list,
-         skip_traced, skip_surviving)
+         unitaries, skip_traced, skip_surviving)
         for start in range(0, samples, size)
     ]
     workers = min(jobs, len(payloads))

@@ -21,30 +21,8 @@ import math
 from dataclasses import dataclass
 
 from .boundary_flow import FlowResult, build_network, max_flow
-from .errors import UnknownCaseError, ValidationError
+from .errors import ValidationError
 from .graph_model import Marginal, is_adapted
-
-
-@dataclass(frozen=True)
-class MPParams:
-    """Marchenko-Pastur parameter; density support is
-    ``[1 + c - 2 sqrt(c), 1 + c + 2 sqrt(c)]`` plus an atom of mass
-    ``max(1 - c, 0)`` at zero."""
-
-    c: float
-
-    def __post_init__(self):
-        if self.c <= 0:
-            raise ValidationError("Marchenko-Pastur parameter must be positive")
-
-    @property
-    def support(self) -> tuple[float, float]:
-        r = 2.0 * math.sqrt(self.c)
-        return (1.0 + self.c - r, 1.0 + self.c + r)
-
-    @property
-    def atom(self) -> float:
-        return max(1.0 - self.c, 0.0)
 
 
 def mp_moment(c, p: int):
@@ -92,28 +70,6 @@ def _page_correction(scale_a: float, scale_b: float) -> float:
     through :func:`mp_xlogx` with the ratio as the parameter."""
     c = min(scale_a, scale_b) / max(scale_a, scale_b)
     return mp_xlogx(c) / c
-
-
-def limit_correction(case: str, d1: float = 1.0, d2: float = 1.0) -> float:
-    """Known correction constants, per case label.
-
-    ``d1``/``d2`` are the case's dimension prefactors: the two effective
-    scales for ``one_vertex`` (surviving vs traced-side products), the two
-    edge ratios for the path and double-edge topologies.
-    """
-    if case == "adapted":
-        return 0.0
-    if case == "single_loop":
-        return _page_correction(1.0, 1.0)  # equal dimensions: 1/2
-    if case == "one_vertex":
-        return _page_correction(d1, d2)
-    if case in ("black_hole_1", "oxygen_1"):
-        return _page_correction(d1 * d1, d2 * d2)  # min^2 / (2 max^2)
-    if case in ("black_hole_2", "oxygen_2"):
-        return _page_correction(1.0, 1.0)
-    if case == "generic":
-        raise UnknownCaseError("no closed-form correction for the generic case")
-    raise ValidationError(f"unknown case label {case!r}")
 
 
 @dataclass(frozen=True)
@@ -243,7 +199,7 @@ def predict_entropy(marginal: Marginal, N: int,
         d = g.edges[0].d
         return EntropyPrediction(
             case="single_loop", leading_area=1, leading_offset=math.log(d),
-            correction=limit_correction("single_loop"), exact=False,
+            correction=_page_correction(1.0, 1.0), exact=False,
         )
 
     surviving_vertices = [v for v in g.vertices if marginal.s(v) > 0]
@@ -264,7 +220,7 @@ def predict_entropy(marginal: Marginal, N: int,
         else:
             area = n_s
             offset = math.log(min(d_s, d_t * d_g))
-            corr = limit_correction("one_vertex", d_s, d_t * d_g)
+            corr = _page_correction(d_s, d_t * d_g)
         return EntropyPrediction(
             case="one_vertex", leading_area=area, leading_offset=offset,
             correction=corr, exact=False,
@@ -275,11 +231,13 @@ def predict_entropy(marginal: Marginal, N: int,
         case, da, db = template
         if case.endswith("_1"):
             offset = 2.0 * math.log(min(da, db))
+            corr = _page_correction(da * da, db * db)  # min^2 / (2 max^2)
         else:
             offset = math.log(da * db)
+            corr = _page_correction(1.0, 1.0)
         return EntropyPrediction(
             case=case, leading_area=2, leading_offset=offset,
-            correction=limit_correction(case, da, db), exact=False,
+            correction=corr, exact=False,
         )
 
     flow = flow or max_flow(build_network(marginal))

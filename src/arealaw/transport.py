@@ -293,9 +293,11 @@ def certify(instance: TransportInstance, N: int | None = None,
     to the marking) the shared state splits into crossing singlet halves and
     internal singlets, so the reduced state must have rank ``N**Y3`` with a
     uniform spectrum and ``H_q = Y3 ln N``.  Haar-random unitaries are then
-    sampled to confirm that randomness never beats the flow bound.
+    sampled to confirm that randomness never beats the flow bound.  Both
+    states come from :func:`~arealaw.mc_simulator.run_experiment`, the
+    routed one as its single identity sample.
     """
-    from .mc_simulator import build_reduced_state, run_experiment, spectral_report
+    from .mc_simulator import run_experiment
 
     if N is None:
         N = instance.N
@@ -306,22 +308,22 @@ def certify(instance: TransportInstance, N: int | None = None,
         g, TraceSpec.from_legs(l for l in range(g.n_legs)
                                if l not in plan.marking.marked)
     )
-    state = build_reduced_state(routed, N, unitaries="identity")
-    report = spectral_report(state, q_list=(0.0, 1.0, 2.0))
+    exact = run_experiment(routed, N, 1, seed, unitaries="identity")
+    rank = exact.ranks[0]
 
     expected_rank = N ** y3
-    if report.rank != expected_rank:
+    if rank != expected_rank:
         raise CertificateError(
-            f"routed state has rank {report.rank}, expected {expected_rank}"
+            f"routed state has rank {rank}, expected {expected_rank}"
         )
-    nonzero = report.eigenvalues[: expected_rank]
+    nonzero = exact.spectra[0][: expected_rank]
     deviation = float(abs(nonzero - 1.0 / expected_rank).max())
     if deviation > 1e-9:
         raise CertificateError(
             f"routed spectrum deviates from uniform by {deviation}"
         )
     target = y3 * math.log(N)
-    for q, value in report.renyi.items():
+    for q, value in exact.renyi_mean.items():
         if abs(value - target) > 1e-9 * max(1.0, abs(target)):
             raise CertificateError(
                 f"H_{q} = {value} differs from Y3 ln N = {target}"
@@ -335,8 +337,8 @@ def certify(instance: TransportInstance, N: int | None = None,
         )
     return TransportCertificate(
         Y1=y1, Y2=y2, Y3=y3, N=N,
-        rank=report.rank, eigenvalue_deviation=deviation,
-        renyi=report.renyi,
+        rank=rank, eigenvalue_deviation=deviation,
+        renyi=exact.renyi_mean,
         haar_samples=haar_samples, haar_rank_max=rank_max,
         haar_ranks_all_equal=all(r == expected_rank for r in mc.ranks),
         haar_mean_H=mc.mean_H, plan=plan,

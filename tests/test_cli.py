@@ -99,7 +99,8 @@ def test_area_flow_only_skips_enumeration(write_doc, capsys):
 def test_area_limit_exit_code(write_doc, capsys):
     graph = write_doc("loop.json", single_loop_doc())
     assert main(["area", "-g", graph, "--limit", "1"]) == 3
-    assert "--flow-only" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--flow-only" in err and err.count("\n") == 1
 
 
 def test_area_invalid_document(write_doc, capsys):
@@ -109,12 +110,14 @@ def test_area_invalid_document(write_doc, capsys):
     endpoint["edges"][0]["u"] = ["V1"]
     traced = black_hole2_doc()
     traced["trace"]["traced"] = [[0]]
+    repeated = black_hole2_doc()  # was read as legs {0, 2}
+    repeated["trace"]["traced"] = [0, 0, 2]
     capsys.readouterr()
-    for payload in (endpoint, traced):
+    for payload in (endpoint, traced, repeated):
         assert main(["area", "-g", write_doc("bad.json", payload)]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.count("\n") == 1 and err.startswith("input error:")
-
 
 def test_predict_adapted(write_doc, capsys, tmp_path):
     graph = write_doc("adapted.json", adapted_five_doc())
@@ -256,17 +259,69 @@ def test_transport_command(write_doc, capsys, tmp_path):
     assert report["transport"]["plan"]["sites"][0]["to_A"] == [0]
 
 
-def test_transport_certify(write_doc, capsys):
-    payload = {
+def doubled_edge_doc():
+    return {
         "facilities": ["P1", "P2"],
         "pairs": [{"a": "P1", "b": "P2", "count": 2}],
         "quotas": {"P1": {"A": 1, "B": 1}, "P2": {"A": 1, "B": 1}},
     }
-    instance = write_doc("inst.json", payload)
+
+
+def test_transport_certify(write_doc, capsys):
+    instance = write_doc("inst.json", doubled_edge_doc())
     code = main(["transport", "-i", instance, "--certify", "-N", "2",
                  "--haar-samples", "10"])
     assert code == 0
     assert "rank 4 = N^Y3" in capsys.readouterr().out
+
+
+def test_transport_certify_report_is_pinned(write_doc, capsys, tmp_path):
+    # the whole report, byte for byte, at a fixed seed; haar_mean_H is the
+    # mean of 50 sampled entropies (an eigensolver result, so this build's)
+    instance = write_doc("inst.json", doubled_edge_doc())
+    out = tmp_path / "r.json"
+    assert main(["transport", "-i", instance, "--certify", "-N", "2",
+                 "--seed", "0", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "Y1 (no entanglement)    = 2\n"
+        "Y2 (global operations)  = 2\n"
+        "Y3 (local unitaries)    = 2\n"
+        "  P1: legs [2] -> A, legs [0] -> B\n"
+        "  P2: legs [1] -> A, legs [3] -> B\n"
+        "certificate at N=2: rank 4 = N^Y3, spectrum uniform within 0.00e+00\n"
+        "  50 Haar samples: max rank 4 (bound respected)\n")
+    plan = {
+        "marking": [1, 2],
+        "sites": [
+            {"permutation": [2, 0], "site": "P1", "to_A": [2], "to_B": [0]},
+            {"permutation": [1, 3], "site": "P2", "to_A": [1], "to_B": [3]},
+        ],
+    }
+    ln4 = 1.3862943611198906
+    expected = {
+        "command": "transport",
+        "inputs": {"instance_document": dict(doubled_edge_doc(), N=2)},
+        "schema_version": 1,
+        "transport": {
+            "Y": [2, 2, 2],
+            "certificate": {
+                "N": 2,
+                "Y": [2, 2, 2],
+                "caveat": "random-unitary rank equality holds with probability "
+                          "one; checked here at fixed small N",
+                "eigenvalue_deviation": 0.0,
+                "haar_mean_H": 1.1023607616179725,
+                "haar_rank_max": 4,
+                "haar_ranks_all_equal": True,
+                "haar_samples": 50,
+                "plan": plan,
+                "rank": 4,
+                "renyi": {"0.0": ln4, "1.0": ln4, "2.0": ln4},
+            },
+            "plan": plan,
+        },
+    }
+    assert out.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 def test_certificate_entropies_have_no_negative_zero(write_doc, tmp_path):
@@ -757,8 +812,13 @@ def test_parser_built_once(monkeypatch, write_doc):
     (["area", "-g", "g.json", "--bogus"], "unrecognized arguments: --bogus"),
     (["area", "-g", "g.json", "--flow-only", "--bruteforce"],
      "argument --bruteforce: not allowed with argument --flow-only"),
+    # a newline or carriage return in the input is written escaped
+    (["area", "-g", "g.json", "a\nb"], "unrecognized arguments: a\\nb"),
+    (["area", "-g", "no\nsuch.json"], "cannot read no\\nsuch.json"),
+    (["area", "-g", "no\r\nsuch.json"], "cannot read no\\r\\nsuch.json"),
 ], ids=["bad-int", "missing-graph", "unknown-command", "no-command",
-        "unknown-flag", "exclusive-flags"])
+        "unknown-flag", "exclusive-flags", "newline-argument", "newline-path",
+        "crlf-path"])
 def test_argument_error_is_one_line(capsys, argv, message):
     assert main(argv) == 2
     out, err = capsys.readouterr()

@@ -72,6 +72,18 @@ def test_malformed_document():
         parse_graph(json.dumps({"vertices": ["A"]}))
 
 
+def test_repeated_traced_leg_rejected():
+    # [0, 0, 2] and [0, 0.0] named one leg twice and used to parse as {0, 2}
+    # and {0}; a traced set is given without repeats
+    for traced in ([0, 0, 2], [0, 0.0]):
+        text = json.dumps({
+            "vertices": ["V1", "V2", "V3"],
+            "edges": [{"u": "V1", "v": "V2"}, {"u": "V2", "v": "V3"}],
+            "trace": {"mode": "legs", "traced": traced},
+        })
+        with pytest.raises(ParseError, match="repeats a leg id"):
+            parse_marginal(text)
+
 def test_leg_numbering_deterministic():
     text = json.dumps({
         "vertices": ["A", "B"],

@@ -7,15 +7,12 @@ import pytest
 
 from arealaw import (
     InconsistencyError,
-    ReducedState,
     ResourceGuardError,
     ValidationError,
-    build_reduced_state,
     empirical_vs_mp,
     haar_unitary,
     parse_marginal,
     run_experiment,
-    spectral_report,
     wishart_experiment,
 )
 from arealaw import mc_simulator
@@ -111,64 +108,62 @@ def test_bad_guard_values_are_input_errors(monkeypatch, variable, value):
 def test_state_dim_guard(monkeypatch):
     m = adapted_five()
     with pytest.raises(ResourceGuardError, match="largest contraction array 1073741824"):
-        build_reduced_state(m, 8, rng=np.random.default_rng(0))  # Gram side 8^5
+        run_experiment(m, 8, samples=1, seed=0)  # Gram side 8^5
     monkeypatch.setenv("AREALAW_STATE_DIM_LIMIT", "2")
     with pytest.raises(ResourceGuardError):
-        build_reduced_state(single_loop(), 2, rng=np.random.default_rng(0))
+        run_experiment(single_loop(), 2, samples=1, seed=0)
 
 
 def test_adapted_state_uniform_spectrum():
     m = black_hole(traced=[0, 3], d1=1, d2=2)  # crossings: both edges
     for skip in (True, False):
-        state = build_reduced_state(
-            m, 3, rng=np.random.default_rng(7),
-            skip_traced=skip, skip_surviving=skip,
-        )
-        report = spectral_report(state)
+        report = run_experiment(m, 3, samples=1, seed=7,
+                                skip_traced=skip, skip_surviving=skip)
         dim = 3 * 6
-        assert report.rank == dim
-        assert np.abs(report.eigenvalues[:dim] - 1.0 / dim).max() < 1e-10
-        assert report.entropy == pytest.approx(math.log(dim), abs=1e-10)
+        assert report.ranks == (dim,)
+        assert np.abs(report.spectra[0][:dim] - 1.0 / dim).max() < 1e-10
+        assert report.mean_H == pytest.approx(math.log(dim), abs=1e-10)
 
 
 def test_everything_traced_is_scalar():
     m = black_hole_counts(0, 0, 0)
-    state = build_reduced_state(m, 2, rng=np.random.default_rng(0))
-    assert state.dim == 1
-    report = spectral_report(state)
-    assert report.rank == 1
-    assert report.entropy == pytest.approx(0.0, abs=1e-12)
+    report = run_experiment(m, 2, samples=1, seed=0)
+    assert report.spectra[0].shape == (1,)
+    assert report.ranks == (1,)
+    assert report.mean_H == pytest.approx(0.0, abs=1e-12)
 
 
 def test_nothing_traced_is_pure():
     m = black_hole_counts(1, 2, 1)
-    state = build_reduced_state(m, 2, rng=np.random.default_rng(0))
-    report = spectral_report(state)
-    assert report.rank == 1
-    assert report.entropy == pytest.approx(0.0, abs=1e-10)
+    report = run_experiment(m, 2, samples=1, seed=0)
+    assert report.ranks == (1,)
+    assert report.mean_H == pytest.approx(0.0, abs=1e-10)
+
+
+def surviving_dimension(m, N):
+    dims = leg_dimensions(m, N)
+    traced = m.completed_traced_legs()
+    return math.prod(d for l, d in enumerate(dims) if l not in traced)
 
 
 def test_reduced_state_invariants():
+    # a unit-trace spectrum over the surviving dimension (a drifted Gram
+    # trace is an InconsistencyError inside the run)
     rng = np.random.default_rng(11)
-    for _ in range(10):
+    for k in range(10):
         m = random_marginal(rng, max_vertices=3, max_edges=3)
-        state = build_reduced_state(m, 2, rng=rng)
-        assert abs(np.trace(state.gram) - 1.0) < 1e-10
-        assert abs(spectral_report(state).eigenvalues.sum() - 1.0) < 1e-10
-        dims = leg_dimensions(m, 2)
-        expected = math.prod(dims[l] for l in state.surviving_legs) if \
-            state.surviving_legs else 1
-        assert state.dim == expected
+        spectrum = run_experiment(m, 2, samples=1, seed=k).spectra[0]
+        assert abs(spectrum.sum() - 1.0) < 1e-10
+        assert spectrum.shape == (surviving_dimension(m, 2),)
 
 
 def test_explicit_unitary_validation():
     m = single_loop()
-    rng = np.random.default_rng(0)
     for bad in ({"V": np.eye(4)}, None, "haar"):
         with pytest.raises(ValidationError, match="unknown unitary mode"):
-            build_reduced_state(m, 2, unitaries=bad, rng=rng)
-    state = build_reduced_state(m, 2, unitaries="identity", rng=rng)
-    assert "identity:V" in state.flags
+            run_experiment(m, 2, samples=1, seed=0, unitaries=bad)
+    report = run_experiment(m, 2, samples=1, seed=0, unitaries="identity")
+    assert "identity:V" in report.flags
 
 
 def test_single_loop_vector_path_matches_wishart():
@@ -181,11 +176,7 @@ def test_single_loop_vector_path_matches_wishart():
         vals = [float(np.mean((rescale * s) ** p)) for s in spectra]
         return np.mean(vals), np.std(vals, ddof=1) / math.sqrt(len(vals))
 
-    dense = []
-    for i in range(samples):
-        rng = np.random.default_rng([123, i])
-        state = build_reduced_state(m, N, rng=rng)
-        dense.append(spectral_report(state).eigenvalues)
+    dense = run_experiment(m, N, samples, seed=123).spectra
     wish = [sample_wishart_spectrum(N, N, np.random.default_rng([321, i]))
             for i in range(samples)]
     for p in (1, 2, 3):
@@ -196,14 +187,14 @@ def test_single_loop_vector_path_matches_wishart():
 
 def test_spectral_report_renyi():
     m = black_hole(traced=[0, 3])
-    state = build_reduced_state(m, 2, rng=np.random.default_rng(5))
-    report = spectral_report(state, q_list=(0.0, 0.5, 1.0, 2.0, 3.0))
-    values = [report.renyi[q] for q in (0.0, 0.5, 1.0, 2.0, 3.0)]
+    orders = (0.0, 0.5, 1.0, 2.0, 3.0)
+    report = run_experiment(m, 2, samples=1, seed=5, q_list=orders)
+    values = [report.renyi_mean[q] for q in orders]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
-    assert report.renyi[0.0] == pytest.approx(math.log(report.rank))
-    assert report.renyi[1.0] == report.entropy
+    assert report.renyi_mean[0.0] == pytest.approx(math.log(report.ranks[0]))
+    assert report.renyi_mean[1.0] == report.mean_H
     with pytest.raises(ValidationError):
-        spectral_report(state, q_list=(-1.0,))
+        run_experiment(m, 2, samples=1, seed=5, q_list=(-1.0,))
 
 
 def test_run_experiment_black_hole_case2():
@@ -264,14 +255,15 @@ def test_skip_invariance():
 
 def test_purity_and_entropy_bounds():
     rng = np.random.default_rng(29)
-    for _ in range(10):
+    for k in range(10):
         m = random_marginal(rng, max_vertices=3, max_edges=3)
-        state = build_reduced_state(m, 2, rng=rng)
-        report = spectral_report(state)
-        purity = float(np.sum(report.eigenvalues ** 2))
-        assert purity >= 1.0 / state.dim - 1e-12
+        report = run_experiment(m, 2, samples=1, seed=k)
+        purity = float(np.sum(report.spectra[0] ** 2))
+        ds = surviving_dimension(m, 2)
+        assert purity >= 1.0 / ds - 1e-12
         # the Gram matrix has side min(ds, dt)
-        assert report.entropy <= math.log(state.gram.shape[0]) + 1e-9
+        dt = math.prod(leg_dimensions(m, 2)) // ds
+        assert report.mean_H <= math.log(min(ds, dt)) + 1e-9
 
 
 def test_guards_before_sampling():
@@ -438,17 +430,16 @@ ORACLE_CASES = [
 
 
 def _assert_matches_oracle(m, unitaries, seed, skip):
-    state = build_reduced_state(
-        m, 2, unitaries, np.random.default_rng(seed), skip_traced=skip[0],
-        skip_surviving=skip[1],
-    )
+    # sample 0 of a run draws from the streams default_rng([seed, 0]) spawns
+    report = run_experiment(m, 2, samples=1, seed=seed, unitaries=unitaries,
+                            skip_traced=skip[0], skip_surviving=skip[1])
     expected, flags = _oracle_spectrum(m, 2, unitaries,
-                                       np.random.default_rng(seed), *skip)
-    got = mc_simulator._spectrum(state.gram, state.dim)
-    assert state.flags == flags
+                                       np.random.default_rng([seed, 0]), *skip)
+    got = report.spectra[0]
+    assert report.flags == tuple(sorted(flags))
     assert got.shape == expected.shape
     assert np.abs(got - expected).max() <= 1e-12
-    assert spectral_report(state).rank == \
+    assert report.ranks[0] == \
         mc_simulator._summarize_spectrum(expected, (0.0,)).rank
 
 
@@ -613,14 +604,21 @@ def test_greedy_path_once_per_plan(planned):
     assert again.per_sample_H == first.per_sample_H
 
 
-def test_identity_route_is_exact():
+def test_identity_route_is_exact(monkeypatch):
     # transport.certify's routed states: no unitary acts, only identities
+    grams = []
+    stack = mc_simulator._gram_stack
+
+    def recorded(plan, streams):
+        grams.append(stack(plan, streams))
+        return grams[-1]
+
+    monkeypatch.setattr(mc_simulator, "_gram_stack", recorded)
     rng = np.random.default_rng(47)
     for _ in range(20):
         m = random_marginal(rng, max_vertices=4, max_edges=4)
-        state = build_reduced_state(m, 3, "identity")
-        assert not np.iscomplexobj(state.gram)
-        eig = spectral_report(state).eigenvalues
+        eig = run_experiment(m, 3, samples=1, seed=0, unitaries="identity").spectra[0]
+        assert not np.iscomplexobj(grams.pop())
         rank = int(np.count_nonzero(eig))
         assert np.abs(eig[:rank] - 1.0 / rank).max() <= 1e-15
 
@@ -672,11 +670,11 @@ def test_loop_vertex_draws_an_isometry(monkeypatch):
 
     monkeypatch.setattr(mc_simulator, "ginibre", recorded)
     # A: a loop and the edge to B; B: that edge and a loop; all legs 2-dim
-    build_reduced_state(ORACLE_CASES[0], 2, rng=np.random.default_rng(0))
+    run_experiment(ORACLE_CASES[0], 2, samples=1, seed=0)
     assert drawn == [(8, 2), (8, 2)]
     drawn.clear()
     # no loop: the full unitary of V2, the only vertex acted on
-    build_reduced_state(black_hole(traced=[0, 2]), 2, rng=np.random.default_rng(0))
+    run_experiment(black_hole(traced=[0, 2]), 2, samples=1, seed=0)
     assert drawn == [(4, 4)]
 
 
@@ -705,7 +703,7 @@ def test_vertex_streams_match_spawned_streams():
 
 def test_sampling_seam_is_reached(monkeypatch):
     # the tests that prove nothing was sampled patch _gram_stack; every
-    # sampled state, chunked or single, is built there
+    # state, sampled or the identity one, is built there
     calls = []
     stack = mc_simulator._gram_stack
 
@@ -715,7 +713,7 @@ def test_sampling_seam_is_reached(monkeypatch):
 
     monkeypatch.setattr(mc_simulator, "_gram_stack", counted)
     run_experiment(single_loop(), 4, samples=2, seed=0)
-    build_reduced_state(single_loop(), 4, rng=np.random.default_rng(0))
+    run_experiment(single_loop(), 4, samples=1, seed=0, unitaries="identity")
     assert calls == [2, 1]
 
 
@@ -772,7 +770,7 @@ def _einsum(arrays, inputs, output, **kwargs):
 def _einsum_oracle(m, N, samples, seed, skip, q_list=(0.0, 1.0, 2.0)):
     """The per-sample route that chunks replaced: each sample spawns its
     vertex streams, draws each isometry with haar_unitary and contracts one
-    np.einsum over the plan's labels and path, then spectral_report."""
+    np.einsum over the plan's labels and path, then the spectrum summary."""
     flags, plan = mc_simulator._route(m, N, "sample", *skip)
     reports = []
     for i in range(samples):
@@ -782,9 +780,8 @@ def _einsum_oracle(m, N, samples, seed, skip, q_list=(0.0, 1.0, 2.0)):
         out = _einsum(arrays, plan.inputs, plan.output,
                       optimize=["einsum_path", *plan.path])
         gram = out.reshape(plan.side, plan.side) * plan.scale
-        state = ReducedState(gram=gram, dim=plan.dim,
-                             surviving_legs=plan.surviving, flags=flags)
-        reports.append(spectral_report(state, q_list))
+        reports.append(mc_simulator._summarize_spectrum(
+            mc_simulator._spectrum(gram, plan.dim), q_list))
     return mc_simulator._mc_report(reports, tuple(sorted(flags)), seed, N,
                                    q_list)
 
@@ -846,8 +843,8 @@ def test_ring_beyond_einsum_labels_matches_the_ket_factor(monkeypatch, chunk):
         f = _einsum(arrays, kets, [*kept, *summed], optimize="greedy")
         f = f.reshape(plan.side, -1)
         gram = f @ f.conj().T * plan.scale
-        expected = spectral_report(ReducedState(
-            gram=gram, dim=plan.dim, surviving_legs=plan.surviving, flags=flags))
+        expected = mc_simulator._summarize_spectrum(
+            mc_simulator._spectrum(gram, plan.dim), (0.0, 1.0, 2.0))
         assert np.abs(spectrum - expected.eigenvalues).max() <= 1e-12
         assert abs(h - expected.entropy) <= 1e-12
 

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from arealaw import (
-    UnknownCaseError,
     ValidationError,
     build_network,
-    limit_correction,
     max_flow,
     mp_moment,
     mp_xlogx,
@@ -15,7 +13,6 @@ from arealaw import (
     predict_entropy,
     wishart_experiment,
 )
-from arealaw.spectral_predictor import MPParams
 
 from conftest import (
     adapted_five,
@@ -27,20 +24,6 @@ from conftest import (
     single_loop,
     two_loops,
 )
-
-
-def test_mp_params_invariants():
-    mp = MPParams(c=2.0)
-    lo, hi = mp.support
-    assert lo == pytest.approx(3.0 - 2.0 * math.sqrt(2.0))
-    assert hi == pytest.approx(3.0 + 2.0 * math.sqrt(2.0))
-    assert mp.atom == 0.0
-    assert MPParams(c=0.25).atom == pytest.approx(0.75)
-    with pytest.raises(ValidationError):
-        MPParams(c=0.0)
-    # mean equals c, total continuous mass is min(1, c)
-    for c in (0.25, 1.0, 2.0):
-        assert mp_moment_quadrature(c, 1) == pytest.approx(c, abs=1e-9)
 
 
 def test_mp_moment_examples():
@@ -97,15 +80,19 @@ def test_page_entropy_against_monte_carlo():
 
 
 def test_limit_corrections():
-    assert limit_correction("single_loop") == pytest.approx(0.5)
-    assert limit_correction("black_hole_1", 1, 2) == pytest.approx(0.125)
-    assert limit_correction("oxygen_1", 3, 3) == pytest.approx(0.5)
-    assert limit_correction("black_hole_2", 1, 2) == pytest.approx(0.5)
-    assert limit_correction("adapted") == 0.0
-    with pytest.raises(UnknownCaseError):
-        limit_correction("generic")
-    with pytest.raises(ValidationError):
-        limit_correction("nonsense")
+    # each case's correction, with its edge ratios, at any N
+    cases = (
+        (single_loop(), "single_loop", 0.5),
+        (black_hole(traced=[0, 1], d1=1, d2=2), "black_hole_1", 0.125),
+        (oxygen(traced=[0, 1], d1=3, d2=3), "oxygen_1", 0.5),
+        (black_hole(traced=[0, 2], d1=1, d2=2), "black_hole_2", 0.5),
+        (adapted_five(), "adapted", 0.0),
+    )
+    for m, case, correction in cases:
+        for N in (2, 16):
+            pred = predict_entropy(m, N)
+            assert pred.case == case
+            assert pred.correction == pytest.approx(correction)
 
 
 def test_predict_adapted_five_crossings():
