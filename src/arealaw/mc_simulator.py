@@ -13,11 +13,14 @@ the min(ds, dt)-sided Gram matrix, whose nonzero spectrum is that of the
 reduced state.  The labels, reshapes and greedy contraction path depend
 only on the graph, the traced legs, ``N`` and which vertices act, so they
 form a plan built once and memoised, with the path planned here on integer
-labels and compiled into pairwise ``matmul`` steps; the state-dimension
-guard, the only size refusal, bounds the largest array that plan takes or
-builds for one sample.  Samples run in contiguous chunks: a chunk draws,
-contracts and diagonalises its samples together on a leading sample axis,
-each sample meeting the same matrix products as it would alone.  Every
+labels and compiled into pairwise ``matmul`` steps.  The plan holds only
+sizes and steps, no array (an identity edge is its dimension), so the
+state-dimension guard, the one size refusal, bounds the largest array a
+sample takes or builds (each isometry among them) before anything is
+allocated.  A run resolves its plan and checks the guard once, then ships
+the plan to its samples in contiguous chunks: a chunk draws, contracts and
+diagonalises its samples together on a leading sample axis, each sample
+meeting the same matrix products as it would alone.  Every
 spectrum, sampled or of the identity state a transport certificate checks,
 comes from :func:`run_experiment` on that one route; one routine summarises
 a spectrum and one builds the ``MCReport`` from the summaries.
@@ -47,7 +50,6 @@ from .errors import (AreaLawError, InconsistencyError, ResourceGuardError,
 from .graph_model import Graph, Marginal
 
 DEFAULT_STATE_DIM_LIMIT = 2 ** 24
-DEFAULT_HAAR_DIM_LIMIT = 4096
 #: Elements a Monte Carlo chunk stacks: it holds
 #: ``max(1, CHUNK_ELEMENTS // largest)`` samples.
 CHUNK_ELEMENTS = 2 ** 14
@@ -62,33 +64,14 @@ NUMERICS_DISCLAIMER = (
 )
 
 
-def _env_limit(name: str, default: int) -> int:
-    """Positive integer guard from the environment, read at call time."""
-    raw = os.environ.get(name, str(default))
-    if not (raw.isdecimal() and int(raw) >= 1):
-        raise ValidationError(f"{name} must be a positive integer, got {raw!r}")
-    return int(raw)
-
-
-def state_dim_limit() -> int:
-    return _env_limit("AREALAW_STATE_DIM_LIMIT", DEFAULT_STATE_DIM_LIMIT)
-
-
-def haar_dim_limit() -> int:
-    return _env_limit("AREALAW_HAAR_DIM_LIMIT", DEFAULT_HAAR_DIM_LIMIT)
-
-
-def _check_haar_dim(cols: int, what: str) -> None:
-    limit = haar_dim_limit()
-    if cols > limit:
-        raise ResourceGuardError(
-            f"{what} {cols} exceeds the guard {limit} "
-            "(set AREALAW_HAAR_DIM_LIMIT to override)"
-        )
-
-
 def _check_size(size: int, what: str) -> None:
-    limit = state_dim_limit()
+    """Refuse ``size`` elements above the state guard, the positive integer
+    ``AREALAW_STATE_DIM_LIMIT`` read from the environment at call time."""
+    raw = os.environ.get("AREALAW_STATE_DIM_LIMIT", str(DEFAULT_STATE_DIM_LIMIT))
+    if not (raw.isdecimal() and int(raw) >= 1):
+        raise ValidationError(
+            f"AREALAW_STATE_DIM_LIMIT must be a positive integer, got {raw!r}")
+    limit = int(raw)
     if size > limit:
         raise ResourceGuardError(
             f"{what} {size} exceeds the guard {limit} "
@@ -125,15 +108,15 @@ def haar_unitary(dim: int, rng: np.random.Generator,
 
     The triangular factor's diagonal is normalized to positive reals (phase
     correction); without it the factorization is not measure-correct.
-    ``cols`` defaults to ``dim``; the Haar guard bounds it, since the QR
-    costs ``dim * cols^2``.  ``size`` stacks independent samples along a
-    leading axis.
+    ``cols`` defaults to ``dim``; the state guard bounds the ``dim * cols``
+    entries of one draw, and with them the QR's ``dim * cols^2`` cost.
+    ``size`` stacks independent samples along a leading axis.
     """
     cols = dim if cols is None else cols
     if not 1 <= cols <= dim:
         raise ValidationError(
             f"an isometry needs 1 <= cols <= dim, got dim {dim}, cols {cols}")
-    _check_haar_dim(cols, "Haar isometry columns")
+    _check_size(dim * cols, "Haar isometry entries")
     shape = (dim, cols) if size is None else (size, dim, cols)
     z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
     return _isometry(z)
@@ -168,7 +151,6 @@ class MCReport:
     seed: int
     N: int
     flags: tuple[str, ...]
-    disclaimer: str = NUMERICS_DISCLAIMER
 
     def to_document(self) -> dict:
         return {
@@ -180,7 +162,7 @@ class MCReport:
             "per_sample_H": list(self.per_sample_H),
             "renyi_mean": {str(q): v for q, v in self.renyi_mean.items()},
             "flags": list(self.flags),
-            "numerics": self.disclaimer,
+            "numerics": NUMERICS_DISCLAIMER,
         }
 
 
@@ -191,16 +173,14 @@ class _GramPlan:
     # per acted vertex: (stream slot, vertex dimension, isometry columns,
     # shape (out legs..., non-loop in-slots...))
     vertices: tuple[tuple, ...]
-    fixed: tuple             # identity operands, each with a unit sample axis
-    inputs: tuple            # labels of every operand: per vertex its ket and
-                             # bra copy, then the identities
-    output: tuple[int, ...]  # ket then bra labels of the smaller side's legs
+    eyes: tuple[int, ...]    # dimension of each identity edge, whose ket and
+                             # bra copies follow the vertices' operands
     side: int                # min(ds, dt)
     dim: int                 # ds, the surviving dimension
     scale: float             # ket and bra normalisation of the edges outside
                              # the isometries: prod (d_e N)^-1
-    path: tuple              # greedy pairs (:func:`_greedy_path`), found once
-    steps: tuple             # the path compiled by :func:`_compile`
+    steps: tuple             # the greedy path (:func:`_greedy_path`),
+                             # compiled by :func:`_compile`
     largest: int             # elements of the largest array one sample
                              # takes or builds
 
@@ -373,31 +353,26 @@ def _gram_plan(graph: Graph, traced: tuple[int, ...], N: int,
     output = tuple(kept_labels + prime(kept_labels))
     inputs = tuple(tuple(copy(ket)) for _, ket in terms for copy in (list, prime))
     size = {x: d for shape, ket in terms for x, d in zip(ket + prime(ket), shape * 2)}
-    path = _greedy_path(inputs, output, size)
-    steps, largest = _compile(path, inputs, output, size)
-    fixed = []
-    for e in eyes:
-        eye = np.eye(dims[2 * e])[None]
-        eye.setflags(write=False)
-        fixed += [eye, eye]
+    steps, largest = _compile(_greedy_path(inputs, output, size), inputs,
+                              output, size)
     vertices = []
     for v, (shape, _) in zip(acted, terms):
         out = len(graph.legs_of(v))
         vertices.append((graph.vertices.index(v), math.prod(shape[:out]),
                          math.prod(shape[out:]), tuple(shape)))
     return _GramPlan(
-        vertices=tuple(vertices), fixed=tuple(fixed), inputs=inputs,
-        output=output, side=min(ds, dt), dim=ds,
+        vertices=tuple(vertices), eyes=tuple(dims[2 * e] for e in eyes),
+        side=min(ds, dt), dim=ds,
         scale=1.0 / math.prod(dims[2 * e] for e in range(len(graph.edges))
                               if e not in held),
-        path=path, steps=steps, largest=largest,
+        steps=steps, largest=largest,
     )
 
 
 def _route(marginal: Marginal, N: int, unitaries: str, skip_traced: bool,
            skip_surviving: bool) -> tuple[tuple[str, ...], _GramPlan]:
-    """The flags of a state and its Gram plan, once the inputs and every
-    size guard have passed; nothing is sampled."""
+    """The flags of a state and its Gram plan, once the inputs and the
+    state guard have passed; nothing is sampled or allocated."""
     if unitaries not in ("sample", "identity"):
         raise ValidationError(f"unknown unitary mode {unitaries!r}")
     if N < 2:
@@ -416,8 +391,6 @@ def _route(marginal: Marginal, N: int, unitaries: str, skip_traced: bool,
             acted.append(v)
     plan = _gram_plan(g, tuple(sorted(marginal.completed_traced_legs())), N,
                       tuple(acted))
-    for slot, _, cols, _ in plan.vertices:
-        _check_haar_dim(cols, f"vertex {g.vertices[slot]!r} Haar isometry columns")
     _check_size(plan.largest, "largest contraction array")
     return tuple(flags), plan
 
@@ -446,8 +419,8 @@ def _gram_stack(plan: _GramPlan, streams: Sequence) -> np.ndarray:
 
     Each acted vertex takes one QR of its Ginibre stack; the plan's compiled
     steps then contract the isometries, reshaped to (out legs..., non-loop
-    in-slots...), on the ket and their conjugates on the bra for every
-    sample at once.  Each sample's trace must be within 1e-10 of one; a
+    in-slots...), on the ket and their conjugates on the bra, with the
+    identity edges built here, for every sample at once.  Each sample's trace must be within 1e-10 of one; a
     drifted or NaN trace is a defect, :class:`InconsistencyError`.
     """
     count = len(streams)
@@ -456,7 +429,10 @@ def _gram_stack(plan: _GramPlan, streams: Sequence) -> np.ndarray:
         tensor = _isometry(_ginibre_stack(streams, slot, vdim, cols))
         tensor = tensor.reshape(count, *shape)
         operands += [tensor, tensor.conj()]
-    out = _contract(plan.steps, operands + list(plan.fixed))
+    for dim in plan.eyes:
+        eye = np.eye(dim)[None]
+        operands += [eye, eye]
+    out = _contract(plan.steps, operands)
     out = np.broadcast_to(out, (count, *out.shape[1:]))  # nothing acted
     gram = out.reshape(count, plan.side, plan.side) * plan.scale
     norms = np.trace(gram, axis1=1, axis2=2).real
@@ -493,14 +469,14 @@ def _spectrum(gram: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _summarize_spectrum(eig: np.ndarray,
-                        q_list: Sequence[float]) -> SpectralReport:
-    """Entropies and rank of a descending spectrum of unit trace.
+                        q_list: tuple[float, ...]) -> SpectralReport:
+    """Entropies and rank of a descending spectrum of unit trace, at orders
+    already validated by :func:`_renyi_orders`.
 
     Eigenvalues below ``EIGENVALUE_CLIP_REL`` (relative to the largest) are
     clamped to zero in place; the numerical rank uses ``RANK_THRESHOLD_REL``.
     ``q = 1`` is the von Neumann entropy, ``q = 0`` is ``ln rank``.
     """
-    q_list = _renyi_orders(q_list)
     top = eig[0] if eig.size else 0.0
     eig[eig < EIGENVALUE_CLIP_REL * top] = 0.0
     rank = int(np.count_nonzero(eig > RANK_THRESHOLD_REL * top))
@@ -522,11 +498,9 @@ def _summarize_spectrum(eig: np.ndarray,
 
 
 def _sample_chunk(payload) -> list[SpectralReport]:
-    """The reports of samples ``start, ..., stop - 1`` of a run, built and
-    diagonalised together; top level so process pools can pickle it."""
-    (marginal, N, seed, start, stop, q_list, unitaries, skip_traced,
-     skip_surviving) = payload
-    _, plan = _route(marginal, N, unitaries, skip_traced, skip_surviving)
+    """Reports of samples ``start, ..., stop - 1`` under a run's plan, built
+    and diagonalised together; top level so process pools can pickle it."""
+    plan, seed, start, stop, q_list = payload
     grams = _gram_stack(plan, [partial(_vertex_stream, seed, i)
                                for i in range(start, stop)])
     return [_summarize_spectrum(eig, q_list) for eig in _spectrum(grams, plan.dim)]
@@ -580,11 +554,8 @@ def run_experiment(marginal: Marginal, N: int, samples: int, seed: int,
     q_list = _renyi_orders(q_list)
     flags, plan = _route(marginal, N, unitaries, skip_traced, skip_surviving)
     size = max(1, CHUNK_ELEMENTS // plan.largest)
-    payloads = [
-        (marginal, N, seed, start, min(start + size, samples), q_list,
-         unitaries, skip_traced, skip_surviving)
-        for start in range(0, samples, size)
-    ]
+    payloads = [(plan, seed, start, min(start + size, samples), q_list)
+                for start in range(0, samples, size)]
     workers = min(jobs, len(payloads))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

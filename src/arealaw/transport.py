@@ -26,6 +26,11 @@ from .errors import (
 from .graph_model import Edge, Graph, Marginal, TraceSpec, resolve_trace
 from .marking import Marking, marking_from_flow
 
+CERTIFICATE_CAVEAT = (
+    "random-unitary rank equality holds with probability one; checked "
+    "here at fixed small N"
+)
+
 
 def _is_int(value) -> bool:
     """An integer that is not a bool (JSON ``true`` parses to ``True``)."""
@@ -264,10 +269,6 @@ class TransportCertificate:
     haar_ranks_all_equal: bool
     haar_mean_H: float
     plan: RoutingPlan
-    caveat: str = (
-        "random-unitary rank equality holds with probability one; checked "
-        "here at fixed small N"
-    )
 
     def to_document(self) -> dict:
         return {
@@ -281,7 +282,7 @@ class TransportCertificate:
             "haar_ranks_all_equal": self.haar_ranks_all_equal,
             "haar_mean_H": self.haar_mean_H,
             "plan": self.plan.to_document(),
-            "caveat": self.caveat,
+            "caveat": CERTIFICATE_CAVEAT,
         }
 
 

@@ -631,6 +631,31 @@ def test_state_guard_is_the_only_size_refusal(write_doc, capsys, monkeypatch):
                    "the guard 16777216 (set AREALAW_STATE_DIM_LIMIT to override)\n")
 
 
+@pytest.mark.parametrize("command", ["simulate", "transport"])
+def test_identity_edges_are_guarded_before_allocation(write_doc, capsys,
+                                                      monkeypatch, command):
+    # both endpoints of every edge skipped: each edge is an identity of side
+    # N = 100000, 10^10 entries, refused by the state guard before any
+    # np.eye is built
+    def no_eye(*args, **kwargs):
+        raise AssertionError("np.eye was called")
+
+    monkeypatch.setattr("numpy.eye", no_eye)
+    monkeypatch.delenv("AREALAW_STATE_DIM_LIMIT", raising=False)
+    if command == "simulate":
+        graph = write_doc("adapted.json", doc(["A", "B"], [("A", "B", 1)] * 2,
+                                              {"mode": "counts", "s": {"A": 0, "B": 2}}))
+        argv = ["simulate", "-g", graph, "-n", "1", "--seed", "0"]
+    else:
+        argv = ["transport", "-i", write_doc("inst.json", doubled_edge_doc()),
+                "--certify"]
+    assert main(argv + ["-N", "100000"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("resource guard: largest contraction array ")
+
+
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 def test_normalization_drift_exit_code(write_doc, capsys, monkeypatch, command):
     # a drifted trace is a defect of the package, not of the input
@@ -668,8 +693,7 @@ def test_sampling_seam_is_reached(write_doc, monkeypatch, case):
     assert sum(calls) == 2
 
 
-@pytest.mark.parametrize("variable", ["AREALAW_STATE_DIM_LIMIT",
-                                      "AREALAW_HAAR_DIM_LIMIT"])
+@pytest.mark.parametrize("variable", ["AREALAW_STATE_DIM_LIMIT"])
 def test_bad_guard_environment_exit_code(write_doc, capsys, monkeypatch, variable):
     graph = write_doc("bh.json", black_hole2_doc())
     monkeypatch.setenv(variable, "abc")

@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -83,21 +84,21 @@ def test_haar_isometry():
 
 
 def test_haar_guard(monkeypatch):
-    monkeypatch.delenv("AREALAW_HAAR_DIM_LIMIT", raising=False)
-    assert mc_simulator.haar_dim_limit() == 4096
-    # the guard fires before any allocation: the generator is never touched
-    with pytest.raises(ResourceGuardError, match="AREALAW_HAAR_DIM_LIMIT"):
+    # the state guard bounds a draw's dim * cols entries, 4096^2 by default;
+    # it fires before any allocation: the generator is never touched
+    monkeypatch.delenv("AREALAW_STATE_DIM_LIMIT", raising=False)
+    with pytest.raises(ResourceGuardError,
+                       match=r"^Haar isometry entries 16785409 .*AREALAW_STATE_DIM_LIMIT"):
         haar_unitary(4097, None)
     rng = np.random.default_rng(3)
-    monkeypatch.setenv("AREALAW_HAAR_DIM_LIMIT", "8")
+    monkeypatch.setenv("AREALAW_STATE_DIM_LIMIT", "80")
     with pytest.raises(ResourceGuardError):
         haar_unitary(9, rng)
-    monkeypatch.setenv("AREALAW_HAAR_DIM_LIMIT", "16")
+    monkeypatch.setenv("AREALAW_STATE_DIM_LIMIT", "81")
     assert haar_unitary(9, rng).shape == (9, 9)  # no raise once overridden
 
 
-@pytest.mark.parametrize("variable", ["AREALAW_STATE_DIM_LIMIT",
-                                      "AREALAW_HAAR_DIM_LIMIT"])
+@pytest.mark.parametrize("variable", ["AREALAW_STATE_DIM_LIMIT"])
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
 def test_bad_guard_values_are_input_errors(monkeypatch, variable, value):
     monkeypatch.setenv(variable, value)
@@ -491,6 +492,27 @@ def _sample_plan(m, N, skip=(True, True)):
     return mc_simulator._route(m, N, "sample", *skip)[1]
 
 
+def _plan_labels(m, N, skip=(True, True)):
+    """The (path, inputs, output) that :func:`_compile` receives when the
+    sampled plan of ``m`` is built afresh; the plan keeps only the compiled
+    steps.  The inputs hold each operand's ket then bra copy (the acted
+    vertices, then the identity edges); the output holds the ket then bra
+    labels of the smaller side's legs."""
+    calls = []
+    compile_steps = mc_simulator._compile
+
+    def recorded(path, inputs, output, size):
+        calls.append((path, inputs, output))
+        return compile_steps(path, inputs, output, size)
+
+    mc_simulator._gram_plan.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mc_simulator, "_compile", recorded)
+        _sample_plan(m, N, skip)
+    (labels,) = calls
+    return labels
+
+
 def test_guard_bounds_the_largest_array(monkeypatch):
     # the 2x4 lattice's state has 2^20 entries, but no array the Gram
     # contraction builds is larger than a few thousand
@@ -519,10 +541,9 @@ def test_lattices_beyond_einsum_labels_run_under_the_default_guards(
         monkeypatch, rows, cols):
     # 66 and 70 labels in the doubled network, more than numpy's einsum takes
     monkeypatch.delenv("AREALAW_STATE_DIM_LIMIT", raising=False)
-    monkeypatch.delenv("AREALAW_HAAR_DIM_LIMIT", raising=False)
     m = lattice(rows, cols)
-    plan = _sample_plan(m, 2)
-    assert len(set().union(*plan.inputs)) > 52
+    _, inputs, _ = _plan_labels(m, 2)
+    assert len(set().union(*inputs)) > 52
     report = run_experiment(m, 2, samples=2, seed=0)
     assert all(0.0 < h <= 10 * math.log(2) for h in report.per_sample_H)
 
@@ -530,8 +551,9 @@ def test_lattices_beyond_einsum_labels_run_under_the_default_guards(
 def test_2x7_lattice_plan_fits_the_default_guard(monkeypatch):
     # 80 labels; planned and guarded only: a sample takes about 20 s on two cores
     monkeypatch.delenv("AREALAW_STATE_DIM_LIMIT", raising=False)
+    _, inputs, _ = _plan_labels(lattice(2, 7), 2)
     plan = _sample_plan(lattice(2, 7), 2)
-    assert len(set().union(*plan.inputs)) == 80
+    assert len(set().union(*inputs)) == 80
     assert plan.largest == 2 ** 24 == mc_simulator.DEFAULT_STATE_DIM_LIMIT
 
 
@@ -634,8 +656,8 @@ def test_plan_contracts_pairwise():
     marginals = [twisted, lattice(2, 4), lattice(2, 5)] + ORACLE_CASES + [
         random_marginal(rng, max_vertices=4, max_edges=5) for _ in range(30)]
     for m in marginals:
-        plan = _sample_plan(m, 2)
-        assert all(len(step) == 2 for step in plan.path), plan.path
+        path, _, _ = _plan_labels(m, 2)
+        assert all(len(step) == 2 for step in path), path
     _assert_matches_oracle(twisted, "sample", 7, (True, True))
 
 
@@ -652,7 +674,7 @@ def test_no_pairwise_path_rejected_before_sampling(monkeypatch):
     triangle = marginal_from(["A", "B", "C"],
                              [("A", "B", 1), ("B", "C", 1), ("C", "A", 1)],
                              {"mode": "counts", "s": {"A": 1, "B": 1, "C": 1}})
-    assert all(len(step) == 2 for step in _sample_plan(triangle, 8).path)
+    assert all(len(step) == 2 for step in _plan_labels(triangle, 8)[0])
     with pytest.raises(ResourceGuardError,
                        match=r"^largest contraction array 4294967296 exceeds the "
                              r"guard 16777216 \(set AREALAW_STATE_DIM_LIMIT"):
@@ -679,9 +701,8 @@ def test_loop_vertex_draws_an_isometry(monkeypatch):
 
 
 def test_three_loops_run_under_the_default_guards(monkeypatch):
-    # vdim = 8^6, far above the Haar guard, but the isometry has one column:
-    # a 2^18-entry vector on the ket and its conjugate on the bra
-    monkeypatch.delenv("AREALAW_HAAR_DIM_LIMIT", raising=False)
+    # vdim = 8^6, but the isometry has one column: a 2^18-entry vector on
+    # the ket and its conjugate on the bra
     monkeypatch.delenv("AREALAW_STATE_DIM_LIMIT", raising=False)
     m = marginal_from(["V"], [("V", "V", 1)] * 3, {"mode": "counts", "s": {"V": 2}})
     plan = _sample_plan(m, 8)
@@ -771,14 +792,14 @@ def _einsum_oracle(m, N, samples, seed, skip, q_list=(0.0, 1.0, 2.0)):
     """The per-sample route that chunks replaced: each sample spawns its
     vertex streams, draws each isometry with haar_unitary and contracts one
     np.einsum over the plan's labels and path, then the spectrum summary."""
+    path, inputs, output = _plan_labels(m, N, skip)
     flags, plan = mc_simulator._route(m, N, "sample", *skip)
     reports = []
     for i in range(samples):
         arrays = [t for tensor in _isometries(m, plan, seed, i)
                   for t in (tensor, tensor.conj())]
-        arrays += [eye[0] for eye in plan.fixed]
-        out = _einsum(arrays, plan.inputs, plan.output,
-                      optimize=["einsum_path", *plan.path])
+        arrays += [np.eye(dim) for dim in plan.eyes for _ in range(2)]  # ket, bra
+        out = _einsum(arrays, inputs, output, optimize=["einsum_path", *path])
         gram = out.reshape(plan.side, plan.side) * plan.scale
         reports.append(mc_simulator._summarize_spectrum(
             mc_simulator._spectrum(gram, plan.dim), q_list))
@@ -830,16 +851,17 @@ def test_ring_beyond_einsum_labels_matches_the_ket_factor(monkeypatch, chunk):
     # every vertex acted: the doubled network has 53 labels, more than
     # np.einsum takes, the ket alone 33; its factor F gives F F^dagger
     m = ring_11()
+    _, inputs, output = _plan_labels(m, 2, (False, False))
     flags, plan = mc_simulator._route(m, 2, "sample", False, False)
-    assert len(set().union(*plan.inputs)) == 53
-    kets = plan.inputs[0::2]  # the inputs alternate ket and bra copies
-    kept = plan.output[: len(plan.output) // 2]
-    summed = sorted(set().union(*kets) & set().union(*plan.inputs[1::2]))
+    assert len(set().union(*inputs)) == 53
+    kets = inputs[0::2]  # the inputs alternate ket and bra copies
+    kept = output[: len(output) // 2]
+    summed = sorted(set().union(*kets) & set().union(*inputs[1::2]))
     monkeypatch.setattr(mc_simulator, "CHUNK_ELEMENTS", chunk)
     got = run_experiment(m, 2, 3, seed=13, skip_traced=False, skip_surviving=False)
     assert got.flags == flags == ()
     for i, (h, spectrum) in enumerate(zip(got.per_sample_H, got.spectra)):
-        arrays = _isometries(m, plan, 13, i) + [eye[0] for eye in plan.fixed[0::2]]
+        arrays = _isometries(m, plan, 13, i) + [np.eye(dim) for dim in plan.eyes]
         f = _einsum(arrays, kets, [*kept, *summed], optimize="greedy")
         f = f.reshape(plan.side, -1)
         gram = f @ f.conj().T * plan.scale
@@ -854,6 +876,53 @@ def test_jobs_do_not_change_a_chunked_run():
     runs = [run_experiment(m, 2, samples=8, seed=5, jobs=jobs) for jobs in (1, 2, 8)]
     for other in runs[1:]:
         _assert_same_reports(other, runs[0])
+
+
+def adapted_path():
+    # A - B - C with A and B fully traced and C fully surviving: the edge
+    # A - B is an identity, and so is B - C unless C acts
+    return marginal_from(["A", "B", "C"], [("A", "B", 1), ("B", "C", 1)],
+                         {"mode": "counts", "s": {"A": 0, "B": 0, "C": 1}})
+
+
+@pytest.mark.parametrize("skip_surviving", [True, False])
+def test_identity_edges_ride_the_pool(monkeypatch, skip_surviving):
+    # the plan keeps each identity edge as a dimension and every chunk
+    # builds it, in a worker as in the calling process
+    m = adapted_path()
+    plan = _sample_plan(m, 3, (True, skip_surviving))
+    assert plan.eyes == ((3, 3) if skip_surviving else (3,))
+    assert len(plan.vertices) == (not skip_surviving)
+    monkeypatch.setattr(mc_simulator, "CHUNK_ELEMENTS", 1)
+    runs = [run_experiment(m, 3, samples=4, seed=9, jobs=jobs,
+                           skip_surviving=skip_surviving) for jobs in (1, 2)]
+    assert runs[1].to_document() == runs[0].to_document()
+    _assert_same_reports(runs[1], runs[0])
+
+
+def test_a_run_resolves_its_plan_once(monkeypatch):
+    # one route, and with it one guard check, per run however many chunks
+    # it ships; the plan the chunks share holds sizes and steps, no array
+    routes = []
+    route = mc_simulator._route
+
+    def counted(*args):
+        routes.append(route(*args))
+        return routes[-1]
+
+    def holds_array(value):
+        if isinstance(value, tuple):
+            return any(holds_array(x) for x in value)
+        return isinstance(value, np.ndarray)
+
+    monkeypatch.setattr(mc_simulator, "_route", counted)
+    monkeypatch.setattr(mc_simulator, "CHUNK_ELEMENTS", 1)
+    report = run_experiment(adapted_path(), 3, samples=3, seed=0,
+                            skip_surviving=False)
+    assert report.samples == 3
+    ((_, plan),) = routes
+    assert plan.eyes and plan.vertices
+    assert not holds_array(tuple(getattr(plan, f.name) for f in fields(plan)))
 
 
 def test_no_einsum_per_sample(monkeypatch):
