@@ -34,16 +34,14 @@ _EXPORTS = {
         "BruteForceArea", "Marking", "area_bruteforce", "marking_from_flow",
     ),
     "mc_simulator": (
-        "MCReport", "empirical_vs_mp", "haar_unitary", "run_experiment",
-        "wishart_experiment",
+        "MCReport", "haar_unitary", "run_experiment",
     ),
     "nc_combinatorics": (
         "case_B", "catalan", "catalan_bound", "count_multichains",
         "enumerate_nc", "fuss_catalan", "moment_from_B",
     ),
     "spectral_predictor": (
-        "EntropyPrediction", "mp_moment", "mp_xlogx", "page_entropy",
-        "predict_entropy",
+        "EntropyPrediction", "mp_moment", "mp_xlogx", "predict_entropy",
     ),
     "transport": (
         "RoutingPlan", "TransportCertificate", "TransportInstance", "certify",

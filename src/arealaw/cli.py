@@ -44,9 +44,11 @@ SCHEMA_VERSION = 1
 LN2 = math.log(2.0)
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, parts) -> None:
+    """Write the strings ``parts`` yields to ``path``, each as it comes."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(parts)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
@@ -73,7 +75,7 @@ def _write_report(report: dict, out: str | None) -> None:
             text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
         except ValueError as exc:
             raise AreaLawError(f"the report holds a non-finite value: {exc}") from exc
-        _write(out, text + "\n")
+        _write(out, [text + "\n"])
 
 
 def _read(path: str) -> str:
@@ -172,9 +174,12 @@ def _simulate_report(marginal, args, seed: int):
         if path:
             _check_writable(path)
     from .boundary_flow import build_network, max_flow
-    from .mc_simulator import run_experiment
+    from .mc_simulator import _check_size, _side_dims, run_experiment
     from .spectral_predictor import predict_entropy
 
+    if args.spectra:  # a row per eigenvalue, structural zeros included
+        ds, _ = _side_dims(marginal.graph, marginal.completed_traced_legs(), args.N)
+        _check_size(args.samples * ds, "--spectra rows")
     mc = run_experiment(
         marginal, args.N, args.samples, seed, q_list=q_list, jobs=args.jobs,
     )
@@ -196,11 +201,18 @@ def _simulate_report(marginal, args, seed: int):
         "mc": mc.to_document(),
     }
     if args.spectra:
-        _write(args.spectra, "sample,index,eigenvalue\n" + "".join(
-            f"{i},{j},{float(value)!r}\n"
-            for i, spectrum in enumerate(mc.spectra)
-            for j, value in enumerate(spectrum)))
+        _write(args.spectra, _spectra_rows(mc))
     return report, prediction
+
+
+def _spectra_rows(mc):
+    """The ``--spectra`` CSV, one sample at a time: the eigenvalues of its
+    Gram side, then ``dim - side`` structural zeros up to the surviving
+    dimension."""
+    yield "sample,index,eigenvalue\n"
+    for i, spectrum in enumerate(mc.spectra):
+        yield "".join(f"{i},{j},{float(value)!r}\n" for j, value in enumerate(spectrum))
+        yield from (f"{i},{j},0.0\n" for j in range(len(spectrum), mc.dim))
 
 
 def _seed(args) -> int:

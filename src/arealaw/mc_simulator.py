@@ -22,8 +22,13 @@ the plan to its samples in contiguous chunks: a chunk draws, contracts and
 diagonalises its samples together on a leading sample axis, each sample
 meeting the same matrix products as it would alone.  Every
 spectrum, sampled or of the identity state a transport certificate checks,
-comes from :func:`run_experiment` on that one route; one routine summarises
-a spectrum and one builds the ``MCReport`` from the summaries.
+comes from :func:`run_experiment` on that one route, a vertex carrying only
+loops included (its isometry is one Haar column, so its marginal is Page's
+induced ensemble).  A spectrum keeps the ``min(ds, dt)`` eigenvalues of the
+Gram side it is computed at; the ``ds - min(ds, dt)`` structural zeros of
+the reduced state are not stored, and ``MCReport.dim`` records ``ds``.  One
+routine summarises a spectrum and one builds the ``MCReport`` from the
+summaries.
 
 Determinism contract: every sample derives its own generator from
 ``(seed, sample_index)`` and every vertex from ``(seed, sample_index,
@@ -133,7 +138,7 @@ def _isometry(z: np.ndarray) -> np.ndarray:
 class SpectralReport:
     """One sample's spectrum summary (:func:`_summarize_spectrum`)."""
 
-    eigenvalues: np.ndarray           # descending, length = surviving dim
+    eigenvalues: np.ndarray           # descending, length = Gram side
     entropy: float                    # von Neumann, nats
     renyi: dict[float, float]
     rank: int
@@ -147,7 +152,9 @@ class MCReport:
     per_sample_H: tuple[float, ...]
     renyi_mean: dict[float, float]
     ranks: tuple[int, ...]
-    spectra: tuple[np.ndarray, ...]
+    spectra: tuple[np.ndarray, ...]   # each of length min(ds, dt)
+    dim: int                          # ds; the other ds - min(ds, dt)
+                                      # eigenvalues are structural zeros
     seed: int
     N: int
     flags: tuple[str, ...]
@@ -306,6 +313,16 @@ def _run_step(layout, arrays: list) -> np.ndarray:
     return out.reshape(shape).transpose(order) if shape else out
 
 
+def _side_dims(graph: Graph, traced, N: int) -> tuple[int, int]:
+    """``(ds, dt)``: the products of ``d_e N`` over the surviving and over
+    the ``traced`` legs."""
+    if N < 2:
+        raise ValidationError("N must be at least 2")
+    ds = math.prod(leg.ratio * N for leg in graph.legs if leg.leg_id not in traced)
+    dt = math.prod(leg.ratio * N for leg in graph.legs if leg.leg_id in traced)
+    return ds, dt
+
+
 @lru_cache(maxsize=256)
 def _gram_plan(graph: Graph, traced: tuple[int, ...], N: int,
                acted: tuple[str, ...]) -> _GramPlan:
@@ -325,8 +342,7 @@ def _gram_plan(graph: Graph, traced: tuple[int, ...], N: int,
     n = graph.n_legs
     dims = [leg.ratio * N for leg in graph.legs]
     surviving = tuple(l for l in range(n) if l not in traced)
-    ds = math.prod(dims[l] for l in surviving)
-    dt = math.prod(dims[l] for l in traced)
+    ds, dt = _side_dims(graph, traced, N)
     kept, summed = (surviving, traced) if ds <= dt else (traced, surviving)
     label = [leg.leg_id if leg.vertex in acted else n + leg.edge
              for leg in graph.legs]
@@ -375,8 +391,6 @@ def _route(marginal: Marginal, N: int, unitaries: str, skip_traced: bool,
     state guard have passed; nothing is sampled or allocated."""
     if unitaries not in ("sample", "identity"):
         raise ValidationError(f"unknown unitary mode {unitaries!r}")
-    if N < 2:
-        raise ValidationError("N must be at least 2")
     g = marginal.graph
     flags: list[str] = []
     acted: list[str] = []
@@ -443,17 +457,8 @@ def _gram_stack(plan: _GramPlan, streams: Sequence) -> np.ndarray:
     return gram
 
 
-def _gram(factor: np.ndarray) -> np.ndarray:
-    """The smaller Gram matrix of a factor (or a stack of them),
-    ``F F^dagger`` or ``F^dagger F``; both share the nonzero spectrum."""
-    rows, cols = factor.shape[-2:]
-    adjoint = factor.conj().swapaxes(-1, -2)
-    return factor @ adjoint if rows <= cols else adjoint @ factor
-
-
-def _spectrum(gram: np.ndarray, dim: int) -> np.ndarray:
-    """Eigenvalues of a Gram matrix (or of each in a stack) padded with
-    structural zeros to ``dim``, descending."""
+def _spectrum(gram: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Gram matrix (or of each in a stack), descending."""
     try:
         values = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:
@@ -462,10 +467,7 @@ def _spectrum(gram: np.ndarray, dim: int) -> np.ndarray:
             f"eigensolver failed on a {gram.shape[-2:]} Gram matrix "
             f"(max magnitude {scale:.3e}): {exc}"
         ) from exc
-    eig = np.zeros((*values.shape[:-1], dim))
-    eig[..., : values.shape[-1]] = values
-    eig[..., ::-1].sort()
-    return eig
+    return values[..., ::-1]  # eigvalsh returns them ascending
 
 
 def _summarize_spectrum(eig: np.ndarray,
@@ -503,11 +505,12 @@ def _sample_chunk(payload) -> list[SpectralReport]:
     plan, seed, start, stop, q_list = payload
     grams = _gram_stack(plan, [partial(_vertex_stream, seed, i)
                                for i in range(start, stop)])
-    return [_summarize_spectrum(eig, q_list) for eig in _spectrum(grams, plan.dim)]
+    return [_summarize_spectrum(eig, q_list) for eig in _spectrum(grams)]
 
 
 def _mc_report(reports: Sequence[SpectralReport], flags: tuple[str, ...],
-               seed: int, N: int, q_list: tuple[float, ...]) -> MCReport:
+               seed: int, N: int, q_list: tuple[float, ...],
+               dim: int) -> MCReport:
     """Aggregate per-sample summaries, in sample order, with exact sums."""
     samples = len(reports)
     entropies = tuple(r.entropy for r in reports)
@@ -523,7 +526,7 @@ def _mc_report(reports: Sequence[SpectralReport], flags: tuple[str, ...],
             q: math.fsum(r.renyi[q] for r in reports) / samples for q in q_list
         },
         ranks=tuple(r.rank for r in reports),
-        spectra=tuple(r.eigenvalues for r in reports),
+        spectra=tuple(r.eigenvalues for r in reports), dim=dim,
         seed=seed, N=N, flags=flags,
     )
 
@@ -565,70 +568,4 @@ def run_experiment(marginal: Marginal, N: int, samples: int, seed: int,
     else:
         chunks = [_sample_chunk(p) for p in payloads]
     return _mc_report([report for chunk in chunks for report in chunk],
-                      tuple(sorted(flags)), seed, N, q_list)
-
-
-@dataclass(frozen=True)
-class MomentDistances:
-    orders: tuple[int, ...]
-    empirical: tuple[float, ...]
-    theoretical: tuple[float, ...]
-    distances: tuple[float, ...]
-
-
-def empirical_vs_mp(report: MCReport, c: float, rescale: float,
-                    max_p: int = 4) -> MomentDistances:
-    """Distance between the empirical rescaled spectral moments and the
-    Marchenko-Pastur moments of parameter ``c``.
-
-    The empirical measure of each sample puts mass ``1/dim`` on every
-    rescaled eigenvalue (zeros included, carrying the atom); ``rescale`` is
-    the case-prescribed power of ``N``.
-    """
-    from .spectral_predictor import mp_moment  # no command reads the moments
-
-    orders = tuple(range(1, max_p + 1))
-    empirical = []
-    theoretical = []
-    for p in orders:
-        per_sample = [
-            float(np.mean((rescale * spec) ** p)) for spec in report.spectra
-        ]
-        empirical.append(math.fsum(per_sample) / len(per_sample))
-        theoretical.append(float(mp_moment(c, p)))
-    distances = tuple(abs(e - t) for e, t in zip(empirical, theoretical))
-    return MomentDistances(
-        orders=orders, empirical=tuple(empirical),
-        theoretical=tuple(theoretical), distances=distances,
-    )
-
-
-def sample_wishart_spectrum(dim_system: int, dim_environment: int,
-                            rng: np.random.Generator) -> np.ndarray:
-    """Spectrum of a trace-normalized Wishart state ``G G^dag / Tr``.
-
-    Identical in distribution to the marginal of a uniformly random
-    bipartite pure state with these two dimensions.
-    """
-    eig = _spectrum(_gram(ginibre(dim_system, dim_environment, rng)), dim_system)
-    eig /= eig.sum()
-    return eig
-
-
-def wishart_experiment(dim_system: int, dim_environment: int, samples: int,
-                       seed: int,
-                       q_list: Sequence[float] = (0.0, 1.0, 2.0)) -> MCReport:
-    """Monte Carlo over Wishart-normalized states; the fast route for
-    bipartite (single-edge) marginals with arbitrary dimensions."""
-    if dim_system < 2 or dim_environment < 2:
-        raise ValidationError("both dimensions must be at least 2")
-    if samples < 1:
-        raise ValidationError("need at least one sample")
-    _check_seed(seed)
-    q_list = _renyi_orders(q_list)
-    reports = [
-        _summarize_spectrum(sample_wishart_spectrum(
-            dim_system, dim_environment, np.random.default_rng([seed, i])), q_list)
-        for i in range(samples)
-    ]
-    return _mc_report(reports, ("wishart_path",), seed, dim_system, q_list)
+                      tuple(sorted(flags)), seed, N, q_list, plan.dim)

@@ -2,9 +2,10 @@
 
 The Marchenko-Pastur family drives every known correction: ``mp_moment``
 gives its moments (the tests check them against quadrature), ``mp_xlogx``
-the value of ``integral x ln x dpi_c``, and ``page_entropy`` the asymptotic
-mean entropy of an induced random state, written in the symmetric form
-``ln(Dmin) - Dmin / (2 Dmax)``.
+the value of ``integral x ln x dpi_c``, and ``_page_correction`` the O(1)
+deficit ``Dmin / (2 Dmax)`` of Page's mean entropy of an induced random
+state, ``ln(Dmin) - Dmin / (2 Dmax)``, from which every case takes its
+correction.
 
 ``predict_entropy`` dispatches a marginal to its most specific known case:
 adapted partitions are exact and deterministic; a unique surviving vertex,
@@ -48,20 +49,6 @@ def mp_xlogx(c: float) -> float:
     if c >= 1:
         return 0.5 + c * math.log(c)
     return 0.5 * c * c
-
-
-def page_entropy(dim_system: int, dim_environment: int) -> float:
-    """Asymptotic mean entropy of the marginal of a random bipartite pure
-    state, ``ln(Dmin) - Dmin / (2 Dmax)`` in nats.
-
-    This is the rescaling-consistent reading of the Marchenko-Pastur
-    correction (``ln(c d) - mp_xlogx(c) / c`` with ``c`` the dimension
-    ratio); the min/max form keeps it exactly symmetric in its arguments.
-    """
-    if dim_system < 2 or dim_environment < 2:
-        raise ValidationError("both dimensions must be at least 2")
-    lo, hi = sorted((dim_system, dim_environment))
-    return math.log(lo) - lo / (2.0 * hi)
 
 
 def _page_correction(scale_a: float, scale_b: float) -> float:

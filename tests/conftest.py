@@ -1,6 +1,7 @@
 """Shared fixture builders and test oracles: canonical graphs, marginals,
-graph families, the Marchenko-Pastur quadrature and the fattened graph with
-its crossings and compatible markings."""
+graph families, the Marchenko-Pastur quadrature and spectral moments, a
+Wishart spectrum and the fattened graph with its crossings and compatible
+markings."""
 
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from arealaw import (Edge, Graph, Marginal, Marking, TraceSpec, parse_marginal,
-                     resolve_trace)
+from arealaw import (Edge, Graph, Marginal, Marking, TraceSpec, mp_moment,
+                     parse_marginal, resolve_trace)
 
 
 @pytest.fixture
@@ -61,6 +62,45 @@ def mp_moment_quadrature(c: float, p: int) -> float:
 def mp_xlogx_quadrature(c: float) -> float:
     """Independent quadrature route for ``mp_xlogx``."""
     return _mp_quadrature(c, lambda x: x * math.log(x))
+
+
+@dataclass(frozen=True)
+class MomentDistances:
+    empirical: tuple[float, ...]
+    theoretical: tuple[float, ...]
+    distances: tuple[float, ...]
+
+
+def empirical_vs_mp(report, c: float, rescale: float,
+                    max_p: int = 4) -> MomentDistances:
+    """Distance between the empirical rescaled spectral moments of a Monte
+    Carlo report and the Marchenko-Pastur moments of parameter ``c``.
+
+    The empirical measure of each sample puts mass ``1/report.dim`` on every
+    rescaled eigenvalue, the structural zeros the spectrum does not store
+    included (they carry the atom); ``rescale`` is the case-prescribed power
+    of ``N``.
+    """
+    orders = tuple(range(1, max_p + 1))
+    empirical = tuple(
+        math.fsum(float(np.sum((rescale * spec) ** p)) / report.dim
+                  for spec in report.spectra) / len(report.spectra)
+        for p in orders)
+    theoretical = tuple(float(mp_moment(c, p)) for p in orders)
+    return MomentDistances(
+        empirical=empirical, theoretical=theoretical,
+        distances=tuple(abs(e - t) for e, t in zip(empirical, theoretical)),
+    )
+
+
+def wishart_spectrum(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """Spectrum of ``G G^dagger / Tr`` for a ``rows x cols`` Ginibre matrix
+    ``G``, the marginal of a uniformly random pure state of those two
+    dimensions: ``min(rows, cols)`` eigenvalues, descending."""
+    g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    gram = g @ g.conj().T if rows <= cols else g.conj().T @ g
+    eig = np.linalg.eigvalsh(gram)[::-1]
+    return eig / eig.sum()
 
 
 @dataclass(frozen=True)
@@ -122,6 +162,17 @@ def single_loop(s: int = 1, d: int = 1) -> Marginal:
 def two_loops(s: int = 2) -> Marginal:
     return marginal_from(["V"], [("V", "V", 1), ("V", "V", 1)],
                          {"mode": "counts", "s": {"V": s}})
+
+
+def page_marginal(ds: int, dt: int) -> tuple[Marginal, int]:
+    """A vertex carrying only loops, with surviving and traced dimensions
+    ``(64, 64)`` or ``(64, 256)``, and the N that gives them.  Its isometry
+    is one Haar column, so its marginal is Page's induced ensemble of those
+    dimensions."""
+    ratios, traced, N = {(64, 64): ((1,), [1], 64),
+                         (64, 256): ((2, 4), [2, 3], 4)}[ds, dt]
+    return marginal_from(["V"], [("V", "V", d) for d in ratios],
+                         {"mode": "legs", "traced": traced}), N
 
 
 def black_hole(traced, d1: int = 1, d2: int = 1) -> Marginal:

@@ -154,14 +154,35 @@ def test_simulate_records_random_seed(write_doc, tmp_path):
     assert isinstance(report["inputs"]["seed"], int)
 
 
+def wide_surviving_doc():
+    # A has a loop and an edge to B, B two loops; B survives whole, so the
+    # Gram side is N against a surviving dimension of N^7
+    return doc(["A", "B"], [("A", "A", 1), ("A", "B", 1), ("B", "B", 1),
+                            ("B", "B", 1)],
+               {"mode": "counts", "s": {"A": 2, "B": 5}})
+
+
 def test_simulate_spectra_csv(write_doc, tmp_path):
-    graph = write_doc("loop.json", single_loop_doc())
     csv_path = tmp_path / "spec.csv"
-    assert main(["simulate", "-g", graph, "-N", "4", "-n", "2", "--seed", "1",
-                 "--spectra", str(csv_path)]) == 0
-    lines = csv_path.read_text().strip().split("\n")
-    assert lines[0] == "sample,index,eigenvalue"
-    assert len(lines) == 1 + 2 * 4  # two samples, four eigenvalues each
+    # (document, N, surviving dimension, Gram side)
+    for payload, N, ds, side in ((single_loop_doc(), 4, 4, 4),
+                                 (wide_surviving_doc(), 2, 128, 2)):
+        graph = write_doc("graph.json", payload)
+        assert main(["simulate", "-g", graph, "-N", str(N), "-n", "2",
+                     "--seed", "1", "--spectra", str(csv_path)]) == 0
+        lines = csv_path.read_text().strip().split("\n")
+        assert lines[0] == "sample,index,eigenvalue"
+        assert len(lines) == 1 + 2 * ds  # two samples, ds eigenvalues each
+        rows = [line.split(",") for line in lines[1:]]
+        assert [(int(i), int(j)) for i, j, _ in rows] == [
+            (i, j) for i in range(2) for j in range(ds)]
+        for i in range(2):
+            values = [float(v) for _, _, v in rows[i * ds: (i + 1) * ds]]
+            assert all(v > 0 for v in values[:side])
+            assert math.fsum(values[:side]) == pytest.approx(1.0, abs=1e-12)
+        # the structural zeros the spectra do not store are written
+        assert [line for line in lines[1:] if line.endswith(",0.0")] == [
+            f"{i},{j},0.0" for i in range(2) for j in range(side, ds)]
 
 
 @pytest.mark.parametrize("argv", [
@@ -484,6 +505,33 @@ def test_no_sampling_seam_is_reached(write_doc, monkeypatch):
     graph = write_doc("loop.json", single_loop_doc())
     with pytest.raises(AssertionError, match="run_experiment was entered"):
         main(["simulate", "-g", graph, "-N", "2", "-n", "1", "--seed", "0"])
+
+
+def test_spectra_rows_are_guarded_before_sampling(write_doc, capsys,
+                                                  monkeypatch, tmp_path):
+    # --spectra writes samples x ds rows, structural zeros included: above
+    # the state guard the run is refused before anything is sampled
+    graph = write_doc("wide.json", wide_surviving_doc())
+    csv_path = tmp_path / "spec.csv"
+    argv = ["simulate", "-g", graph, "-N", "2", "-n", "2", "--seed", "1"]
+    monkeypatch.setenv("AREALAW_STATE_DIM_LIMIT", "256")
+    assert main(argv + ["--spectra", str(csv_path)]) == 0  # 2 x 128 rows
+    capsys.readouterr()
+    monkeypatch.setenv("AREALAW_STATE_DIM_LIMIT", "255")
+    assert main(argv) == 0  # no rows to write
+    capsys.readouterr()
+    _no_sampling(monkeypatch)
+    csv_path.unlink()
+    assert main(argv + ["--spectra", str(csv_path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and not csv_path.exists()
+    assert err == ("resource guard: --spectra rows 256 exceeds the guard 255 "
+                   "(set AREALAW_STATE_DIM_LIMIT to override)\n")
+    monkeypatch.delenv("AREALAW_STATE_DIM_LIMIT")
+    argv[4] = "16"  # 2 x 16^7 rows against the default guard
+    assert main(argv + ["--spectra", str(csv_path)]) == 4
+    assert capsys.readouterr().err.startswith(
+        "resource guard: --spectra rows 536870912 exceeds the guard 16777216 ")
 
 
 @pytest.mark.parametrize("option", ["--out", "--spectra"])

@@ -10,25 +10,26 @@ from arealaw import (
     InconsistencyError,
     ResourceGuardError,
     ValidationError,
-    empirical_vs_mp,
     haar_unitary,
     parse_marginal,
     run_experiment,
-    wishart_experiment,
 )
 from arealaw import mc_simulator
-from arealaw.mc_simulator import ginibre, sample_wishart_spectrum
+from arealaw.mc_simulator import ginibre
 
 from conftest import (
     adapted_five,
     black_hole,
     black_hole_counts,
+    empirical_vs_mp,
     lattice_doc,
     marginal_from,
     oxygen,
+    page_marginal,
     random_marginal,
     single_loop,
     two_loops,
+    wishart_spectrum,
 )
 
 
@@ -147,15 +148,26 @@ def surviving_dimension(m, N):
     return math.prod(d for l, d in enumerate(dims) if l not in traced)
 
 
+def padded(spectrum, dim):
+    """A Gram-side spectrum completed with structural zeros to ``dim``."""
+    out = np.zeros(dim)
+    out[: len(spectrum)] = spectrum
+    return out
+
+
 def test_reduced_state_invariants():
-    # a unit-trace spectrum over the surviving dimension (a drifted Gram
-    # trace is an InconsistencyError inside the run)
+    # a unit-trace spectrum on the Gram side, min(ds, dt) entries, whose
+    # structural zeros complete it to the surviving dimension ds (a drifted
+    # Gram trace is an InconsistencyError inside the run)
     rng = np.random.default_rng(11)
     for k in range(10):
         m = random_marginal(rng, max_vertices=3, max_edges=3)
-        spectrum = run_experiment(m, 2, samples=1, seed=k).spectra[0]
-        assert abs(spectrum.sum() - 1.0) < 1e-10
-        assert spectrum.shape == (surviving_dimension(m, 2),)
+        report = run_experiment(m, 2, samples=1, seed=k)
+        ds = surviving_dimension(m, 2)
+        side = min(ds, math.prod(leg_dimensions(m, 2)) // ds)
+        spectrum = report.spectra[0]
+        assert len(spectrum) == side and report.dim == ds
+        assert abs(padded(spectrum, ds).sum() - 1.0) < 1e-10
 
 
 def test_explicit_unitary_validation():
@@ -169,7 +181,8 @@ def test_explicit_unitary_validation():
 
 def test_single_loop_vector_path_matches_wishart():
     # the loop's Haar isometry is a uniform vector: rescaled moments of the
-    # default route and of the Wishart sampler must agree within 3 sigma
+    # one route and of a Ginibre matrix's Wishart spectrum must agree
+    # within 3 sigma
     m = single_loop(s=1)
     N, samples = 16, 60
 
@@ -178,7 +191,7 @@ def test_single_loop_vector_path_matches_wishart():
         return np.mean(vals), np.std(vals, ddof=1) / math.sqrt(len(vals))
 
     dense = run_experiment(m, N, samples, seed=123).spectra
-    wish = [sample_wishart_spectrum(N, N, np.random.default_rng([321, i]))
+    wish = [wishart_spectrum(N, N, np.random.default_rng([321, i]))
             for i in range(samples)]
     for p in (1, 2, 3):
         m1, s1 = moments(dense, N, p)
@@ -275,8 +288,6 @@ def test_guards_before_sampling():
     for bad in (-1, 1.5, True):
         with pytest.raises(ValidationError, match="seed"):
             run_experiment(single_loop(), 4, samples=1, seed=bad)
-        with pytest.raises(ValidationError, match="seed"):
-            wishart_experiment(4, 8, samples=1, seed=bad)
 
 
 def test_negative_renyi_order_rejected_before_sampling(monkeypatch):
@@ -311,24 +322,32 @@ def test_pure_spectrum_entropies_are_positive_zeros():
 
 
 def test_wishart_experiment_page_values():
-    r64 = wishart_experiment(64, 64, samples=20, seed=3)
+    # the Wishart (induced) ensemble is a vertex carrying only loops
+    m64, N64 = page_marginal(64, 64)
+    r64 = run_experiment(m64, N64, samples=20, seed=3)
     assert abs(r64.mean_H - (math.log(64) - 0.5)) <= 0.02
-    r256 = wishart_experiment(64, 256, samples=20, seed=3)
+    m256, N256 = page_marginal(64, 256)
+    r256 = run_experiment(m256, N256, samples=20, seed=3)
     assert abs(r256.mean_H - (math.log(64) - 0.125)) <= 0.02
-    with pytest.raises(ValidationError):
-        wishart_experiment(1, 64, samples=5, seed=0)
+    assert (r64.dim, r256.dim) == (64, 64)
+    with pytest.raises(ValidationError, match="N must be at least 2"):
+        run_experiment(m64, 1, samples=5, seed=0)
     with pytest.raises(ValidationError, match="Renyi"):
-        wishart_experiment(4, 8, 2, 0, q_list=(-1.0,))
+        run_experiment(m256, N256, 2, 0, q_list=(-1.0,))
 
 
 def test_wishart_summary_matches_spectral_report():
-    # both routes share one spectrum summary: clipped spectra, ranks, Renyi
-    report = wishart_experiment(6, 3, samples=3, seed=3, q_list=(0.0, 1.0, 2.0))
+    # two loops at N = 3 with one leg traced: ds = 27 against dt = 3, so each
+    # spectrum holds the 3 eigenvalues of its Gram side, clipped and summed
+    # there, and the report records the 27 the structural zeros complete
+    report = run_experiment(two_loops(s=3), 3, samples=3, seed=3,
+                            q_list=(0.0, 1.0, 2.0))
     assert report.ranks == (3, 3, 3)
+    assert report.dim == 27
     for spectrum, h in zip(report.spectra, report.per_sample_H):
-        assert spectrum[3:].tolist() == [0.0, 0.0, 0.0]
+        assert spectrum.shape == (3,)
         assert abs(spectrum.sum() - 1.0) < 1e-12
-        assert h == pytest.approx(-float(np.sum(spectrum[:3] * np.log(spectrum[:3]))))
+        assert h == pytest.approx(-float(np.sum(spectrum * np.log(spectrum))))
     assert report.renyi_mean[0.0] == pytest.approx(math.log(3))
     assert report.renyi_mean[1.0] == report.mean_H
 
@@ -437,9 +456,11 @@ def _assert_matches_oracle(m, unitaries, seed, skip):
     expected, flags = _oracle_spectrum(m, 2, unitaries,
                                        np.random.default_rng([seed, 0]), *skip)
     got = report.spectra[0]
+    ds = expected.size
     assert report.flags == tuple(sorted(flags))
-    assert got.shape == expected.shape
-    assert np.abs(got - expected).max() <= 1e-12
+    assert len(got) == min(ds, math.prod(leg_dimensions(m, 2)) // ds)
+    assert report.dim == ds
+    assert np.abs(padded(got, ds) - expected).max() <= 1e-12
     assert report.ranks[0] == \
         mc_simulator._summarize_spectrum(expected, (0.0,)).rank
 
@@ -462,15 +483,15 @@ def test_contraction_matches_dense_oracle_random_marginals():
 
 
 def test_spectrum_from_either_gram_side():
-    # the smaller Gram matrix is F F^dagger when ds <= dt, F^dagger F else
-    rng = np.random.default_rng(8)
-    for shape in ((3, 7), (7, 3), (5, 5), (1, 4), (4, 1)):
-        f = ginibre(*shape, rng)
-        eig = mc_simulator._spectrum(mc_simulator._gram(f), shape[0])
-        sv = np.linalg.svd(f, compute_uv=False) ** 2
-        assert eig.shape == (shape[0],)
-        assert np.abs(eig[: sv.size] - sv).max() <= 1e-12
-        assert not eig[sv.size:].any()
+    # the Gram matrix is the surviving side's when ds <= dt and the traced
+    # side's else: two loops at N = 2 with s = 0..4 kept legs give
+    # (ds, dt) = (1, 16), (2, 8), (4, 4), (8, 2) and (16, 1)
+    for s in range(5):
+        m = two_loops(s=s)
+        plan = _sample_plan(m, 2, (False, False))
+        assert (plan.dim, plan.side) == (2 ** s, min(2 ** s, 2 ** (4 - s)))
+        _assert_matches_oracle(m, "sample", 8 + s, (False, False))
+        eig = run_experiment(m, 2, samples=1, seed=s).spectra[0]
         assert (np.diff(eig) <= 0).all()
 
 
@@ -802,9 +823,9 @@ def _einsum_oracle(m, N, samples, seed, skip, q_list=(0.0, 1.0, 2.0)):
         out = _einsum(arrays, inputs, output, optimize=["einsum_path", *path])
         gram = out.reshape(plan.side, plan.side) * plan.scale
         reports.append(mc_simulator._summarize_spectrum(
-            mc_simulator._spectrum(gram, plan.dim), q_list))
+            mc_simulator._spectrum(gram), q_list))
     return mc_simulator._mc_report(reports, tuple(sorted(flags)), seed, N,
-                                   q_list)
+                                   q_list, plan.dim)
 
 
 def _assert_same_reports(got, expected):
@@ -812,6 +833,7 @@ def _assert_same_reports(got, expected):
     assert got.ranks == expected.ranks
     assert got.renyi_mean == expected.renyi_mean
     assert got.flags == expected.flags
+    assert got.dim == expected.dim
     assert len(got.spectra) == len(expected.spectra)
     for a, b in zip(got.spectra, expected.spectra):
         assert np.array_equal(a, b)
@@ -866,7 +888,7 @@ def test_ring_beyond_einsum_labels_matches_the_ket_factor(monkeypatch, chunk):
         f = f.reshape(plan.side, -1)
         gram = f @ f.conj().T * plan.scale
         expected = mc_simulator._summarize_spectrum(
-            mc_simulator._spectrum(gram, plan.dim), (0.0, 1.0, 2.0))
+            mc_simulator._spectrum(gram), (0.0, 1.0, 2.0))
         assert np.abs(spectrum - expected.eigenvalues).max() <= 1e-12
         assert abs(h - expected.entropy) <= 1e-12
 
@@ -938,3 +960,24 @@ def test_no_einsum_per_sample(monkeypatch):
     mc_simulator._gram_plan.cache_clear()
     run_experiment(lattice(2, 4), 2, samples=8, seed=3)
     assert not calls
+
+
+def test_spectra_hold_the_gram_side():
+    # A has a loop and an edge to B, B two loops, s = {A: 2, B: 5}: at
+    # N = 16 the surviving dimension is 2^28 but the Gram side is 16, so 40
+    # samples hold 40 x 16 eigenvalues (their 2^28-entry zero padding took
+    # 80 GiB)
+    import tracemalloc
+
+    m = marginal_from(["A", "B"], [("A", "A", 1), ("A", "B", 1), ("B", "B", 1),
+                                   ("B", "B", 1)],
+                      {"mode": "counts", "s": {"A": 2, "B": 5}})
+    tracemalloc.start()
+    try:
+        report = run_experiment(m, 16, samples=40, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.dim == 2 ** 28
+    assert [len(spectrum) for spectrum in report.spectra] == [16] * 40
+    assert peak < 64 * 2 ** 20
