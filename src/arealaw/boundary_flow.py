@@ -8,8 +8,10 @@ flow equals the boundary area of the partition (see :mod:`arealaw.marking`
 for the dual, marking-based definition).
 
 One engine solves every flow, on node positions rather than names: a network
-derives its capacity matrix and, per node, the positions it is linked to
-(once, cached).  Breadth-first augmenting paths (Edmonds-Karp, neighbours in
+derives its capacity matrix and, per node, the positions it is linked to,
+and solves its flow at most once, keeping both (cached).  A marginal keeps
+its network, so every caller of :func:`build_network` for one marginal reads
+that one solve.  Breadth-first augmenting paths (Edmonds-Karp, neighbours in
 node order) update one residual matrix, which then gives both extremal
 minimum cuts (residual reachability from the source, and co-reachability of
 the sink; a tie is two distinct cuts) and the decomposition of the final
@@ -20,7 +22,7 @@ flow into unit source-sink paths.  Positions become names only in the
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Mapping
 
@@ -60,6 +62,32 @@ class FlowNetwork:
             linked[j].add(i)
         return matrix, tuple(tuple(sorted(s)) for s in linked)
 
+    @cached_property
+    def _flow(self) -> FlowResult:
+        """The maximum flow, with its unit paths and its minimum cut."""
+        capacity, linked = self._arcs
+        residual = _augment(self)
+        value = sum(capacity[0]) - sum(residual[0])
+        minimal = _reached(residual, linked, 0, forward=True)
+        coreach = _reached(residual, linked, len(linked) - 1, forward=False)
+        inside = [i for i, reached in enumerate(minimal) if reached]
+        outside = [j for j, reached in enumerate(minimal) if not reached]
+        if sum(capacity[i][j] for i in inside for j in outside) != value:
+            raise InconsistencyError("min cut does not certify the flow value")
+        # a node neither reached from the source nor reaching the sink lies
+        # between the smallest and the largest minimum cut
+        tied = not all(a or b for a, b in zip(minimal, coreach))
+        # net flow per arc; the decomposition reads only positive entries
+        flow = [[c - r for c, r in zip(crow, rrow)]
+                for crow, rrow in zip(capacity, residual)]
+        nodes = self.nodes
+        return FlowResult(
+            value=value,
+            paths=tuple(tuple(nodes[i] for i in p)
+                        for p in _unit_paths(flow, linked, value)),
+            cut=tuple(nodes[i] for i in inside),
+            cut_tied=tied)
+
     def cap(self, a: Hashable, b: Hashable) -> int:
         return self.capacities.get((a, b), 0)
 
@@ -74,9 +102,6 @@ class FlowResult:
     paths: tuple[tuple[str, ...], ...]
     cut: tuple[str, ...]  # source side of a minimum cut
     cut_tied: bool        # True iff more than one minimum cut exists
-    # the network the flow was solved on, reused by the marking; not part
-    # of the result's value
-    network: FlowNetwork | None = field(default=None, compare=False, repr=False)
 
     def to_document(self) -> dict:
         return {
@@ -95,7 +120,14 @@ class MinCut:
 
 
 def build_network(marginal: Marginal) -> FlowNetwork:
-    """Construct the flow network of a marginal."""
+    """The flow network of a marginal, built on the first call and kept on
+    the marginal: every later call for the same :class:`Marginal` object
+    returns the same network, and so reaches the same solved flow."""
+    return marginal._network
+
+
+def _construct_network(marginal: Marginal) -> FlowNetwork:
+    """The network that :func:`build_network` keeps on a marginal."""
     g = marginal.graph
     caps: dict[tuple[str, str], int] = {}
     for v in g.vertices:
@@ -210,29 +242,9 @@ def cut_capacity(network: FlowNetwork, source_side: Iterable[Hashable]) -> int:
 
 def max_flow(network: FlowNetwork) -> FlowResult:
     """Exact integer maximum flow with a unit-path decomposition and a
-    minimum-cut certificate."""
-    capacity, linked = network._arcs
-    residual = _augment(network)
-    value = sum(capacity[0]) - sum(residual[0])
-    minimal = _reached(residual, linked, 0, forward=True)
-    coreach = _reached(residual, linked, len(linked) - 1, forward=False)
-    inside = [i for i, reached in enumerate(minimal) if reached]
-    outside = [j for j, reached in enumerate(minimal) if not reached]
-    if sum(capacity[i][j] for i in inside for j in outside) != value:
-        raise InconsistencyError("min cut does not certify the flow value")
-    # a node neither reached from the source nor reaching the sink lies
-    # between the smallest and the largest minimum cut
-    tied = not all(a or b for a, b in zip(minimal, coreach))
-    # net flow per arc; the decomposition reads only positive entries
-    flow = [[c - r for c, r in zip(crow, rrow)]
-            for crow, rrow in zip(capacity, residual)]
-    nodes = network.nodes
-    return FlowResult(
-        value=value,
-        paths=tuple(tuple(nodes[i] for i in p)
-                    for p in _unit_paths(flow, linked, value)),
-        cut=tuple(nodes[i] for i in inside),
-        cut_tied=tied, network=network)
+    minimum-cut certificate.  The network solves on the first call and
+    keeps the result: later calls, and :func:`min_cut`, return it."""
+    return network._flow
 
 
 def min_cut(network: FlowNetwork) -> MinCut:
@@ -241,7 +253,7 @@ def min_cut(network: FlowNetwork) -> MinCut:
     The returned cut is the smallest one (residual reachability from the
     source); uniqueness holds iff it coincides with the largest one.
     """
-    result = max_flow(network)
+    result = network._flow
     return MinCut(source_side=result.cut, capacity=result.value, tied=result.cut_tied)
 
 

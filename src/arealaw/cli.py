@@ -184,7 +184,7 @@ def _simulate_report(marginal, args, seed: int):
         marginal, args.N, args.samples, seed, q_list=q_list, jobs=args.jobs,
     )
     flow = max_flow(build_network(marginal))
-    prediction = predict_entropy(marginal, args.N, flow)
+    prediction = predict_entropy(marginal, args.N)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "simulate",

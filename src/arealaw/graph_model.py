@@ -193,6 +193,14 @@ class Marginal:
             counts[self.graph.leg(leg_id).vertex] -= 1
         return counts
 
+    @cached_property
+    def _network(self):
+        """The flow network, built once: see
+        :func:`arealaw.boundary_flow.build_network`."""
+        from .boundary_flow import _construct_network  # lazy: it imports this module
+
+        return _construct_network(self)
+
     def s(self, vertex: str) -> int:
         return self.s_counts[vertex]
 

@@ -132,13 +132,13 @@ def marking_from_flow(marginal: Marginal, flow: FlowResult) -> Marking:
     each edge feeds one of its endpoints, and each vertex drains ``s(v)``
     (in S) or ``t(v)`` (in T) into the sink.  The fed legs in S and the
     unfed legs in T are marked.  The inputs are checked first, on the
-    network the flow was solved on (built afresh for a result that carries
-    none): the paths replay to the flow value and the cut's capacity equals
-    it.  A flow that does not fill every drain, or a marking that misses
-    the flow value, raises :class:`InconsistencyError`.
+    network the marginal keeps (:func:`build_network`): the paths replay to
+    the flow value and the cut's capacity equals it.  A flow that does not
+    fill every drain, or a marking that misses the flow value, raises
+    :class:`InconsistencyError`.
     """
     g = marginal.graph
-    network = flow.network if flow.network is not None else build_network(marginal)
+    network = build_network(marginal)
     if replay_paths(network, flow.paths) != flow.value:
         raise InconsistencyError("path decomposition does not match the flow value")
     if cut_capacity(network, flow.cut) != flow.value:

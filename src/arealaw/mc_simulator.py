@@ -99,9 +99,12 @@ def _check_seed(seed: int) -> None:
 def ginibre(rows: int, cols: int, rng: np.random.Generator,
             out: np.ndarray | None = None) -> np.ndarray:
     """Matrix of i.i.d. standard complex Gaussian entries, written into
-    ``out`` when given."""
-    shape = (rows, cols)
-    z = np.add(rng.standard_normal(shape), 1j * rng.standard_normal(shape), out=out)
+    ``out`` when given.  One draw gives the real parts, then the imaginary
+    parts, in the stream order of two separate draws."""
+    parts = rng.standard_normal((2, rows, cols))
+    z = np.empty((rows, cols), complex) if out is None else out
+    z.real = parts[0]
+    z.imag = parts[1]
     z /= math.sqrt(2.0)
     return z
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .boundary_flow import FlowResult, build_network, max_flow
+from .boundary_flow import build_network, min_cut
 from .errors import ValidationError
 from .graph_model import Marginal, is_adapted
 
@@ -159,16 +159,16 @@ def _cut_log_ratio(marginal: Marginal, cut) -> float:
         + [math.log(e.d) for e in g.edges if (e.u in side) != (e.v in side)])
 
 
-def predict_entropy(marginal: Marginal, N: int,
-                    flow: FlowResult | None = None) -> EntropyPrediction:
+def predict_entropy(marginal: Marginal, N: int) -> EntropyPrediction:
     """Dispatch a marginal to its most specific known prediction.
 
     Case priority: adapted, single loop, unique surviving vertex, path /
     double-edge template, generic.  The leading area always equals the
-    maximal flow of the marginal's network; the generic case reads it from
-    ``flow`` when the caller has already solved it, and its offset is the
-    log of the ratios its minimum cut counts, so the generic leading term is
-    the rank bound of that cut (the offset is 0 when every ratio is 1).
+    maximal flow of the marginal's network; the generic case reads the
+    minimum cut of the network the marginal keeps, so it reuses a flow
+    already solved for the same marginal.  Its offset is the log of the
+    ratios that cut counts, so the generic leading term is the rank bound of
+    the cut (the offset is 0 when every ratio is 1).
     """
     if N < 2:
         raise ValidationError("N must be at least 2")
@@ -227,9 +227,9 @@ def predict_entropy(marginal: Marginal, N: int,
             correction=corr, exact=False,
         )
 
-    flow = flow or max_flow(build_network(marginal))
+    cut = min_cut(build_network(marginal))
     return EntropyPrediction(
-        case="generic", leading_area=flow.value,
-        leading_offset=_cut_log_ratio(marginal, flow.cut),
+        case="generic", leading_area=cut.capacity,
+        leading_offset=_cut_log_ratio(marginal, cut.source_side),
         correction=None, exact=False,
     )

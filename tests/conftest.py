@@ -33,6 +33,23 @@ def transport_calls(monkeypatch) -> Counter:
     return counts
 
 
+@pytest.fixture
+def solves(monkeypatch) -> list:
+    """The networks the Edmonds-Karp engine solves while the test runs, one
+    entry per solve, the marking's assignment flows included."""
+    from arealaw import boundary_flow, marking
+
+    solved = []
+    augment = boundary_flow._augment
+
+    def counted(network):
+        solved.append(network)
+        return augment(network)
+    monkeypatch.setattr(boundary_flow, "_augment", counted)
+    monkeypatch.setattr(marking, "_augment", counted)
+    return solved
+
+
 # -- test oracles ------------------------------------------------------------
 
 

@@ -1,4 +1,7 @@
+import gc
 import itertools
+import json
+import weakref
 from collections import defaultdict, deque
 
 import numpy as np
@@ -8,6 +11,7 @@ from arealaw import (
     FlowNetwork,
     FlowResult,
     Graph,
+    MinCut,
     TraceSpec,
     ValidationError,
     area_bruteforce,
@@ -15,6 +19,8 @@ from arealaw import (
     marking_from_flow,
     max_flow,
     min_cut,
+    parse_marginal,
+    predict_entropy,
     resolve_trace,
 )
 from arealaw.boundary_flow import SINK, SOURCE, cut_capacity, replay_paths
@@ -24,6 +30,7 @@ from conftest import (
     black_hole,
     enumerate_small_graphs,
     fatten,
+    lattice_doc,
     marginal_from,
     oxygen,
     random_marginal,
@@ -258,6 +265,62 @@ def test_engine_matches_reference_on_small_census():
             brute = area_bruteforce(m)
             assert (brute.area, brute.witness.to_document(), brute.combinations) \
                 == reference_bruteforce(m)
+
+
+def _generic_marginal():
+    """The 2x3 lattice: the predictor reads its min cut (generic case)."""
+    return parse_marginal(json.dumps(lattice_doc(2, 3)))
+
+
+def test_one_solve_per_marginal(solves):
+    m = _generic_marginal()
+    assert predict_entropy(m, 4).case == "generic"
+    network = build_network(m)
+    flow = max_flow(network)
+    assert min_cut(network) == MinCut(flow.cut, flow.value, flow.cut_tied)
+    marking_from_flow(m, flow)
+    assert build_network(m) is network and max_flow(network) is flow
+    assert sum(n is network for n in solves) == 1
+    # the marking's assignment flow runs on a network of its own
+    assert len(solves) == 2
+
+
+def test_kept_solves_match_direct_solves():
+    # every census-family marginal with at most 3 vertices: what the
+    # marginal's network keeps equals a solve on a network built directly,
+    # whichever caller solves first
+    for g in enumerate_small_graphs(max_vertices=3, max_edges=5):
+        for s in all_counting_functions(g):
+            m = resolve_trace(g, TraceSpec.from_counts(s))
+            prediction = predict_entropy(m, 4)
+            network = build_network(m)
+            direct = FlowNetwork(nodes=network.nodes,
+                                 capacities=dict(network.capacities))
+            expected = max_flow(direct)
+            assert max_flow(network) == expected
+            assert min_cut(network) == min_cut(direct)
+            assert predict_entropy(m, 4) == prediction
+            if prediction.case == "generic":
+                assert prediction.leading_area == expected.value
+
+
+def test_a_marginal_frees_its_network_without_the_collector():
+    # reference counting alone frees the network and its flow, so nothing
+    # the cache keeps forms a cycle
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        m = _generic_marginal()
+        flow = max_flow(build_network(m))
+        marking_from_flow(m, flow)
+        predict_entropy(m, 4)
+        network = weakref.ref(build_network(m))
+        flow = weakref.ref(flow)
+        del m
+        assert network() is None and flow() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def enumerate_min_cuts(network: FlowNetwork) -> list[tuple[str, ...]]:

@@ -361,19 +361,19 @@ def test_certificate_entropies_have_no_negative_zero(write_doc, tmp_path):
     assert "-0.0" not in text
 
 
-def test_verify_solves_the_flow_once(write_doc, monkeypatch):
-    calls = []
-    max_flow = arealaw.max_flow
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return max_flow(*args, **kwargs)
-
-    monkeypatch.setattr("arealaw.boundary_flow.max_flow", counted)
-    monkeypatch.setattr("arealaw.spectral_predictor.max_flow", counted)
+def test_verify_solves_the_flow_once(write_doc, solves):
+    # the report's flow and the generic prediction's cut share one solve
     graph = write_doc("triangle.json", triangle_doc())
     assert main(["verify", "-g", graph, "-N", "4", "-n", "2", "--seed", "2"]) == 0
-    assert len(calls) == 1
+    assert len(solves) == 1
+
+
+def test_verify_on_the_lattice_solves_its_network_once(write_doc, capsys, solves):
+    graph = write_doc("lattice.json", lattice_doc(2, 4))
+    assert main(["verify", "-g", graph, "-N", "2", "-n", "1", "--seed", "0"]) == 0
+    assert "generic case" in capsys.readouterr().out
+    [network] = solves
+    assert network.graph_vertices == tuple(lattice_doc(2, 4)["vertices"])
 
 
 def test_transport_infeasible_exit_code(write_doc):

@@ -360,6 +360,28 @@ def test_ginibre_shape_and_scale():
     assert abs(np.mean(np.abs(g) ** 2) - 1.0) < 0.02
 
 
+def _two_draw_ginibre(rows, cols, rng):
+    """Oracle: the real parts and the imaginary parts as two draws."""
+    shape = (rows, cols)
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    z /= math.sqrt(2.0)
+    return z
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (4, 4), (3, 7), (16, 2), (64, 64)])
+def test_ginibre_matches_two_draws_bit_for_bit(shape):
+    for seed in range(40):
+        expected_rng = np.random.default_rng(seed)
+        expected = _two_draw_ginibre(*shape, expected_rng)
+        rng = np.random.default_rng(seed)
+        assert ginibre(*shape, rng).tobytes() == expected.tobytes()
+        out = np.empty((2, *shape), dtype=complex)[1]
+        assert ginibre(*shape, rng, out=out) is out
+        assert out.tobytes() == _two_draw_ginibre(*shape, expected_rng).tobytes()
+        # the stream is left where the two draws leave it
+        assert rng.standard_normal() == expected_rng.standard_normal()
+
+
 # -- oracle: dense kron state, per-vertex axis application, SVD --------------
 
 
