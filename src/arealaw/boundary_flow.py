@@ -64,7 +64,8 @@ class FlowNetwork:
 
     @cached_property
     def _flow(self) -> FlowResult:
-        """The maximum flow, with its unit paths and its minimum cut."""
+        """The maximum flow, with its unit paths and both extremal minimum
+        cuts."""
         capacity, linked = self._arcs
         residual = _augment(self)
         value = sum(capacity[0]) - sum(residual[0])
@@ -74,9 +75,6 @@ class FlowNetwork:
         outside = [j for j, reached in enumerate(minimal) if not reached]
         if sum(capacity[i][j] for i in inside for j in outside) != value:
             raise InconsistencyError("min cut does not certify the flow value")
-        # a node neither reached from the source nor reaching the sink lies
-        # between the smallest and the largest minimum cut
-        tied = not all(a or b for a, b in zip(minimal, coreach))
         # net flow per arc; the decomposition reads only positive entries
         flow = [[c - r for c, r in zip(crow, rrow)]
                 for crow, rrow in zip(capacity, residual)]
@@ -86,7 +84,8 @@ class FlowNetwork:
             paths=tuple(tuple(nodes[i] for i in p)
                         for p in _unit_paths(flow, linked, value)),
             cut=tuple(nodes[i] for i in inside),
-            cut_tied=tied)
+            # every node that cannot reach the sink: the largest minimum cut
+            cut_max=tuple(node for node, r in zip(nodes, coreach) if not r))
 
     def cap(self, a: Hashable, b: Hashable) -> int:
         return self.capacities.get((a, b), 0)
@@ -100,8 +99,13 @@ class FlowNetwork:
 class FlowResult:
     value: int
     paths: tuple[tuple[str, ...], ...]
-    cut: tuple[str, ...]  # source side of a minimum cut
-    cut_tied: bool        # True iff more than one minimum cut exists
+    cut: tuple[str, ...]      # source side of the smallest minimum cut
+    cut_max: tuple[str, ...]  # source side of the largest minimum cut
+
+    @property
+    def cut_tied(self) -> bool:
+        """True iff more than one minimum cut exists."""
+        return self.cut != self.cut_max
 
     def to_document(self) -> dict:
         return {
@@ -251,7 +255,8 @@ def min_cut(network: FlowNetwork) -> MinCut:
     """A minimum source-side cut, its capacity, and whether it is tied.
 
     The returned cut is the smallest one (residual reachability from the
-    source); uniqueness holds iff it coincides with the largest one.
+    source); uniqueness holds iff it coincides with the largest one, the
+    flow's ``cut_max``.
     """
     result = network._flow
     return MinCut(source_side=result.cut, capacity=result.value, tied=result.cut_tied)

@@ -254,12 +254,12 @@ def cmd_verify(args) -> int:
         generic = False
     else:
         predicted = prediction.value(args.N)
-        generic = prediction.case == "generic" and prediction.correction is None
+        generic = prediction.correction is None
 
     if generic:
-        # only the leading term is known, the rank bound of the flow's min
-        # cut: the mean may sit below it by an unknown constant, but must
-        # never exceed it
+        # only the leading term is known, the rank bound of the tighter of
+        # the flow's two extremal min cuts: the mean may sit below it by an
+        # unknown constant, but must never exceed it
         gap = predicted - mean
         passed = gap >= -tolerance
         bound = "X ln N + cut ln d" if prediction.leading_offset else "X ln N"

@@ -126,8 +126,8 @@ def haar_unitary(dim: int, rng: np.random.Generator,
             f"an isometry needs 1 <= cols <= dim, got dim {dim}, cols {cols}")
     _check_size(dim * cols, "Haar isometry entries")
     shape = (dim, cols) if size is None else (size, dim, cols)
-    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-    return _isometry(z)
+    stack = 1 if size is None else size
+    return _isometry(ginibre(stack * dim, cols, rng).reshape(shape))
 
 
 def _isometry(z: np.ndarray) -> np.ndarray:

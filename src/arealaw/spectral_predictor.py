@@ -7,12 +7,16 @@ deficit ``Dmin / (2 Dmax)`` of Page's mean entropy of an induced random
 state, ``ln(Dmin) - Dmin / (2 Dmax)``, from which every case takes its
 correction.
 
-``predict_entropy`` dispatches a marginal to its most specific known case:
-adapted partitions are exact and deterministic; a unique surviving vertex,
-the two-edge path and the double-edge topologies have closed corrections;
-everything else falls back to the generic leading term, the log of the
-minimum cut's dimension (boundary area times ``ln N`` plus the ``ln d`` of
-the cut's legs and edges), with an unknown constant below it.  All stored
+``predict_entropy`` reads every case off the marginal's kept flow, as in the
+domain-wall picture of random tensor networks (Hayden et al.,
+arXiv:1601.01694): the leading term ``X ln N + ln min(a, b)`` is the rank
+bound of the tighter of the two extremal minimum cuts, ``a`` and ``b`` being
+their ratio products, and the O(1) correction is ``_page_correction(a, b)``
+when the two cuts compete through an acted vertex, 0 otherwise.  The
+dispatch only names the case: adapted partitions are exact and
+deterministic; a single loop, a unique surviving vertex, the two-edge path
+and the double-edge topologies have known corrections; everything else is
+generic, with an unknown constant below its leading term.  All stored
 entropies are in nats.
 """
 
@@ -21,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .boundary_flow import build_network, min_cut
+from .boundary_flow import build_network, max_flow
 from .errors import ValidationError
 from .graph_model import Marginal, is_adapted
 
@@ -89,147 +93,80 @@ class EntropyPrediction:
         }
 
 
-def crossing_edges(marginal: Marginal) -> tuple[int, ...]:
-    """Edges joining a fully traced vertex to a fully surviving one."""
+def _detect_template(marginal: Marginal) -> str | None:
+    """The two-edge path with one traced leg at its middle vertex and one at
+    an end, or the double edge with one traced leg at each vertex; returns
+    the case name or None."""
     g = marginal.graph
-    fully_traced = {v for v in g.vertices if marginal.s(v) == 0}
-    fully_surviving = {v for v in g.vertices if marginal.t(v) == 0}
-    return tuple(
-        i for i, e in enumerate(g.edges)
-        if (e.u in fully_traced and e.v in fully_surviving)
-        or (e.u in fully_surviving and e.v in fully_traced)
-    )
-
-
-def _detect_template(marginal: Marginal):
-    """Structural match for the two-edge path and double-edge topologies
-    with their two-leg trace patterns; returns (case, d_traced_side, d_other)
-    or None."""
-    g = marginal.graph
-    traced = marginal.completed_traced_legs()
-    if len(g.edges) != 2 or len(traced) != 2:
+    if len(g.edges) != 2 or any(e.u == e.v for e in g.edges):
         return None
-    if any(e.u == e.v for e in g.edges):
+    traced = [g.leg(l) for l in marginal.completed_traced_legs()]
+    if len(traced) != 2:
         return None
-
-    if len(g.vertices) == 3:
-        degrees = sorted(g.degree(v) for v in g.vertices)
-        if degrees != [1, 1, 2]:
-            return None
-        middle = next(v for v in g.vertices if g.degree(v) == 2)
-        end_legs = [l for l in traced if g.leg(l).vertex != middle]
-        middle_legs = [l for l in traced if g.leg(l).vertex == middle]
-        if len(end_legs) != 1 or len(middle_legs) != 1:
-            return None
-        end_edge = g.leg(end_legs[0]).edge
-        middle_edge = g.leg(middle_legs[0]).edge
-        d_end = g.edges[end_edge].d
-        d_other = g.edges[1 - end_edge].d
-        if middle_edge == end_edge:
-            return ("black_hole_1", d_end, d_other)
-        return ("black_hole_2", d_end, d_other)
-
-    if len(g.vertices) == 2:
-        if g.multiplicity(*g.vertices) != 2:
-            return None
-        per_vertex = {v: [l for l in traced if g.leg(l).vertex == v]
-                      for v in g.vertices}
-        if any(len(legs) != 1 for legs in per_vertex.values()):
-            return None
-        edges_hit = {g.leg(l).edge for l in traced}
-        d = [g.edges[0].d, g.edges[1].d]
-        if len(edges_hit) == 1:
-            hit = edges_hit.pop()
-            return ("oxygen_1", d[hit], d[1 - hit])
-        return ("oxygen_2", d[0], d[1])
+    same_edge = traced[0].edge == traced[1].edge
+    if len(g.vertices) == 3 and sorted(g.degree(l.vertex) for l in traced) == [1, 2]:
+        return "black_hole_1" if same_edge else "black_hole_2"
+    if len(g.vertices) == 2 and traced[0].vertex != traced[1].vertex:
+        return "oxygen_1" if same_edge else "oxygen_2"
     return None
 
 
-def _cut_log_ratio(marginal: Marginal, cut) -> float:
-    """Sum of ``ln d`` over what a flow's cut counts: the surviving legs on
-    its source side, the traced legs off it and the edges leaving it.  With
-    the cut's ``X ln N`` this is the log of the cut's dimension, which
-    bounds the rank of the marginal."""
+def _case(marginal: Marginal) -> str:
+    """The most specific known case: adapted, single loop, unique surviving
+    vertex, path / double-edge template, generic."""
     g = marginal.graph
-    side = set(cut)
+    if is_adapted(marginal):
+        return "adapted"
+    if len(g.vertices) == 1 and len(g.edges) == 1 and marginal.s(g.vertices[0]) == 1:
+        return "single_loop"
+    if sum(1 for v in g.vertices if marginal.s(v) > 0) == 1:
+        return "one_vertex"
+    return _detect_template(marginal) or "generic"
+
+
+def _cut_reading(marginal: Marginal) -> tuple[int, int, int, bool]:
+    """What the marginal's kept flow says: its value, the ratio products of
+    its smallest and its largest minimum cut, and whether an acted vertex
+    (``0 < s(v) < deg(v)``, one whose unitary a sample does not skip) lies
+    between the two cuts.
+
+    A cut's product runs over what the cut counts: the surviving legs on its
+    source side, the traced legs off it and the edges leaving it.  With the
+    cut's ``X ln N`` its log is the log of the cut's dimension, which bounds
+    the rank of the marginal.
+    """
+    g = marginal.graph
+    flow = max_flow(build_network(marginal))
     traced = marginal.completed_traced_legs()
-    return math.fsum(
-        [math.log(leg.ratio) for leg in g.legs
-         if (leg.vertex in side) != (leg.leg_id in traced)]
-        + [math.log(e.d) for e in g.edges if (e.u in side) != (e.v in side)])
+
+    def product(cut) -> int:
+        side = set(cut)
+        return math.prod(
+            [leg.ratio for leg in g.legs
+             if (leg.vertex in side) != (leg.leg_id in traced)]
+            + [e.d for e in g.edges if (e.u in side) != (e.v in side)])
+
+    if not flow.cut_tied:
+        a = product(flow.cut)
+        return flow.value, a, a, False
+    between = set(flow.cut_max).difference(flow.cut)
+    acted = any(0 < marginal.s(v) < g.degree(v) for v in between)
+    return flow.value, product(flow.cut), product(flow.cut_max), acted
 
 
 def predict_entropy(marginal: Marginal, N: int) -> EntropyPrediction:
-    """Dispatch a marginal to its most specific known prediction.
-
-    Case priority: adapted, single loop, unique surviving vertex, path /
-    double-edge template, generic.  The leading area always equals the
-    maximal flow of the marginal's network; the generic case reads the
-    minimum cut of the network the marginal keeps, so it reuses a flow
-    already solved for the same marginal.  Its offset is the log of the
-    ratios that cut counts, so the generic leading term is the rank bound of
-    the cut (the offset is 0 when every ratio is 1).
-    """
+    """Predict a marginal's mean entropy by the one cut rule of the module
+    docstring; the generic case leaves the correction unknown (``None``),
+    and only the adapted case is exact."""
     if N < 2:
         raise ValidationError("N must be at least 2")
-    g = marginal.graph
-
-    if is_adapted(marginal):
-        edges = crossing_edges(marginal)
-        offset = math.fsum(math.log(g.edges[i].d) for i in edges)
-        return EntropyPrediction(
-            case="adapted", leading_area=len(edges), leading_offset=offset,
-            correction=0.0, exact=True,
-        )
-
-    if len(g.vertices) == 1 and len(g.edges) == 1 and marginal.s(g.vertices[0]) == 1:
-        d = g.edges[0].d
-        return EntropyPrediction(
-            case="single_loop", leading_area=1, leading_offset=math.log(d),
-            correction=_page_correction(1.0, 1.0), exact=False,
-        )
-
-    surviving_vertices = [v for v in g.vertices if marginal.s(v) > 0]
-    if len(surviving_vertices) == 1:
-        v = surviving_vertices[0]
-        traced = marginal.completed_traced_legs()
-        n_s = marginal.s(v)
-        n_t = marginal.t(v)
-        external = [l for l in g.legs_of(v) if g.leg(l).edge not in g.loop_indices(v)]
-        n_g = len(external)
-        d_s = math.prod(g.leg(l).ratio for l in g.legs_of(v) if l not in traced)
-        d_t = math.prod(g.leg(l).ratio for l in g.legs_of(v) if l in traced)
-        d_g = math.prod(g.leg(l).ratio for l in external)
-        if n_s < n_t + n_g:
-            area, offset, corr = n_s, math.log(d_s), 0.0
-        elif n_s > n_t + n_g:
-            area, offset, corr = n_t + n_g, math.log(d_t * d_g), 0.0
-        else:
-            area = n_s
-            offset = math.log(min(d_s, d_t * d_g))
-            corr = _page_correction(d_s, d_t * d_g)
-        return EntropyPrediction(
-            case="one_vertex", leading_area=area, leading_offset=offset,
-            correction=corr, exact=False,
-        )
-
-    template = _detect_template(marginal)
-    if template is not None:
-        case, da, db = template
-        if case.endswith("_1"):
-            offset = 2.0 * math.log(min(da, db))
-            corr = _page_correction(da * da, db * db)  # min^2 / (2 max^2)
-        else:
-            offset = math.log(da * db)
-            corr = _page_correction(1.0, 1.0)
-        return EntropyPrediction(
-            case=case, leading_area=2, leading_offset=offset,
-            correction=corr, exact=False,
-        )
-
-    cut = min_cut(build_network(marginal))
+    case = _case(marginal)
+    area, a, b, acted = _cut_reading(marginal)
+    if case == "generic":
+        correction = None
+    else:
+        correction = _page_correction(a, b) if acted else 0.0
     return EntropyPrediction(
-        case="generic", leading_area=cut.capacity,
-        leading_offset=_cut_log_ratio(marginal, cut.source_side),
-        correction=None, exact=False,
+        case=case, leading_area=area, leading_offset=math.log(min(a, b)),
+        correction=correction, exact=case == "adapted",
     )

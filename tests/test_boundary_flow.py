@@ -160,7 +160,7 @@ def reference_max_flow(network):
     return FlowResult(
         value=value, paths=_decompose_unit_paths(network, net, value),
         cut=tuple(n for n in network.nodes if n in minimal),
-        cut_tied=minimal != maximal)
+        cut_max=tuple(n for n in network.nodes if n in maximal))
 
 
 def reference_marking(marginal, flow):

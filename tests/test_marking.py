@@ -175,7 +175,7 @@ def test_marking_from_flow_rejects_bad_decomposition():
     bogus = FlowResult(
         value=2,
         paths=(("source", "V", "sink"), ("source", "V", "sink")),
-        cut=("source",), cut_tied=True,
+        cut=("source",), cut_max=("source", "V"),
     )
     with pytest.raises(InconsistencyError):
         marking_from_flow(m, bogus)
@@ -185,7 +185,7 @@ def test_marking_from_flow_rejects_bad_decomposition():
     flow = max_flow(build_network(m))
     assert flow.value == 2
     not_minimum = FlowResult(value=flow.value, paths=flow.paths,
-                             cut=("source", "V2"), cut_tied=False)
+                             cut=("source", "V2"), cut_max=("source", "V2"))
     with pytest.raises(InconsistencyError, match="certify"):
         marking_from_flow(m, not_minimum)
 
@@ -198,7 +198,7 @@ def test_marking_from_flow_reuses_the_flow_network(monkeypatch):
     flow = max_flow(network)
     assert build_network(m) is network
     bare = FlowResult(value=flow.value, paths=flow.paths, cut=flow.cut,
-                      cut_tied=flow.cut_tied)
+                      cut_max=flow.cut_max)
     assert flow == bare and hash(flow) == hash(bare)
     assert repr(flow) == repr(bare)
     assert flow.to_document() == bare.to_document()

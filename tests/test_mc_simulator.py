@@ -360,9 +360,10 @@ def test_ginibre_shape_and_scale():
     assert abs(np.mean(np.abs(g) ** 2) - 1.0) < 0.02
 
 
-def _two_draw_ginibre(rows, cols, rng):
-    """Oracle: the real parts and the imaginary parts as two draws."""
-    shape = (rows, cols)
+def _two_draw_ginibre(rows, cols, rng, size=None):
+    """Oracle: the real parts and the imaginary parts as two draws, of a
+    stack of ``size`` matrices when given."""
+    shape = (rows, cols) if size is None else (size, rows, cols)
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     z /= math.sqrt(2.0)
     return z
@@ -380,6 +381,13 @@ def test_ginibre_matches_two_draws_bit_for_bit(shape):
         assert out.tobytes() == _two_draw_ginibre(*shape, expected_rng).tobytes()
         # the stream is left where the two draws leave it
         assert rng.standard_normal() == expected_rng.standard_normal()
+        # haar_unitary draws through ginibre, a stack as one taller matrix
+        dim, cols = max(shape), min(shape)
+        for size in (None, 3):
+            expected = mc_simulator._isometry(_two_draw_ginibre(
+                dim, cols, np.random.default_rng(seed), size))
+            got = haar_unitary(dim, np.random.default_rng(seed), size=size, cols=cols)
+            assert got.tobytes() == expected.tobytes()
 
 
 # -- oracle: dense kron state, per-vertex axis application, SVD --------------

@@ -1,22 +1,33 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from arealaw import (
+    Edge,
+    Graph,
+    TraceSpec,
     ValidationError,
     build_network,
+    is_adapted,
     max_flow,
+    min_cut,
     mp_moment,
     mp_xlogx,
     predict_entropy,
+    resolve_trace,
     run_experiment,
 )
-from arealaw.spectral_predictor import _page_correction
+from arealaw.spectral_predictor import EntropyPrediction, _page_correction
 
 from conftest import (
     adapted_five,
+    all_counting_functions,
     black_hole,
+    enumerate_small_graphs,
+    marginal_from,
     mp_moment_quadrature,
     mp_xlogx_quadrature,
     oxygen,
@@ -209,3 +220,153 @@ def test_prediction_serialization():
     assert doc["case"] == "black_hole_2"
     assert doc["leading_area"] == 2
     assert doc["exact"] is False
+
+
+# -- oracle: the per-case arithmetic the cut rule replaced -------------------
+
+
+def _reference_template(marginal):
+    """The path and double-edge templates with the dimensions of the traced
+    side's edge and of the other one; (case, d_traced_side, d_other) or None."""
+    g = marginal.graph
+    traced = marginal.completed_traced_legs()
+    if len(g.edges) != 2 or len(traced) != 2:
+        return None
+    if any(e.u == e.v for e in g.edges):
+        return None
+    if len(g.vertices) == 3:
+        if sorted(g.degree(v) for v in g.vertices) != [1, 1, 2]:
+            return None
+        middle = next(v for v in g.vertices if g.degree(v) == 2)
+        end_legs = [l for l in traced if g.leg(l).vertex != middle]
+        middle_legs = [l for l in traced if g.leg(l).vertex == middle]
+        if len(end_legs) != 1 or len(middle_legs) != 1:
+            return None
+        end_edge = g.leg(end_legs[0]).edge
+        middle_edge = g.leg(middle_legs[0]).edge
+        d_end = g.edges[end_edge].d
+        d_other = g.edges[1 - end_edge].d
+        if middle_edge == end_edge:
+            return ("black_hole_1", d_end, d_other)
+        return ("black_hole_2", d_end, d_other)
+    if len(g.vertices) == 2:
+        if g.multiplicity(*g.vertices) != 2:
+            return None
+        per_vertex = {v: [l for l in traced if g.leg(l).vertex == v]
+                      for v in g.vertices}
+        if any(len(legs) != 1 for legs in per_vertex.values()):
+            return None
+        edges_hit = {g.leg(l).edge for l in traced}
+        d = [g.edges[0].d, g.edges[1].d]
+        if len(edges_hit) == 1:
+            hit = edges_hit.pop()
+            return ("oxygen_1", d[hit], d[1 - hit])
+        return ("oxygen_2", d[0], d[1])
+    return None
+
+
+def reference_prediction(marginal, N):
+    """Each case by its own arithmetic: crossing edges for adapted
+    marginals, the ``n_s`` vs ``n_t + n_g`` count for one surviving vertex,
+    the template's edge dimensions, and the log ratio of the smallest min
+    cut for the generic case."""
+    g = marginal.graph
+    traced = marginal.completed_traced_legs()
+    if is_adapted(marginal):
+        fully_traced = {v for v in g.vertices if marginal.s(v) == 0}
+        fully_surviving = {v for v in g.vertices if marginal.t(v) == 0}
+        edges = [e for e in g.edges
+                 if (e.u in fully_traced and e.v in fully_surviving)
+                 or (e.u in fully_surviving and e.v in fully_traced)]
+        return EntropyPrediction(
+            "adapted", len(edges), math.fsum(math.log(e.d) for e in edges),
+            0.0, True)
+    if len(g.vertices) == 1 and len(g.edges) == 1 and marginal.s(g.vertices[0]) == 1:
+        return EntropyPrediction("single_loop", 1, math.log(g.edges[0].d),
+                                 _page_correction(1.0, 1.0), False)
+    surviving_vertices = [v for v in g.vertices if marginal.s(v) > 0]
+    if len(surviving_vertices) == 1:
+        v = surviving_vertices[0]
+        n_s, n_t = marginal.s(v), marginal.t(v)
+        external = [l for l in g.legs_of(v) if g.leg(l).edge not in g.loop_indices(v)]
+        n_g = len(external)
+        d_s = math.prod(g.leg(l).ratio for l in g.legs_of(v) if l not in traced)
+        d_t = math.prod(g.leg(l).ratio for l in g.legs_of(v) if l in traced)
+        d_g = math.prod(g.leg(l).ratio for l in external)
+        if n_s < n_t + n_g:
+            area, offset, corr = n_s, math.log(d_s), 0.0
+        elif n_s > n_t + n_g:
+            area, offset, corr = n_t + n_g, math.log(d_t * d_g), 0.0
+        else:
+            area = n_s
+            offset = math.log(min(d_s, d_t * d_g))
+            corr = _page_correction(d_s, d_t * d_g)
+        return EntropyPrediction("one_vertex", area, offset, corr, False)
+    template = _reference_template(marginal)
+    if template is not None:
+        case, da, db = template
+        if case.endswith("_1"):
+            offset = 2.0 * math.log(min(da, db))
+            corr = _page_correction(da * da, db * db)
+        else:
+            offset = math.log(da * db)
+            corr = _page_correction(1.0, 1.0)
+        return EntropyPrediction(case, 2, offset, corr, False)
+    cut = min_cut(build_network(marginal))
+    side = set(cut.source_side)
+    offset = math.fsum(
+        [math.log(leg.ratio) for leg in g.legs
+         if (leg.vertex in side) != (leg.leg_id in traced)]
+        + [math.log(e.d) for e in g.edges if (e.u in side) != (e.v in side)])
+    return EntropyPrediction("generic", cut.capacity, offset, None, False)
+
+
+def _census_marginals(max_legs_edges: int):
+    """Every census-family marginal with at most 3 vertices in counts mode,
+    and every legs-mode trace of those with at most ``max_legs_edges``
+    edges, each with unit ratios and with the ratios ``1 + i % 3``."""
+    for g in enumerate_small_graphs(max_vertices=3, max_edges=5):
+        ratioed = Graph(g.vertices, tuple(Edge(e.u, e.v, 1 + i % 3)
+                                          for i, e in enumerate(g.edges)))
+        specs = [TraceSpec.from_counts(s) for s in all_counting_functions(g)]
+        if len(g.edges) <= max_legs_edges:
+            specs += [TraceSpec.from_legs(t) for k in range(g.n_legs + 1)
+                      for t in itertools.combinations(range(g.n_legs), k)]
+        for graph in (g, ratioed):
+            for spec in specs:
+                yield resolve_trace(graph, spec)
+
+
+def test_cut_rule_matches_reference_prediction():
+    # the one cut rule reproduces every closed-form case exactly; on the
+    # generic case it keeps the area and never loosens the offset
+    lowered = Counter()
+    for m in _census_marginals(max_legs_edges=4):
+        for N in (2, 16):
+            pred, ref = predict_entropy(m, N), reference_prediction(m, N)
+            if ref.case != "generic":
+                assert pred == ref
+                continue
+            assert (pred.case, pred.leading_area, pred.correction, pred.exact) \
+                == ("generic", ref.leading_area, None, False)
+            assert pred.leading_offset <= ref.leading_offset
+            lowered[pred.leading_offset < ref.leading_offset] += 1
+    assert lowered[True] > 0 and lowered[False] > lowered[True]
+
+
+def test_generic_offset_is_the_tighter_cut():
+    # V0 carries loops of ratio 1 and 2 and an edge of ratio 3 to V1: the
+    # smallest min cut counts 27 = 3^3, the largest only 3, and the sampled
+    # rank meets the largest cut's bound 3 N^3 exactly
+    m = marginal_from(["V0", "V1"],
+                      [("V0", "V0", 1), ("V0", "V0", 2), ("V0", "V1", 3),
+                       ("V1", "V1", 1)],
+                      {"mode": "counts", "s": {"V0": 1, "V1": 2}})
+    for N in (2, 3):
+        pred = predict_entropy(m, N)
+        assert (pred.case, pred.leading_area) == ("generic", 3)
+        assert pred.leading_offset == math.log(3)
+        assert reference_prediction(m, N).leading_offset == pytest.approx(math.log(27))
+        mc = run_experiment(m, N, 2, 1, q_list=(0.0,))
+        assert max(mc.ranks) == 3 * N ** 3
+        assert math.exp(pred.value(N)) == pytest.approx(3 * N ** 3)
