@@ -207,15 +207,20 @@ class Marginal:
     def t(self, vertex: str) -> int:
         return self.graph.degree(vertex) - self.s_counts[vertex]
 
-    def completed_traced_legs(self) -> frozenset[int]:
-        """Leg-level view; counts-mode specs trace the lowest-numbered legs
-        of each vertex (the deterministic completion rule)."""
+    @cached_property
+    def _completed_traced(self) -> frozenset[int]:
         if self.trace.traced is not None:
             return self.trace.traced
         traced = []
         for v in self.graph.vertices:
             traced.extend(self.graph.legs_of(v)[: self.t(v)])
         return frozenset(traced)
+
+    def completed_traced_legs(self) -> frozenset[int]:
+        """Leg-level view, built once per marginal; counts-mode specs trace
+        the lowest-numbered legs of each vertex (the deterministic
+        completion rule)."""
+        return self._completed_traced
 
     def to_document(self) -> dict:
         doc = self.graph.to_document()

@@ -18,24 +18,31 @@ sizes and steps, no array (an identity edge is its dimension), so the
 state-dimension guard, the one size refusal, bounds the largest array a
 sample takes or builds (each isometry among them) before anything is
 allocated.  A run resolves its plan and checks the guard once, then ships
-the plan to its samples in contiguous chunks: a chunk draws, contracts and
-diagonalises its samples together on a leading sample axis, each sample
-meeting the same matrix products as it would alone.  Every
+the plan to its samples in contiguous chunks: a chunk derives its
+samples' seed words in one pass, draws, contracts and diagonalises its
+samples together on a leading sample axis, each sample meeting the same
+matrix products as it would alone, and summarises their spectra in array
+passes; when no vertex acts, it diagonalises and summarises its one state
+once.  Every
 spectrum, sampled or of the identity state a transport certificate checks,
 comes from :func:`run_experiment` on that one route, a vertex carrying only
 loops included (its isometry is one Haar column, so its marginal is Page's
 induced ensemble).  A spectrum keeps the ``min(ds, dt)`` eigenvalues of the
 Gram side it is computed at; the ``ds - min(ds, dt)`` structural zeros of
 the reduced state are not stored, and ``MCReport.dim`` records ``ds``.  One
-routine summarises a spectrum and one builds the ``MCReport`` from the
-summaries.
+routine summarises a stack of spectra and one builds the ``MCReport`` from
+the summaries.
 
-Determinism contract: every sample derives its own generator from
-``(seed, sample_index)`` and every vertex from ``(seed, sample_index,
-vertex_slot)``, so results do not depend on execution order, chunking,
-parallelism or which vertices are skipped.  Aggregation uses exact
-summation in sample order.  Cross-platform bit-equality is not promised
-(eigensolvers).
+Determinism contract: sample ``i`` draws at vertex slot ``v`` from the
+PCG64 stream of ``SeedSequence([seed, i], spawn_key=(v,))``, the one
+``default_rng([seed, i]).spawn(n)[v]`` gives, so results do not depend on
+execution order, chunking, parallelism or which vertices are skipped.  The
+seed words of those streams are derived in one vectorised pass of
+``SeedSequence``'s documented hash (:func:`_seed_words`); numpy's
+stream-compatibility policy keeps that hash fixed, and a test checks the
+words against ``SeedSequence`` itself, so a numpy release that changed it
+would be caught.  Aggregation uses exact summation in sample order.
+Cross-platform bit-equality is not promised (eigensolvers).
 """
 from __future__ import annotations
 
@@ -44,11 +51,12 @@ import numbers
 import os
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, combinations
 from typing import Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import (AreaLawError, InconsistencyError, ResourceGuardError,
                      ValidationError)
@@ -101,11 +109,19 @@ def ginibre(rows: int, cols: int, rng: np.random.Generator,
     """Matrix of i.i.d. standard complex Gaussian entries, written into
     ``out`` when given.  One draw gives the real parts, then the imaginary
     parts, in the stream order of two separate draws."""
-    parts = rng.standard_normal((2, rows, cols))
     z = np.empty((rows, cols), complex) if out is None else out
-    z.real = parts[0]
-    z.imag = parts[1]
-    z /= math.sqrt(2.0)
+    return _complex_normals(rng.standard_normal((2, rows, cols)), z)
+
+
+def _complex_normals(parts: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Write ``parts[..., 0, :, :]`` into the real and ``parts[..., 1, :, :]``
+    into the imaginary parts of ``z``, scaled to unit complex variance.
+    Scaling by the reciprocal of sqrt 2 gives the bits of dividing the
+    complex matrix by sqrt 2 (numpy divides a complex by a real as
+    ``a * (1 / c)``); dividing the real parts would not."""
+    scale = 1.0 / math.sqrt(2.0)
+    np.multiply(parts[..., 0, :, :], scale, out=z.real)
+    np.multiply(parts[..., 1, :, :], scale, out=z.imag)
     return z
 
 
@@ -139,12 +155,25 @@ def _isometry(z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpectralReport:
-    """One sample's spectrum summary (:func:`_summarize_spectrum`)."""
+    """Summary of one spectrum, or of a stack of them
+    (:func:`_summarize_spectrum`): every field but ``eigenvalues`` has the
+    stack's leading shape."""
 
-    eigenvalues: np.ndarray           # descending, length = Gram side
-    entropy: float                    # von Neumann, nats
-    renyi: dict[float, float]
-    rank: int
+    eigenvalues: np.ndarray           # (..., Gram side), each descending
+    entropy: np.ndarray               # von Neumann, nats
+    renyi: dict[float, np.ndarray]
+    rank: np.ndarray
+
+    def repeated(self, count: int) -> "SpectralReport":
+        """A one-spectrum stack's summary standing for ``count`` samples of
+        the same state, each sample with its own copy."""
+        def stand(a):
+            return np.repeat(a, count, axis=0)
+
+        return SpectralReport(
+            eigenvalues=stand(self.eigenvalues), entropy=stand(self.entropy),
+            renyi={q: stand(v) for q, v in self.renyi.items()},
+            rank=stand(self.rank))
 
 
 @dataclass(frozen=True, eq=False)
@@ -412,46 +441,131 @@ def _route(marginal: Marginal, N: int, unitaries: str, skip_traced: bool,
     return tuple(flags), plan
 
 
-def _vertex_stream(seed: int, index: int, slot: int) -> np.random.Generator:
-    """Sample ``index``'s generator at a vertex slot: the one
-    ``default_rng([seed, index]).spawn(n)[slot]`` gives, built alone."""
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence([seed, index], spawn_key=(slot,))))
+def _uint32_words(n: int) -> list[int]:
+    """A non-negative integer as numpy's ``SeedSequence`` reads it: its
+    32-bit words, least significant first (one word for zero)."""
+    return [n >> shift & 0xFFFFFFFF for shift in range(0, max(n.bit_length(), 1), 32)]
 
 
-def _ginibre_stack(streams: Sequence, slot: int, rows: int,
-                   cols: int) -> np.ndarray:
-    """One Ginibre matrix per sample, each drawn from its own sample's
-    stream at a vertex slot, written into one ``(samples, rows, cols)``
-    stack."""
-    z = np.empty((len(streams), rows, cols), dtype=complex)
-    for k, stream in enumerate(streams):
-        ginibre(rows, cols, stream(slot), out=z[k])
-    return z
+def _hasher(const: int, mult: int):
+    """``SeedSequence``'s ``hashmix`` from the hash constant ``const``:
+    ``hashmix(values, count)`` hashes ``values`` (broadcast to ``count``
+    rows) with the next ``count`` constants, one a row, and keeps the last.
+    The constants do not depend on the data, so every stream of a call is
+    hashed in the same pass (uint32 arithmetic wraps as the C code does)."""
+    def hashmix(values: np.ndarray, count: int) -> np.ndarray:
+        nonlocal const
+        consts = [const]
+        for _ in range(count):
+            const = const * mult & 0xFFFFFFFF
+            consts.append(const)
+        column = np.array(consts, np.uint32)[:, None]
+        values = (values ^ column[:-1]) * column[1:]
+        return values ^ values >> 16
+
+    return hashmix
 
 
-def _gram_stack(plan: _GramPlan, streams: Sequence) -> np.ndarray:
-    """The Gram matrices of ``len(streams)`` samples, stacked on a leading
-    axis; ``streams[k](slot)`` is sample k's generator at a vertex slot.
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``SeedSequence``'s ``mix`` of two word arrays."""
+    result = x * 0xca01f9dd - y * 0x4973f715
+    return result ^ result >> 16
 
-    Each acted vertex takes one QR of its Ginibre stack; the plan's compiled
-    steps then contract the isometries, reshaped to (out legs..., non-loop
-    in-slots...), on the ket and their conjugates on the bra, with the
-    identity edges built here, for every sample at once.  Each sample's trace must be within 1e-10 of one; a
+
+def _seed_words(seed: int, start: int, stop: int,
+                slots: Sequence[int]) -> np.ndarray:
+    """The PCG64 seed words of every sample ``start, ..., stop - 1`` at
+    every vertex slot, ``(stop - start, len(slots), 4)`` uint64: those that
+    ``SeedSequence([seed, index], spawn_key=(slot,)).generate_state(4,
+    np.uint64)`` gives, from one pass of its documented hash over all of
+    them (``mix_entropy`` on a pool of 4 words, then ``generate_state``).
+
+    A stream's entropy is the words of ``seed`` and of ``index``, zeros up
+    to the pool size (a spawn key pads it) and the slot.  Seeds of any
+    width are read word by word; indices are split where their width
+    changes, at powers of 2^32.
+    """
+    words = np.empty((stop - start, len(slots), 4), np.uint64)
+    seed_part = _uint32_words(seed)
+    low = start
+    while low < stop and slots:
+        width = len(_uint32_words(low))
+        high = min(stop, 1 << 32 * width)
+        index = np.arange(low, high, dtype=np.uint64 if high <= 2 ** 64 else object)
+        entropy = np.zeros((max(4, len(seed_part) + width) + 1, high - low,
+                            len(slots)), np.uint32)
+        entropy[:len(seed_part)] = np.array(seed_part, np.uint32)[:, None, None]
+        for j in range(width):
+            entropy[len(seed_part) + j] = (index >> 32 * j & 0xFFFFFFFF
+                                           ).astype(np.uint32)[:, None]
+        entropy[-1] = slots
+        entropy = entropy.reshape(len(entropy), -1)
+        hashmix = _hasher(0x43b0d7e5, 0x931e8875)
+        pool = hashmix(entropy[:4], 4)
+        for src in range(4):  # each pool word into every other, in order
+            others = [dst for dst in range(4) if dst != src]
+            pool[others] = _mix(pool[others], hashmix(pool[src], 3))
+        for word in entropy[4:]:  # the entropy beyond the pool
+            pool = _mix(pool, hashmix(word, 4))
+        state = _hasher(0x8b51f9dd, 0x58f38ded)(np.tile(pool, (2, 1)), 8)
+        state = state.astype(np.uint64)
+        state = state[0::2] | state[1::2] << 32  # little-endian word pairs
+        words[low - start:high - start] = state.T.reshape(high - low, len(slots), 4)
+        low = high
+    return words
+
+
+class _SeedWords(ISeedSequence):
+    """One stream's PCG64 seed words (a row of :func:`_seed_words`), handed
+    to ``PCG64``, which asks its seed sequence for 4 uint64 words once."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _normals(words: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out`` with standard normals from the stream of one row of
+    seed words."""
+    np.random.Generator(np.random.PCG64(_SeedWords(words))).standard_normal(out=out)
+
+
+def _ginibre_stack(words: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """One Ginibre matrix per row of seed words, each drawn from its own
+    stream as :func:`ginibre` draws it, written into one ``(streams, rows,
+    cols)`` stack."""
+    parts = np.empty((len(words), 2, rows, cols))
+    for row, out in zip(words, parts):
+        _normals(row, out)
+    return _complex_normals(parts, np.empty((len(words), rows, cols), complex))
+
+
+def _gram_stack(plan: _GramPlan, words: np.ndarray) -> np.ndarray:
+    """The Gram matrices of ``len(words)`` samples, stacked on a leading
+    axis; ``words[k, j]`` seeds sample k's stream at its j-th acted vertex.
+    When no vertex acts, every sample is the same state: the stack holds
+    it once.
+
+    Each acted vertex takes one QR of its Ginibre stack; the plan's
+    compiled steps then contract the isometries,
+    reshaped to (out legs..., non-loop in-slots...), on the ket and their
+    conjugates on the bra, with the identity edges built here, for every
+    sample at once.  Each sample's trace must be within 1e-10 of one; a
     drifted or NaN trace is a defect, :class:`InconsistencyError`.
     """
-    count = len(streams)
+    count = len(words)
     operands = []
-    for slot, vdim, cols, shape in plan.vertices:
-        tensor = _isometry(_ginibre_stack(streams, slot, vdim, cols))
+    for j, (_, vdim, cols, shape) in enumerate(plan.vertices):
+        tensor = _isometry(_ginibre_stack(words[:, j], vdim, cols))
         tensor = tensor.reshape(count, *shape)
         operands += [tensor, tensor.conj()]
     for dim in plan.eyes:
         eye = np.eye(dim)[None]
         operands += [eye, eye]
     out = _contract(plan.steps, operands)
-    out = np.broadcast_to(out, (count, *out.shape[1:]))  # nothing acted
-    gram = out.reshape(count, plan.side, plan.side) * plan.scale
+    gram = out.reshape(len(out), plan.side, plan.side) * plan.scale
     norms = np.trace(gram, axis1=1, axis2=2).real
     drifted = ~(np.abs(norms - 1.0) <= 1e-10)  # NaN drifts too
     if drifted.any():
@@ -475,48 +589,70 @@ def _spectrum(gram: np.ndarray) -> np.ndarray:
 
 def _summarize_spectrum(eig: np.ndarray,
                         q_list: tuple[float, ...]) -> SpectralReport:
-    """Entropies and rank of a descending spectrum of unit trace, at orders
-    already validated by :func:`_renyi_orders`.
+    """Entropies and ranks of a descending spectrum of unit trace, or of
+    each in a stack ``(..., side)``, at orders already validated by
+    :func:`_renyi_orders`, in array passes over the stack.
 
     Eigenvalues below ``EIGENVALUE_CLIP_REL`` (relative to the largest) are
     clamped to zero in place; the numerical rank uses ``RANK_THRESHOLD_REL``.
-    ``q = 1`` is the von Neumann entropy, ``q = 0`` is ``ln rank``.
+    ``q = 1`` is the von Neumann entropy, ``q = 0`` is ``ln rank``.  Each
+    spectrum's positive eigenvalues are then a prefix, and the spectra whose
+    prefixes have one length are summed together row by row, which numpy
+    does as it sums one such prefix alone.
     """
-    top = eig[0] if eig.size else 0.0
-    eig[eig < EIGENVALUE_CLIP_REL * top] = 0.0
-    rank = int(np.count_nonzero(eig > RANK_THRESHOLD_REL * top))
-    positive = eig[eig > 0]
-    # ``0.0 - x`` and ``x + 0.0`` turn a zero of either sign into +0.0
-    entropy = 0.0 - float(np.sum(positive * np.log(positive)))
-    renyi: dict[float, float] = {}
-    for q in q_list:
-        if q == 0.0:
-            renyi[q] = math.log(rank) if rank else 0.0
-        elif q == 1.0:
-            renyi[q] = entropy
-        else:
+    stack = eig.reshape(-1, eig.shape[-1])
+    top = stack[:, :1].copy()
+    stack[stack < EIGENVALUE_CLIP_REL * top] = 0.0
+    rank = np.count_nonzero(stack > RANK_THRESHOLD_REL * top, axis=1)
+    positives = np.count_nonzero(stack > 0, axis=1)
+    entropy = np.empty(len(stack))
+    sums = {q: np.empty(len(stack)) for q in q_list if q not in (0.0, 1.0)}
+    for length in set(positives.tolist()):
+        rows = np.flatnonzero(positives == length)
+        positive = stack[rows, :length]
+        # ``0.0 - x`` turns a zero of either sign into +0.0
+        entropy[rows] = 0.0 - np.sum(positive * np.log(positive), axis=1)
+        for q, total in sums.items():
             # factor out the largest eigenvalue so that a large q cannot
             # underflow the sum to zero
-            log_sum = q * math.log(top) + math.log(float(np.sum((positive / top) ** q)))
-            renyi[q] = log_sum / (1.0 - q) + 0.0
-    return SpectralReport(eigenvalues=eig, entropy=entropy, renyi=renyi, rank=rank)
+            total[rows] = np.sum((positive / top[rows]) ** q, axis=1)
+    shape = eig.shape[:-1]
+    renyi: dict[float, np.ndarray] = {}
+    for q in q_list:
+        if q == 0.0:
+            values = [math.log(r) if r else 0.0 for r in rank.tolist()]
+        elif q == 1.0:
+            values = entropy
+        else:
+            values = [(q * math.log(t) + math.log(total)) / (1.0 - q) + 0.0
+                      for t, total in zip(top[:, 0].tolist(), sums[q].tolist())]
+        renyi[q] = np.reshape(values, shape)
+    return SpectralReport(eigenvalues=stack.reshape(eig.shape),
+                          entropy=entropy.reshape(shape), renyi=renyi,
+                          rank=rank.reshape(shape))
 
 
-def _sample_chunk(payload) -> list[SpectralReport]:
-    """Reports of samples ``start, ..., stop - 1`` under a run's plan, built
-    and diagonalised together; top level so process pools can pickle it."""
+def _sample_chunk(payload) -> SpectralReport:
+    """Summaries of samples ``start, ..., stop - 1`` under a run's plan,
+    seeded, built, diagonalised and summarised together (once when nothing
+    acts); top level so process pools can pickle it."""
     plan, seed, start, stop, q_list = payload
-    grams = _gram_stack(plan, [partial(_vertex_stream, seed, i)
-                               for i in range(start, stop)])
-    return [_summarize_spectrum(eig, q_list) for eig in _spectrum(grams)]
+    words = _seed_words(seed, start, stop, [slot for slot, *_ in plan.vertices])
+    grams = _gram_stack(plan, words)
+    summary = _summarize_spectrum(_spectrum(grams), q_list)
+    return summary if len(grams) == len(words) else summary.repeated(len(words))
 
 
 def _mc_report(reports: Sequence[SpectralReport], flags: tuple[str, ...],
                seed: int, N: int, q_list: tuple[float, ...],
                dim: int) -> MCReport:
-    """Aggregate per-sample summaries, in sample order, with exact sums."""
-    samples = len(reports)
-    entropies = tuple(r.entropy for r in reports)
+    """Aggregate the summaries (of a sample or a stack each), in sample
+    order, with exact sums."""
+    def column(values) -> list:
+        return [x for r in reports for x in np.ravel(values(r)).tolist()]
+
+    entropies = tuple(column(lambda r: r.entropy))
+    samples = len(entropies)
     mean = math.fsum(entropies) / samples
     if samples > 1:
         var = math.fsum((h - mean) ** 2 for h in entropies) / (samples - 1)
@@ -526,11 +662,12 @@ def _mc_report(reports: Sequence[SpectralReport], flags: tuple[str, ...],
     return MCReport(
         samples=samples, mean_H=mean, stderr_H=stderr, per_sample_H=entropies,
         renyi_mean={
-            q: math.fsum(r.renyi[q] for r in reports) / samples for q in q_list
+            q: math.fsum(column(lambda r: r.renyi[q])) / samples for q in q_list
         },
-        ranks=tuple(r.rank for r in reports),
-        spectra=tuple(r.eigenvalues for r in reports), dim=dim,
-        seed=seed, N=N, flags=flags,
+        ranks=tuple(column(lambda r: r.rank)),
+        spectra=tuple(row for r in reports
+                      for row in r.eigenvalues.reshape(-1, r.eigenvalues.shape[-1])),
+        dim=dim, seed=seed, N=N, flags=flags,
     )
 
 
@@ -570,5 +707,4 @@ def run_experiment(marginal: Marginal, N: int, samples: int, seed: int,
             chunks = list(pool.map(_sample_chunk, payloads))
     else:
         chunks = [_sample_chunk(p) for p in payloads]
-    return _mc_report([report for chunk in chunks for report in chunk],
-                      tuple(sorted(flags)), seed, N, q_list, plan.dim)
+    return _mc_report(chunks, tuple(sorted(flags)), seed, N, q_list, plan.dim)

@@ -156,6 +156,8 @@ def test_completed_trace_is_lowest_legs():
     m = black_hole_counts(0, 1, 1)
     # t = (1, 1, 0): lowest legs of V1 and V2
     assert m.completed_traced_legs() == frozenset({0, 1})
+    # built once: the CLI, the sampler's route and the predictor share it
+    assert m.completed_traced_legs() is m.completed_traced_legs()
 
 
 def test_document_round_trip():

@@ -321,6 +321,50 @@ def test_pure_spectrum_entropies_are_positive_zeros():
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
+def _summary_oracle(eig, q_list):
+    """The per-spectrum summary the stacked one replaced: (clipped
+    spectrum, entropy, Renyi entropies, rank)."""
+    eig = eig.copy()
+    top = eig[0]
+    eig[eig < mc_simulator.EIGENVALUE_CLIP_REL * top] = 0.0
+    rank = int(np.count_nonzero(eig > mc_simulator.RANK_THRESHOLD_REL * top))
+    positive = eig[eig > 0]
+    entropy = 0.0 - float(np.sum(positive * np.log(positive)))
+    renyi = {}
+    for q in q_list:
+        if q == 0.0:
+            renyi[q] = math.log(rank) if rank else 0.0
+        elif q == 1.0:
+            renyi[q] = entropy
+        else:
+            log_sum = q * math.log(top) + math.log(float(np.sum((positive / top) ** q)))
+            renyi[q] = log_sum / (1.0 - q) + 0.0
+    return eig, entropy, renyi, rank
+
+
+@pytest.mark.parametrize("side", [3, 9, 17, 130])
+def test_stacked_summary_matches_per_spectrum_sums(side):
+    # each spectrum keeps a positive prefix of its own length, its tail
+    # exact zeros, clipped tiny values or tiny negatives; sides past the
+    # 8 accumulators of numpy's pairwise sum make a tail of zeros change
+    # the bits of a sum over the whole row
+    rng = np.random.default_rng(side)
+    q_list = (0.0, 0.5, 1.0, 2.0, 3.0)
+    rows = []
+    for k in range(12):
+        row = np.sort(rng.random(side) + 0.1)[::-1]
+        keep = max(1, side - k)
+        row[keep:] = (0.0, 1e-14, -1e-15)[k % 3]
+        rows.append(row / row.sum())
+    stack = np.array(rows)
+    expected = [_summary_oracle(row, q_list) for row in stack]
+    got = mc_simulator._summarize_spectrum(stack, q_list)
+    for k, (eig, entropy, renyi, rank) in enumerate(expected):
+        assert got.eigenvalues[k].tobytes() == eig.tobytes()
+        assert got.entropy[k] == entropy and got.rank[k] == rank
+        assert {q: got.renyi[q][k] for q in q_list} == renyi
+
+
 def test_wishart_experiment_page_values():
     # the Wishart (induced) ensemble is a vertex carrying only loops
     m64, N64 = page_marginal(64, 64)
@@ -369,7 +413,8 @@ def _two_draw_ginibre(rows, cols, rng, size=None):
     return z
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (4, 4), (3, 7), (16, 2), (64, 64)])
+@pytest.mark.parametrize("shape", [(1, 1), (4, 4), (3, 7), (16, 2), (64, 64),
+                                   (8, 2), (64, 3), (128, 32)])
 def test_ginibre_matches_two_draws_bit_for_bit(shape):
     for seed in range(40):
         expected_rng = np.random.default_rng(seed)
@@ -388,6 +433,14 @@ def test_ginibre_matches_two_draws_bit_for_bit(shape):
                 dim, cols, np.random.default_rng(seed), size))
             got = haar_unitary(dim, np.random.default_rng(seed), size=size, cols=cols)
             assert got.tobytes() == expected.tobytes()
+        # a chunk draws several streams into one stack, scaling by 1 / sqrt 2
+        # where the two draws divide by sqrt 2
+        slots = [0, 3, 5]
+        words = mc_simulator._seed_words(seed, 2, 4, slots).reshape(-1, 4)
+        expected = [_two_draw_ginibre(*shape, _vertex_stream(seed, index, slot))
+                    for index in (2, 3) for slot in slots]
+        got = mc_simulator._ginibre_stack(words, *shape)
+        assert got.tobytes() == np.stack(expected).tobytes()
 
 
 # -- oracle: dense kron state, per-vertex axis application, SVD --------------
@@ -733,15 +786,16 @@ def test_no_pairwise_path_rejected_before_sampling(monkeypatch):
 
 
 def test_loop_vertex_draws_an_isometry(monkeypatch):
-    # each acted vertex draws one vdim x r_v Ginibre matrix per sample
+    # each acted vertex draws one vdim x r_v Ginibre matrix per sample: its
+    # stream fills the real and the imaginary parts, (2, vdim, r_v) normals
     drawn = []
-    draw = mc_simulator.ginibre
+    draw = mc_simulator._normals
 
-    def recorded(rows, cols, rng, out=None):
-        drawn.append((rows, cols))
-        return draw(rows, cols, rng, out)
+    def recorded(words, out):
+        drawn.append(out.shape[1:])
+        return draw(words, out)
 
-    monkeypatch.setattr(mc_simulator, "ginibre", recorded)
+    monkeypatch.setattr(mc_simulator, "_normals", recorded)
     # A: a loop and the edge to B; B: that edge and a loop; all legs 2-dim
     run_experiment(ORACLE_CASES[0], 2, samples=1, seed=0)
     assert drawn == [(8, 2), (8, 2)]
@@ -764,13 +818,43 @@ def test_three_loops_run_under_the_default_guards(monkeypatch):
     assert all(0.0 < h <= math.log(64) for h in report.per_sample_H)
 
 
+def _vertex_stream(seed, index, slot):
+    """Oracle: sample ``index``'s generator at a vertex slot, the one
+    ``default_rng([seed, index]).spawn(n)[slot]`` gives, built alone."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence([seed, index], spawn_key=(slot,))))
+
+
 def test_vertex_streams_match_spawned_streams():
     # a sample's vertex stream is built alone, without spawning every slot
     for seed, index, slot in ((0, 0, 0), (7, 3, 5), (2 ** 40, 12, 1), (1, 49, 7)):
         spawned = np.random.default_rng([seed, index]).spawn(8)[slot]
-        direct = mc_simulator._vertex_stream(seed, index, slot)
+        direct = _vertex_stream(seed, index, slot)
         assert np.array_equal(spawned.standard_normal(16),
                               direct.standard_normal(16))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 40, 2 ** 70 + 1, 2 ** 130 + 3])
+def test_seed_words_match_seed_sequences(seed):
+    # seeds of 1, 2, 3 and 5 uint32 words; indices at and beyond 2^32 and
+    # 2^64, derived alone and in ranges that straddle those widths
+    indices = (0, 1, 2 ** 32 - 1, 2 ** 32 + 1, 2 ** 64 - 1, 2 ** 64 + 1)
+    slots = list(range(8))
+    blocks = {index: mc_simulator._seed_words(seed, index, index + 1, slots)[0]
+              for index in indices}
+    for low in (2 ** 32 - 1, 2 ** 64 - 1):
+        straddle = mc_simulator._seed_words(seed, low, low + 3, slots)
+        assert straddle.shape == (3, 8, 4) and straddle.dtype == np.uint64
+        assert np.array_equal(straddle[[0, 2]], np.stack([blocks[low], blocks[low + 2]]))
+    assert np.array_equal(mc_simulator._seed_words(seed, 0, 2, slots),
+                          np.stack([blocks[0], blocks[1]]))
+    for index in indices:
+        for slot in slots:
+            expected = _vertex_stream(seed, index, slot).bit_generator
+            got = np.random.PCG64(mc_simulator._SeedWords(blocks[index][slot]))
+            assert got.state == expected.state
+            assert got.random_raw(4).tolist() == expected.random_raw(4).tolist()
+    assert mc_simulator._seed_words(seed, 3, 5, []).shape == (2, 0, 4)
 
 
 def test_sampling_seam_is_reached(monkeypatch):
@@ -877,11 +961,30 @@ def ring_11():
         {"mode": "counts", "s": {v: int(i not in (0, 5)) for i, v in enumerate(names)}})
 
 
+def routed_doubled_edge():
+    # the routed state transport.certify samples for two pairs over a
+    # doubled edge: both endpoints act, with isometries of one shape
+    from arealaw import TraceSpec, TransportInstance, resolve_trace, routing, to_marginal
+
+    instance = TransportInstance.build(
+        ["P1", "P2"], {("P1", "P2"): 2}, {"P1": (1, 1), "P2": (1, 1)})
+    g = to_marginal(instance).graph
+    marked = routing(instance).marking.marked
+    routed = resolve_trace(g, TraceSpec.from_legs(
+        l for l in range(g.n_legs) if l not in marked))
+    shapes = [(vdim, cols) for _, vdim, cols, _ in _sample_plan(routed, 2).vertices]
+    assert shapes == [(4, 4), (4, 4)]
+    return routed
+
+
 # (marginal, N, samples, skip_traced and skip_surviving)
 EQUIVALENCE_CASES = {
     "lattice": (lambda: lattice(2, 4), 2, 8, (True, True)),
     "black_hole": (lambda: black_hole(traced=[0, 2]), 8, 4, (True, True)),
     "two_loops": (lambda: two_loops(s=2), 8, 6, (True, True)),
+    # every vertex skipped: one state for every sample
+    "nothing_acted": (lambda: adapted_path(), 3, 5, (True, True)),
+    "routed_transport": (routed_doubled_edge, 2, 5, (True, True)),
 }
 
 
@@ -975,6 +1078,27 @@ def test_a_run_resolves_its_plan_once(monkeypatch):
     ((_, plan),) = routes
     assert plan.eyes and plan.vertices
     assert not holds_array(tuple(getattr(plan, f.name) for f in fields(plan)))
+
+
+def test_nothing_acted_is_diagonalised_once(monkeypatch):
+    # every vertex skipped: five samples of one state, one 3 x 3 Gram matrix
+    shapes = []
+    spectrum = mc_simulator._spectrum
+
+    def recorded(gram):
+        shapes.append(gram.shape)
+        return spectrum(gram)
+
+    monkeypatch.setattr(mc_simulator, "_spectrum", recorded)
+    report = run_experiment(adapted_path(), 3, samples=5, seed=0)
+    assert shapes == [(1, 3, 3)]
+    assert report.samples == len(report.spectra) == 5
+    assert len(set(report.per_sample_H)) == 1 and report.ranks == (3,) * 5
+    # each sample's spectrum is its own writable array, as when vertices act
+    sampled = run_experiment(lattice(2, 4), 2, samples=2, seed=0)
+    for spectra in (report.spectra, sampled.spectra):
+        assert all(s.flags.writeable for s in spectra)
+        assert not np.shares_memory(spectra[0], spectra[1])
 
 
 def test_no_einsum_per_sample(monkeypatch):
