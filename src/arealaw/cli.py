@@ -53,9 +53,12 @@ def _write(path: str, parts) -> None:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
-def _check_writable(path: str) -> None:
+def _check_writable(path: str | None) -> None:
     """The input error ``_write`` would raise, found before any work: the
-    path is not a directory and its directory exists and is writable."""
+    path, when given, is not a directory and its directory exists and is
+    writable."""
+    if not path:
+        return
     target = Path(path)
     if target.is_dir():
         reason = "it is a directory"
@@ -103,6 +106,7 @@ def cmd_area(args) -> int:
     from .boundary_flow import build_network, max_flow
 
     marginal = _load_marginal(args.graph)
+    _check_writable(args.out)
     flow = max_flow(build_network(marginal))
     print(f"boundary area X = {flow.value}")
     print(f"min cut (source side): {list(flow.cut)}  "
@@ -137,6 +141,7 @@ def cmd_predict(args) -> int:
     from .spectral_predictor import predict_entropy
 
     marginal = _load_marginal(args.graph)
+    _check_writable(args.out)
     prediction = predict_entropy(marginal, args.N)
     print(f"case: {prediction.case}")
     leading = prediction.leading_area * math.log(args.N) + prediction.leading_offset
@@ -170,9 +175,8 @@ def _parse_orders(text: str) -> tuple[float, ...]:
 def _simulate_report(marginal, args, seed: int):
     """The simulate report and the prediction it contains."""
     q_list = _parse_orders(args.q)
-    for path in (args.out, args.spectra):
-        if path:
-            _check_writable(path)
+    _check_writable(args.out)
+    _check_writable(args.spectra)
     from .boundary_flow import build_network, max_flow
     from .mc_simulator import _check_size, _side_dims, run_experiment
     from .spectral_predictor import predict_entropy
@@ -292,19 +296,14 @@ def cmd_transport(args) -> int:
             f"--haar-samples must be at least 1, got {args.haar_samples}")
     if args.seed < 0:
         raise ValidationError(f"--seed must be an integer >= 0, got {args.seed}")
-    from .transport import _active_sites, _solve, certify, parse_instance, scenarios
+    from .transport import certify, parse_instance, routing, scenarios
 
     instance = parse_instance(_read(args.instance))
-    if args.out:
-        _check_writable(args.out)
-    cert = plan = None
-    if args.certify:
-        cert = certify(instance, args.N, haar_samples=args.haar_samples, seed=args.seed)
-        y, plan = (cert.Y1, cert.Y2, cert.Y3), cert.plan
-    elif _active_sites(instance):
-        _, y, plan = _solve(instance)
-    else:
-        y = scenarios(instance)
+    _check_writable(args.out)
+    y = scenarios(instance)
+    plan = routing(instance) if instance.has_particles else None
+    cert = (certify(instance, args.N, haar_samples=args.haar_samples, seed=args.seed)
+            if args.certify else None)
     print(f"Y1 (no entanglement)    = {y[0]}")
     print(f"Y2 (global operations)  = {y[1]}")
     print(f"Y3 (local unitaries)    = {y[2]}")

@@ -104,12 +104,11 @@ def _check_seed(seed: int) -> None:
         raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
 
 
-def ginibre(rows: int, cols: int, rng: np.random.Generator,
-            out: np.ndarray | None = None) -> np.ndarray:
-    """Matrix of i.i.d. standard complex Gaussian entries, written into
-    ``out`` when given.  One draw gives the real parts, then the imaginary
-    parts, in the stream order of two separate draws."""
-    z = np.empty((rows, cols), complex) if out is None else out
+def ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """Matrix of i.i.d. standard complex Gaussian entries.  One draw gives
+    the real parts, then the imaginary parts, in the stream order of two
+    separate draws."""
+    z = np.empty((rows, cols), complex)
     return _complex_normals(rng.standard_normal((2, rows, cols)), z)
 
 

@@ -6,7 +6,9 @@ The three scenario values are the ebit counts (units of ``ln N``) achievable
 with no pre-shared entanglement (Y1), with global operations (Y2), and with
 local unitaries only (Y3); the last one equals the maximal flow of the
 induced graph marginal, is achieved by permutation routing, and is certified
-by an exact rank/spectrum computation.
+by an exact rank/spectrum computation.  An instance solves once: it keeps
+its marginal, flow value and routing, which :func:`scenarios`,
+:func:`routing` and :func:`certify` all read.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .boundary_flow import build_network, max_flow
@@ -39,7 +42,11 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class TransportInstance:
-    """Shared pairs, per-site shipping quotas and the local dimension."""
+    """Shared pairs, per-site shipping quotas and the local dimension.
+
+    The instance keeps its solution once solved; that assumes its mappings
+    are not mutated after :meth:`build`, as a ``Marginal`` assumes of its
+    trace."""
 
     facilities: tuple[str, ...]
     pairs: Mapping[tuple[str, str], int]   # canonical (earlier, later) keys
@@ -87,10 +94,25 @@ class TransportInstance:
         return cls(facilities=facilities, pairs=canonical,
                    quotas=clean_quotas, N=N)
 
-    def edge_degree(self, site: str) -> int:
-        return sum(
-            count for (a, b), count in self.pairs.items() if site in (a, b)
-        )
+    @property
+    def has_particles(self) -> bool:
+        """Whether some site holds a singlet half or ships a particle."""
+        return any(self.pairs.values()) or any(map(any, self.quotas.values()))
+
+    @cached_property
+    def _solution(self) -> tuple[Marginal, int, RoutingPlan]:
+        """The marginal, its flow value (Y3) and the optimal routing, from
+        one marginal, one max flow and one marking, kept once solved."""
+        marginal = to_marginal(self)
+        flow = max_flow(build_network(marginal))
+        marking = marking_from_flow(marginal, flow)
+        marked = marking.marked
+        legs = {v: marginal.graph.legs_of(v) for v in marginal.graph.vertices}
+        to_a = {v: tuple(l for l in ls if l in marked) for v, ls in legs.items()}
+        to_b = {v: tuple(l for l in ls if l not in marked) for v, ls in legs.items()}
+        plan = RoutingPlan(to_A=to_a, to_B=to_b, marking=marking,
+                           permutation={v: to_a[v] + to_b[v] for v in legs})
+        return marginal, flow.value, plan
 
     def to_document(self) -> dict:
         return {
@@ -167,31 +189,29 @@ class RoutingPlan:
         }
 
 
-def _active_sites(instance: TransportInstance) -> list[str]:
-    return [
-        f for f in instance.facilities
-        if instance.edge_degree(f) + sum(instance.quotas[f]) > 0
-    ]
-
-
 def to_marginal(instance: TransportInstance) -> Marginal:
     """Reduce the instance to a graph marginal: one vertex per active site,
     parallel edges for shared pairs, one pad loop per locally created
     singlet; legs shipped to A survive, legs shipped to B are traced."""
-    active = _active_sites(instance)
-    if not active:
+    degree = dict.fromkeys(instance.facilities, 0)
+    for (a, b), count in instance.pairs.items():
+        degree[a] += count
+        degree[b] += count
+    deficit = {  # active sites only: those holding or shipping a particle
+        f: sum(instance.quotas[f]) - degree[f] for f in instance.facilities
+        if degree[f] or any(instance.quotas[f])
+    }
+    if not deficit:
         raise ValidationError("instance has no particles to route")
-    for f in active:
-        s_i, t_i = instance.quotas[f]
-        deficit = s_i + t_i - instance.edge_degree(f)
-        if deficit < 0:
+    for f, missing in deficit.items():
+        if missing < 0:
             raise InfeasibleError(
-                f"site {f!r} ships {s_i + t_i} particles but holds "
-                f"{instance.edge_degree(f)} singlet halves"
+                f"site {f!r} ships {degree[f] + missing} particles but holds "
+                f"{degree[f]} singlet halves"
             )
-        if deficit % 2 == 1:
+        if missing % 2 == 1:
             raise InfeasibleError(
-                f"site {f!r} has an odd particle deficit of {deficit}; local "
+                f"site {f!r} has an odd particle deficit of {missing}; local "
                 "pair creation cannot provide an unpaired particle"
             )
     index = {f: i for i, f in enumerate(instance.facilities)}
@@ -200,12 +220,10 @@ def to_marginal(instance: TransportInstance) -> Marginal:
         instance.pairs.items(), key=lambda kv: (index[kv[0][0]], index[kv[0][1]])
     ):
         edges.extend([Edge(u=a, v=b, d=1)] * count)
-    for f in active:
-        s_i, t_i = instance.quotas[f]
-        pads = (s_i + t_i - instance.edge_degree(f)) // 2
-        edges.extend([Edge(u=f, v=f, d=1)] * pads)
-    graph = Graph(vertices=tuple(active), edges=tuple(edges))
-    counts = {f: instance.quotas[f][0] for f in active}
+    for f, missing in deficit.items():
+        edges.extend([Edge(u=f, v=f, d=1)] * (missing // 2))
+    graph = Graph(vertices=tuple(deficit), edges=tuple(edges))
+    counts = {f: instance.quotas[f][0] for f in deficit}
     return resolve_trace(graph, TraceSpec.from_counts(counts))
 
 
@@ -219,40 +237,15 @@ def _quota_values(instance: TransportInstance) -> tuple[int, int]:
     return y1, y2
 
 
-def _solve(instance: TransportInstance
-           ) -> tuple[Marginal, tuple[int, int, int], RoutingPlan]:
-    """The marginal, the scenario values and the optimal routing, from one
-    marginal, one max flow and one marking (Y3 is the flow value)."""
-    marginal = to_marginal(instance)
-    flow = max_flow(build_network(marginal))
-    marking = marking_from_flow(marginal, flow)
-    g = marginal.graph
-    to_a = {}
-    to_b = {}
-    perm = {}
-    for site in g.vertices:
-        legs = g.legs_of(site)
-        a_legs = tuple(l for l in legs if l in marking.marked)
-        b_legs = tuple(l for l in legs if l not in marking.marked)
-        to_a[site] = a_legs
-        to_b[site] = b_legs
-        perm[site] = a_legs + b_legs
-    plan = RoutingPlan(to_A=to_a, to_B=to_b, permutation=perm, marking=marking)
-    return marginal, (*_quota_values(instance), flow.value), plan
-
-
 def scenarios(instance: TransportInstance) -> tuple[int, int, int]:
     """The three scenario values (Y1, Y2, Y3) in ebits."""
-    y1, y2 = _quota_values(instance)
-    if not _active_sites(instance):
-        return (y1, y2, 0)
-    y3 = max_flow(build_network(to_marginal(instance))).value
-    return (y1, y2, y3)
+    y3 = instance._solution[1] if instance.has_particles else 0
+    return (*_quota_values(instance), y3)
 
 
 def routing(instance: TransportInstance) -> RoutingPlan:
     """Optimal local routing: marked legs ship to A, unmarked to B."""
-    return _solve(instance)[2]
+    return instance._solution[2]
 
 
 @dataclass(frozen=True)
@@ -302,7 +295,8 @@ def certify(instance: TransportInstance, N: int | None = None,
 
     if N is None:
         N = instance.N
-    marginal, (y1, y2, y3), plan = _solve(instance)
+    marginal, y3, plan = instance._solution
+    y1, y2 = _quota_values(instance)
     g = marginal.graph
 
     routed = resolve_trace(

@@ -386,6 +386,68 @@ def test_transport_infeasible_exit_code(write_doc):
     assert main(["transport", "-i", instance]) == 2
 
 
+def no_particles_doc():
+    return {"facilities": ["P1", "P2"], "pairs": [],
+            "quotas": {"P1": {"A": 0, "B": 0}, "P2": {"A": 0, "B": 0}}}
+
+
+def pads_only_doc():
+    return {"facilities": ["P1", "P2"], "pairs": [],
+            "quotas": {"P1": {"A": 2, "B": 0}, "P2": {"A": 0, "B": 2}}}
+
+
+def test_transport_without_particles(write_doc, capsys, tmp_path):
+    instance = write_doc("inst.json", no_particles_doc())
+    out = tmp_path / "r.json"
+    assert main(["transport", "-i", instance, "--out", str(out)]) == 0
+    assert capsys.readouterr() == (
+        "Y1 (no entanglement)    = 0\n"
+        "Y2 (global operations)  = 0\n"
+        "Y3 (local unitaries)    = 0\n", "")
+    assert json.loads(out.read_text())["transport"] == {"Y": [0, 0, 0]}
+    # nothing to route, so nothing to certify
+    assert main(["transport", "-i", instance, "--certify", "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "input error: instance has no particles to route\n")
+
+
+@pytest.mark.parametrize("certify", [False, True], ids=["plain", "certify"])
+def test_transport_pads_only(write_doc, capsys, tmp_path, certify):
+    instance = write_doc("inst.json", pads_only_doc())
+    out = tmp_path / "r.json"
+    argv = ["transport", "-i", instance, "--haar-samples", "2", "--out", str(out)]
+    assert main(argv + (["--certify"] if certify else [])) == 0
+    expected = ("Y1 (no entanglement)    = 0\n"
+                "Y2 (global operations)  = 2\n"
+                "Y3 (local unitaries)    = 0\n"
+                "  P1: legs [0, 1] -> A, legs [] -> B\n"
+                "  P2: legs [] -> A, legs [2, 3] -> B\n")
+    if certify:
+        expected += ("certificate at N=2: rank 1 = N^Y3, spectrum uniform "
+                     "within 0.00e+00\n"
+                     "  2 Haar samples: max rank 1 (bound respected)\n")
+    assert capsys.readouterr() == (expected, "")
+    report = json.loads(out.read_text())["transport"]
+    assert report["Y"] == [0, 2, 0]
+    assert report["plan"]["marking"] == [0, 1]
+    assert ("certificate" in report) == certify
+
+
+@pytest.mark.parametrize("certify", [False, True], ids=["plain", "certify"])
+def test_transport_odd_deficit(write_doc, capsys, certify):
+    payload = {
+        "facilities": ["P1", "P2"],
+        "pairs": [{"a": "P1", "b": "P2", "count": 1}],
+        "quotas": {"P1": {"A": 1, "B": 1}, "P2": {"A": 1, "B": 0}},
+    }
+    instance = write_doc("inst.json", payload)
+    argv = ["transport", "-i", instance] + (["--certify"] if certify else [])
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", (
+        "input error: site 'P1' has an odd particle deficit of 1; local pair "
+        "creation cannot provide an unpaired particle\n"))
+
+
 @pytest.mark.parametrize("quota", [1.7, True])
 def test_transport_non_integer_quota_exit_code(write_doc, capsys, quota):
     payload = instance_doc()
@@ -537,13 +599,21 @@ def test_spectra_rows_are_guarded_before_sampling(write_doc, capsys,
 @pytest.mark.parametrize("option", ["--out", "--spectra"])
 def test_unwritable_output_exit_code(write_doc, capsys, tmp_path, monkeypatch,
                                      option):
+    # every command refuses the path before any work, with the same line
     _no_sampling(monkeypatch)
     graph = write_doc("loop.json", single_loop_doc())
+    instance = write_doc("inst.json", instance_doc())
     target = str(tmp_path / "missing" / "file")
-    assert main(["simulate", "-g", graph, "-N", "2", "-n", "1", "--seed", "0",
-                 option, target]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith(f"input error: cannot write {target}")
+    mc = ["-g", graph, "-N", "2", "-n", "1", "--seed", "0"]
+    commands = {"simulate": mc, "verify": mc}
+    if option == "--out":
+        commands.update(area=["-g", graph], predict=["-g", graph, "-N", "2"],
+                        transport=["-i", instance])
+    for command, args in commands.items():
+        assert main([command, *args, option, target]) == 2
+        assert capsys.readouterr() == ("", (
+            f"input error: cannot write {target}: "
+            f"no directory {str(tmp_path / 'missing')!r}\n"))
 
 
 def test_transport_unwritable_output_before_certifying(write_doc, capsys,

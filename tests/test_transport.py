@@ -207,6 +207,20 @@ def test_certify_solves_once(transport_calls):
                                "marking_from_flow": 1}
 
 
+def test_instance_solves_once(transport_calls, solves):
+    # scenarios, routing and certify all read the instance's kept solution:
+    # one max flow and the marking's one assignment flow
+    instance = path_instance()
+    assert scenarios(instance) == (0, 2, 2)
+    plan = routing(instance)
+    for _ in range(2):
+        assert certify(instance, 2, haar_samples=2, seed=0).plan is plan
+    assert transport_calls == {"to_marginal": 1, "max_flow": 1,
+                               "marking_from_flow": 1}
+    assert len(solves) == 2
+    assert routing(instance) is routing(instance)
+
+
 def test_parse_instance_round_trip():
     instance = doubled_edge_instance()
     again = parse_instance(json.dumps(instance.to_document()))
