@@ -197,7 +197,7 @@ def _simulate_report(marginal, args, seed: int):
             "N": args.N,
             "samples": args.samples,
             "seed": seed,
-            "q": list(q_list),
+            "q": list(mc.renyi_mean),  # the orders the run validated
             "jobs": args.jobs,
         },
         "flow": flow.to_document(),

@@ -21,17 +21,16 @@ allocated.  A run resolves its plan and checks the guard once, then ships
 the plan to its samples in contiguous chunks: a chunk derives its
 samples' seed words in one pass, draws, contracts and diagonalises its
 samples together on a leading sample axis, each sample meeting the same
-matrix products as it would alone, and summarises their spectra in array
-passes; when no vertex acts, it diagonalises and summarises its one state
-once.  Every
+matrix products as it would alone; when no vertex acts, it diagonalises its
+one state once and repeats the spectrum.  The chunks fill one ``(samples,
+min(ds, dt))`` spectrum array in sample order, and :func:`_mc_report`
+summarises that array once, in array passes, into the ``MCReport``.  Every
 spectrum, sampled or of the identity state a transport certificate checks,
 comes from :func:`run_experiment` on that one route, a vertex carrying only
 loops included (its isometry is one Haar column, so its marginal is Page's
 induced ensemble).  A spectrum keeps the ``min(ds, dt)`` eigenvalues of the
 Gram side it is computed at; the ``ds - min(ds, dt)`` structural zeros of
-the reduced state are not stored, and ``MCReport.dim`` records ``ds``.  One
-routine summarises a stack of spectra and one builds the ``MCReport`` from
-the summaries.
+the reduced state are not stored, and ``MCReport.dim`` records ``ds``.
 
 Determinism contract: sample ``i`` draws at vertex slot ``v`` from the
 PCG64 stream of ``SeedSequence([seed, i], spawn_key=(v,))``, the one
@@ -93,9 +92,12 @@ def _check_size(size: int, what: str) -> None:
 
 
 def _renyi_orders(q_list: Sequence[float]) -> tuple[float, ...]:
-    orders = tuple(float(q) for q in q_list)
+    """The orders as floats (``-0.0`` read as ``0.0``): finite, non-negative, distinct."""
+    orders = tuple(float(q) + 0.0 for q in q_list)
     if not all(0.0 <= q < math.inf for q in orders):
         raise ValidationError("Renyi orders must be finite and non-negative")
+    if len(set(orders)) < len(orders):
+        raise ValidationError(f"Renyi orders must be distinct, got {list(orders)}")
     return orders
 
 
@@ -153,29 +155,6 @@ def _isometry(z: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class SpectralReport:
-    """Summary of one spectrum, or of a stack of them
-    (:func:`_summarize_spectrum`): every field but ``eigenvalues`` has the
-    stack's leading shape."""
-
-    eigenvalues: np.ndarray           # (..., Gram side), each descending
-    entropy: np.ndarray               # von Neumann, nats
-    renyi: dict[float, np.ndarray]
-    rank: np.ndarray
-
-    def repeated(self, count: int) -> "SpectralReport":
-        """A one-spectrum stack's summary standing for ``count`` samples of
-        the same state, each sample with its own copy."""
-        def stand(a):
-            return np.repeat(a, count, axis=0)
-
-        return SpectralReport(
-            eigenvalues=stand(self.eigenvalues), entropy=stand(self.entropy),
-            renyi={q: stand(v) for q, v in self.renyi.items()},
-            rank=stand(self.rank))
-
-
-@dataclass(frozen=True, eq=False)
 class MCReport:
     samples: int
     mean_H: float
@@ -183,7 +162,7 @@ class MCReport:
     per_sample_H: tuple[float, ...]
     renyi_mean: dict[float, float]
     ranks: tuple[int, ...]
-    spectra: tuple[np.ndarray, ...]   # each of length min(ds, dt)
+    spectra: np.ndarray               # (samples, min(ds, dt)), a row a sample
     dim: int                          # ds; the other ds - min(ds, dt)
                                       # eigenvalues are structural zeros
     seed: int
@@ -586,11 +565,10 @@ def _spectrum(gram: np.ndarray) -> np.ndarray:
     return values[..., ::-1]  # eigvalsh returns them ascending
 
 
-def _summarize_spectrum(eig: np.ndarray,
-                        q_list: tuple[float, ...]) -> SpectralReport:
-    """Entropies and ranks of a descending spectrum of unit trace, or of
-    each in a stack ``(..., side)``, at orders already validated by
-    :func:`_renyi_orders`, in array passes over the stack.
+def _summarize_spectrum(stack: np.ndarray, q_list: tuple[float, ...]) -> tuple:
+    """Per-sample entropies, Renyi entropies and ranks, as lists, of a
+    ``(samples, side)`` stack of descending spectra of unit trace, at orders
+    already validated by :func:`_renyi_orders`, in array passes over it.
 
     Eigenvalues below ``EIGENVALUE_CLIP_REL`` (relative to the largest) are
     clamped to zero in place; the numerical rank uses ``RANK_THRESHOLD_REL``.
@@ -599,10 +577,9 @@ def _summarize_spectrum(eig: np.ndarray,
     prefixes have one length are summed together row by row, which numpy
     does as it sums one such prefix alone.
     """
-    stack = eig.reshape(-1, eig.shape[-1])
     top = stack[:, :1].copy()
     stack[stack < EIGENVALUE_CLIP_REL * top] = 0.0
-    rank = np.count_nonzero(stack > RANK_THRESHOLD_REL * top, axis=1)
+    rank = np.count_nonzero(stack > RANK_THRESHOLD_REL * top, axis=1).tolist()
     positives = np.count_nonzero(stack > 0, axis=1)
     entropy = np.empty(len(stack))
     sums = {q: np.empty(len(stack)) for q in q_list if q not in (0.0, 1.0)}
@@ -615,58 +592,44 @@ def _summarize_spectrum(eig: np.ndarray,
             # factor out the largest eigenvalue so that a large q cannot
             # underflow the sum to zero
             total[rows] = np.sum((positive / top[rows]) ** q, axis=1)
-    shape = eig.shape[:-1]
-    renyi: dict[float, np.ndarray] = {}
+    entropy = entropy.tolist()
+    renyi: dict[float, list[float]] = {}
     for q in q_list:
         if q == 0.0:
-            values = [math.log(r) if r else 0.0 for r in rank.tolist()]
+            renyi[q] = [math.log(r) if r else 0.0 for r in rank]
         elif q == 1.0:
-            values = entropy
+            renyi[q] = entropy
         else:
-            values = [(q * math.log(t) + math.log(total)) / (1.0 - q) + 0.0
-                      for t, total in zip(top[:, 0].tolist(), sums[q].tolist())]
-        renyi[q] = np.reshape(values, shape)
-    return SpectralReport(eigenvalues=stack.reshape(eig.shape),
-                          entropy=entropy.reshape(shape), renyi=renyi,
-                          rank=rank.reshape(shape))
+            renyi[q] = [(q * math.log(t) + math.log(total)) / (1.0 - q) + 0.0
+                        for t, total in zip(top[:, 0].tolist(), sums[q].tolist())]
+    return entropy, renyi, rank
 
 
-def _sample_chunk(payload) -> SpectralReport:
-    """Summaries of samples ``start, ..., stop - 1`` under a run's plan,
-    seeded, built, diagonalised and summarised together (once when nothing
-    acts); top level so process pools can pickle it."""
-    plan, seed, start, stop, q_list = payload
+def _sample_chunk(payload) -> np.ndarray:
+    """The ``(stop - start, side)`` spectra of samples ``start, ..., stop -
+    1`` under a run's plan, seeded, built and diagonalised together (once
+    when nothing acts, its spectrum then repeated); top level so process
+    pools can pickle it."""
+    plan, seed, start, stop = payload
     words = _seed_words(seed, start, stop, [slot for slot, *_ in plan.vertices])
-    grams = _gram_stack(plan, words)
-    summary = _summarize_spectrum(_spectrum(grams), q_list)
-    return summary if len(grams) == len(words) else summary.repeated(len(words))
+    values = _spectrum(_gram_stack(plan, words))
+    return values if len(values) == len(words) else np.repeat(values, len(words), axis=0)
 
 
-def _mc_report(reports: Sequence[SpectralReport], flags: tuple[str, ...],
-               seed: int, N: int, q_list: tuple[float, ...],
-               dim: int) -> MCReport:
-    """Aggregate the summaries (of a sample or a stack each), in sample
-    order, with exact sums."""
-    def column(values) -> list:
-        return [x for r in reports for x in np.ravel(values(r)).tolist()]
-
-    entropies = tuple(column(lambda r: r.entropy))
+def _mc_report(spectra: np.ndarray, flags: tuple[str, ...], seed: int, N: int,
+               q_list: tuple[float, ...], dim: int) -> MCReport:
+    """Summarise a run's ``(samples, side)`` spectra once, clipping them in
+    place, and aggregate the summaries in sample order, with exact sums."""
+    entropies, renyi, ranks = _summarize_spectrum(spectra, q_list)
     samples = len(entropies)
     mean = math.fsum(entropies) / samples
-    if samples > 1:
-        var = math.fsum((h - mean) ** 2 for h in entropies) / (samples - 1)
-        stderr = math.sqrt(var / samples)
-    else:
-        stderr = 0.0
+    var = (math.fsum((h - mean) ** 2 for h in entropies) / (samples - 1)
+           if samples > 1 else 0.0)
     return MCReport(
-        samples=samples, mean_H=mean, stderr_H=stderr, per_sample_H=entropies,
-        renyi_mean={
-            q: math.fsum(column(lambda r: r.renyi[q])) / samples for q in q_list
-        },
-        ranks=tuple(column(lambda r: r.rank)),
-        spectra=tuple(row for r in reports
-                      for row in r.eigenvalues.reshape(-1, r.eigenvalues.shape[-1])),
-        dim=dim, seed=seed, N=N, flags=flags,
+        samples=samples, mean_H=mean, stderr_H=math.sqrt(var / samples),
+        per_sample_H=tuple(entropies),
+        renyi_mean={q: math.fsum(renyi[q]) / samples for q in q_list},
+        ranks=tuple(ranks), spectra=spectra, dim=dim, seed=seed, N=N, flags=flags,
     )
 
 
@@ -686,7 +649,7 @@ def run_experiment(marginal: Marginal, N: int, samples: int, seed: int,
     sampling starts.  Samples run in contiguous chunks of
     ``max(1, CHUNK_ELEMENTS // largest)``, where ``largest`` is the largest
     array one sample takes or builds; with ``jobs > 1`` a process pool of at
-    most one worker per chunk runs them.
+    most one worker per chunk runs them, and the run is summarised once.
     """
     if samples < 1:
         raise ValidationError("need at least one sample")
@@ -696,14 +659,20 @@ def run_experiment(marginal: Marginal, N: int, samples: int, seed: int,
     q_list = _renyi_orders(q_list)
     flags, plan = _route(marginal, N, unitaries, skip_traced, skip_surviving)
     size = max(1, CHUNK_ELEMENTS // plan.largest)
-    payloads = [(plan, seed, start, min(start + size, samples), q_list)
+    payloads = [(plan, seed, start, min(start + size, samples))
                 for start in range(0, samples, size)]
+    spectra = np.empty((samples, plan.side))
+
+    def fill(chunks) -> None:
+        for (*_, start, stop), chunk in zip(payloads, chunks):
+            spectra[start:stop] = chunk
+
     workers = min(jobs, len(payloads))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_sample_chunk, payloads))
+            fill(pool.map(_sample_chunk, payloads))
     else:
-        chunks = [_sample_chunk(p) for p in payloads]
-    return _mc_report(chunks, tuple(sorted(flags)), seed, N, q_list, plan.dim)
+        fill(map(_sample_chunk, payloads))
+    return _mc_report(spectra, tuple(sorted(flags)), seed, N, q_list, plan.dim)

@@ -94,6 +94,12 @@ class TransportInstance:
         return cls(facilities=facilities, pairs=canonical,
                    quotas=clean_quotas, N=N)
 
+    def __hash__(self) -> int:
+        """A hash over the fields equality compares, the mappings read as
+        sets of items, so their order does not matter."""
+        return hash((self.facilities, frozenset(self.pairs.items()),
+                     frozenset(self.quotas.items()), self.N))
+
     @property
     def has_particles(self) -> bool:
         """Whether some site holds a singlet half or ships a particle."""

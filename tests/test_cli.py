@@ -830,6 +830,25 @@ def test_bad_renyi_orders_exit_code(write_doc, capsys, orders):
     assert err.count("\n") == 1 and err.startswith("input error:")
 
 
+
+def test_renyi_orders_are_validated_once(write_doc, capsys, tmp_path):
+    # a repeated order is refused, not dropped from the report; -0 is the
+    # order 0, echoed and keyed as 0.0
+    graph = write_doc("bh.json", black_hole2_doc())
+    out = tmp_path / "r.json"
+    argv = ["simulate", "-g", graph, "-N", "2", "-n", "1", "--seed", "0",
+            "--out", str(out)]
+    assert main(argv + ["--q=-0,1,1,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == ("input error: Renyi orders must be distinct, "
+                            "got [0.0, 1.0, 1.0, 2.0]\n")
+    assert main(argv + ["--q=-0,1,2"]) == 0
+    report = json.loads(out.read_text())
+    assert [math.copysign(1.0, q) for q in report["inputs"]["q"]] == [1.0] * 3
+    assert report["inputs"]["q"] == [0.0, 1.0, 2.0]
+    assert list(report["mc"]["renyi_mean"]) == ["0.0", "1.0", "2.0"]
+
 # Runs in a fresh interpreter: each step prints which of the watched
 # modules and which package modules are loaded after it.  The commands run
 # in an order that shows what each one adds.

@@ -315,9 +315,9 @@ def test_empirical_vs_mp_degenerate_pure():
 
 
 def test_pure_spectrum_entropies_are_positive_zeros():
-    report = mc_simulator._summarize_spectrum(np.array([1.0, 0.0, 0.0]),
-                                              (0.0, 0.5, 1.0, 2.0, 3.0))
-    for value in (report.entropy, *report.renyi.values()):
+    entropy, renyi, _ = mc_simulator._summarize_spectrum(
+        np.array([[1.0, 0.0, 0.0]]), (0.0, 0.5, 1.0, 2.0, 3.0))
+    for value in (entropy[0], *(values[0] for values in renyi.values())):
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
@@ -358,11 +358,11 @@ def test_stacked_summary_matches_per_spectrum_sums(side):
         rows.append(row / row.sum())
     stack = np.array(rows)
     expected = [_summary_oracle(row, q_list) for row in stack]
-    got = mc_simulator._summarize_spectrum(stack, q_list)
+    got_entropy, got_renyi, got_rank = mc_simulator._summarize_spectrum(stack, q_list)
     for k, (eig, entropy, renyi, rank) in enumerate(expected):
-        assert got.eigenvalues[k].tobytes() == eig.tobytes()
-        assert got.entropy[k] == entropy and got.rank[k] == rank
-        assert {q: got.renyi[q][k] for q in q_list} == renyi
+        assert stack[k].tobytes() == eig.tobytes()  # clipped in place
+        assert got_entropy[k] == entropy and got_rank[k] == rank
+        assert {q: got_renyi[q][k] for q in q_list} == renyi
 
 
 def test_wishart_experiment_page_values():
@@ -542,7 +542,7 @@ def _assert_matches_oracle(m, unitaries, seed, skip):
     assert report.dim == ds
     assert np.abs(padded(got, ds) - expected).max() <= 1e-12
     assert report.ranks[0] == \
-        mc_simulator._summarize_spectrum(expected, (0.0,)).rank
+        mc_simulator._summarize_spectrum(expected[None], (0.0,))[2][0]
 
 
 @pytest.mark.parametrize("skip", [(True, True), (False, False),
@@ -926,17 +926,16 @@ def _einsum_oracle(m, N, samples, seed, skip, q_list=(0.0, 1.0, 2.0)):
     np.einsum over the plan's labels and path, then the spectrum summary."""
     path, inputs, output = _plan_labels(m, N, skip)
     flags, plan = mc_simulator._route(m, N, "sample", *skip)
-    reports = []
+    spectra = []
     for i in range(samples):
         arrays = [t for tensor in _isometries(m, plan, seed, i)
                   for t in (tensor, tensor.conj())]
         arrays += [np.eye(dim) for dim in plan.eyes for _ in range(2)]  # ket, bra
         out = _einsum(arrays, inputs, output, optimize=["einsum_path", *path])
         gram = out.reshape(plan.side, plan.side) * plan.scale
-        reports.append(mc_simulator._summarize_spectrum(
-            mc_simulator._spectrum(gram), q_list))
-    return mc_simulator._mc_report(reports, tuple(sorted(flags)), seed, N,
-                                   q_list, plan.dim)
+        spectra.append(mc_simulator._spectrum(gram))
+    return mc_simulator._mc_report(np.array(spectra), tuple(sorted(flags)), seed,
+                                   N, q_list, plan.dim)
 
 
 def _assert_same_reports(got, expected):
@@ -1017,10 +1016,10 @@ def test_ring_beyond_einsum_labels_matches_the_ket_factor(monkeypatch, chunk):
         f = _einsum(arrays, kets, [*kept, *summed], optimize="greedy")
         f = f.reshape(plan.side, -1)
         gram = f @ f.conj().T * plan.scale
-        expected = mc_simulator._summarize_spectrum(
-            mc_simulator._spectrum(gram), (0.0, 1.0, 2.0))
-        assert np.abs(spectrum - expected.eigenvalues).max() <= 1e-12
-        assert abs(h - expected.entropy) <= 1e-12
+        expected = mc_simulator._spectrum(gram)[None]
+        entropy, _, _ = mc_simulator._summarize_spectrum(expected, (0.0, 1.0, 2.0))
+        assert np.abs(spectrum - expected[0]).max() <= 1e-12
+        assert abs(h - entropy[0]) <= 1e-12
 
 
 def test_jobs_do_not_change_a_chunked_run():
@@ -1096,6 +1095,25 @@ def test_nothing_acted_is_diagonalised_once(monkeypatch):
     for spectra in (report.spectra, sampled.spectra):
         assert all(s.flags.writeable for s in spectra)
         assert not np.shares_memory(spectra[0], spectra[1])
+
+
+def test_a_run_is_summarised_once(monkeypatch):
+    # one sample a chunk, five chunks: their spectra land in one array,
+    # summarised in one call
+    calls = []
+    summarize = mc_simulator._summarize_spectrum
+
+    def counted(stack, q_list):
+        calls.append(stack.shape)
+        return summarize(stack, q_list)
+
+    monkeypatch.setattr(mc_simulator, "_summarize_spectrum", counted)
+    monkeypatch.setattr(mc_simulator, "CHUNK_ELEMENTS", 1)
+    report = run_experiment(lattice(2, 4), 2, samples=5, seed=0)
+    side = mc_simulator._route(lattice(2, 4), 2, "sample", True, True)[1].side
+    assert calls == [(5, side)]
+    assert isinstance(report.spectra, np.ndarray)
+    assert report.spectra.shape == (5, side) and report.spectra.dtype == float
 
 
 def test_no_einsum_per_sample(monkeypatch):

@@ -228,6 +228,21 @@ def test_parse_instance_round_trip():
     assert scenarios(again) == (2, 2, 2)
 
 
+def test_equal_instances_hash_equal():
+    # the mappings are dicts: the hash reads them as sets of items, so the
+    # order pairs and quotas are given in does not matter
+    assert isinstance(hash(TransportInstance.build(["P1"], {}, {"P1": (1, 1)})), int)
+    sites = ["P1", "P2", "P3"]
+    quotas = {"P1": (0, 1), "P2": (2, 0), "P3": (0, 1)}
+    forward = TransportInstance.build(
+        sites, [(("P1", "P2"), 1), (("P2", "P3"), 1)], quotas)
+    backward = TransportInstance.build(
+        sites, [(("P3", "P2"), 1), (("P2", "P1"), 1)], dict(reversed(quotas.items())))
+    assert list(forward.pairs) != list(backward.pairs)
+    assert forward == backward and hash(forward) == hash(backward)
+    assert len({forward, backward}) == 1
+
+
 def test_certify_mismatched_unitary_bound_is_hard():
     # sanity: the certificate never reports a rank above N^Y3
     cert = certify(path_instance(), 3, haar_samples=10, seed=5)
