@@ -34,7 +34,7 @@ _EXPORTS = {
         "BruteForceArea", "Marking", "area_bruteforce", "marking_from_flow",
     ),
     "mc_simulator": (
-        "MCReport", "haar_unitary", "run_experiment",
+        "MCReport", "run_experiment",
     ),
     "nc_combinatorics": (
         "case_B", "catalan", "catalan_bound", "count_multichains",

@@ -76,7 +76,8 @@ class Graph:
                     )
             if not isinstance(e.d, int) or isinstance(e.d, bool) or e.d < 1:
                 raise ValidationError(
-                    f"edge {i} has non-positive dimension ratio {e.d!r}"
+                    f"edge {i} has dimension ratio {e.d!r}; it must be a "
+                    "positive integer"
                 )
         for name in self.vertices:
             if self.degree(name) == 0:

@@ -16,21 +16,22 @@ form a plan built once and memoised, with the path planned here on integer
 labels and compiled into pairwise ``matmul`` steps.  The plan holds only
 sizes and steps, no array (an identity edge is its dimension), so the
 state-dimension guard, the one size refusal, bounds the largest array a
-sample takes or builds (each isometry among them) before anything is
-allocated.  A run resolves its plan and checks the guard once, then ships
-the plan to its samples in contiguous chunks: a chunk derives its
-samples' seed words in one pass, draws, contracts and diagonalises its
-samples together on a leading sample axis, each sample meeting the same
-matrix products as it would alone; when no vertex acts, it diagonalises its
-one state once and repeats the spectrum.  The chunks fill one ``(samples,
-min(ds, dt))`` spectrum array in sample order, and :func:`_mc_report`
-summarises that array once, in array passes, into the ``MCReport``.  Every
-spectrum, sampled or of the identity state a transport certificate checks,
-comes from :func:`run_experiment` on that one route, a vertex carrying only
-loops included (its isometry is one Haar column, so its marginal is Page's
-induced ensemble).  A spectrum keeps the ``min(ds, dt)`` eigenvalues of the
-Gram side it is computed at; the ``ds - min(ds, dt)`` structural zeros of
-the reduced state are not stored, and ``MCReport.dim`` records ``ds``.
+sample takes or builds (each isometry among them), and the run's spectra
+array, before anything is allocated.  A run resolves its plan and checks
+the guard once, then ships the plan to its samples in contiguous chunks: a
+chunk derives its samples' seed words in one pass, draws, contracts and
+diagonalises its samples together on a leading sample axis, each sample
+meeting the same matrix products as it would alone; when no vertex acts,
+it diagonalises its one state once and repeats the spectrum.  The chunks
+fill one ``(samples, min(ds, dt))`` spectrum array in sample order, and
+:func:`_mc_report` summarises that array once, in array passes, into the
+``MCReport``.  Every spectrum, sampled or of the identity state a
+transport certificate checks, comes from :func:`run_experiment` on that
+one route, a vertex carrying only loops included (its isometry is one Haar
+column, so its marginal is Page's induced ensemble).  A spectrum keeps the
+``min(ds, dt)`` eigenvalues of the Gram side it is computed at; the ``ds -
+min(ds, dt)`` structural zeros of the reduced state are not stored, and
+``MCReport.dim`` records ``ds``.
 
 Determinism contract: sample ``i`` draws at vertex slot ``v`` from the
 PCG64 stream of ``SeedSequence([seed, i], spawn_key=(v,))``, the one
@@ -106,49 +107,11 @@ def _check_seed(seed: int) -> None:
         raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
 
 
-def ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Matrix of i.i.d. standard complex Gaussian entries.  One draw gives
-    the real parts, then the imaginary parts, in the stream order of two
-    separate draws."""
-    z = np.empty((rows, cols), complex)
-    return _complex_normals(rng.standard_normal((2, rows, cols)), z)
-
-
-def _complex_normals(parts: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Write ``parts[..., 0, :, :]`` into the real and ``parts[..., 1, :, :]``
-    into the imaginary parts of ``z``, scaled to unit complex variance.
-    Scaling by the reciprocal of sqrt 2 gives the bits of dividing the
-    complex matrix by sqrt 2 (numpy divides a complex by a real as
-    ``a * (1 / c)``); dividing the real parts would not."""
-    scale = 1.0 / math.sqrt(2.0)
-    np.multiply(parts[..., 0, :, :], scale, out=z.real)
-    np.multiply(parts[..., 1, :, :], scale, out=z.imag)
-    return z
-
-
-def haar_unitary(dim: int, rng: np.random.Generator,
-                 size: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Haar-distributed unitary, or its first ``cols`` columns (a Haar
-    isometry), via QR of a ``dim x cols`` Ginibre matrix.
-
-    The triangular factor's diagonal is normalized to positive reals (phase
-    correction); without it the factorization is not measure-correct.
-    ``cols`` defaults to ``dim``; the state guard bounds the ``dim * cols``
-    entries of one draw, and with them the QR's ``dim * cols^2`` cost.
-    ``size`` stacks independent samples along a leading axis.
-    """
-    cols = dim if cols is None else cols
-    if not 1 <= cols <= dim:
-        raise ValidationError(
-            f"an isometry needs 1 <= cols <= dim, got dim {dim}, cols {cols}")
-    _check_size(dim * cols, "Haar isometry entries")
-    shape = (dim, cols) if size is None else (size, dim, cols)
-    stack = 1 if size is None else size
-    return _isometry(ginibre(stack * dim, cols, rng).reshape(shape))
-
-
 def _isometry(z: np.ndarray) -> np.ndarray:
-    """The phase-fixed Q factor of a (stack of) Ginibre matrices."""
+    """The Haar isometry of a (stack of) Ginibre matrices: the Q factor of
+    its QR, with the triangular factor's diagonal normalised to positive
+    reals (without that phase fix the factorization is not measure-correct;
+    Mezzadri, math-ph/0609050)."""
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[..., None, :]
@@ -395,11 +358,11 @@ def _gram_plan(graph: Graph, traced: tuple[int, ...], N: int,
     )
 
 
-def _route(marginal: Marginal, N: int, unitaries: str, skip_traced: bool,
-           skip_surviving: bool) -> tuple[tuple[str, ...], _GramPlan]:
+def _route(marginal: Marginal, N: int,
+           unitaries: str) -> tuple[tuple[str, ...], _GramPlan]:
     """The flags of a state and its Gram plan, once the inputs and the
     state guard have passed; nothing is sampled or allocated."""
-    if unitaries not in ("sample", "identity"):
+    if unitaries not in ("sample", "all", "identity"):
         raise ValidationError(f"unknown unitary mode {unitaries!r}")
     g = marginal.graph
     flags: list[str] = []
@@ -407,9 +370,9 @@ def _route(marginal: Marginal, N: int, unitaries: str, skip_traced: bool,
     for v in g.vertices:
         if unitaries == "identity":
             flags.append(f"identity:{v}")
-        elif marginal.s(v) == 0 and skip_traced:
+        elif unitaries == "sample" and marginal.s(v) == 0:
             flags.append(f"skipped_traced:{v}")
-        elif marginal.t(v) == 0 and skip_surviving:
+        elif unitaries == "sample" and marginal.t(v) == 0:
             flags.append(f"skipped_surviving:{v}")
         else:
             acted.append(v)
@@ -511,13 +474,21 @@ def _normals(words: np.ndarray, out: np.ndarray) -> None:
 
 
 def _ginibre_stack(words: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """One Ginibre matrix per row of seed words, each drawn from its own
-    stream as :func:`ginibre` draws it, written into one ``(streams, rows,
-    cols)`` stack."""
+    """One matrix of i.i.d. standard complex Gaussian entries per row of
+    seed words, written into one ``(streams, rows, cols)`` stack.  Each
+    stream draws the real parts, then the imaginary parts, in the stream
+    order of two separate draws.  Scaling by the reciprocal of sqrt 2 gives
+    the bits of dividing the complex matrix by sqrt 2 (numpy divides a
+    complex by a real as ``a * (1 / c)``); dividing the real parts would
+    not."""
     parts = np.empty((len(words), 2, rows, cols))
     for row, out in zip(words, parts):
         _normals(row, out)
-    return _complex_normals(parts, np.empty((len(words), rows, cols), complex))
+    z = np.empty((len(words), rows, cols), complex)
+    scale = 1.0 / math.sqrt(2.0)
+    np.multiply(parts[:, 0], scale, out=z.real)
+    np.multiply(parts[:, 1], scale, out=z.imag)
+    return z
 
 
 def _gram_stack(plan: _GramPlan, words: np.ndarray) -> np.ndarray:
@@ -635,18 +606,18 @@ def _mc_report(spectra: np.ndarray, flags: tuple[str, ...], seed: int, N: int,
 
 def run_experiment(marginal: Marginal, N: int, samples: int, seed: int,
                    q_list: Sequence[float] = (0.0, 1.0, 2.0), *,
-                   jobs: int = 1, unitaries: str = "sample",
-                   skip_traced: bool = True,
-                   skip_surviving: bool = True) -> MCReport:
+                   jobs: int = 1, unitaries: str = "sample") -> MCReport:
     """Estimate the mean entanglement entropy of a marginal.
 
-    With ``unitaries="identity"`` no vertex acts.  A sampled unitary is
-    skipped on a fully traced vertex if ``skip_traced`` and on a fully
-    surviving one if ``skip_surviving`` (both spectrum-invariant); the
-    flags record every skip.  Per-sample generators derive from
+    ``unitaries`` says which vertices act: with ``"sample"`` only the
+    vertices the partition crosses, a Haar unitary on a fully traced or a
+    fully surviving vertex leaving the spectrum unchanged (the flags record
+    every such skip); with ``"all"`` every vertex, the ensemble as defined;
+    with ``"identity"`` none.  Per-sample generators derive from
     ``(seed, sample_index)``, so reports are reproducible and independent
-    of ``jobs`` and of chunking.  Inputs and guards are checked before any
-    sampling starts.  Samples run in contiguous chunks of
+    of ``jobs`` and of chunking.  Inputs and guards, the run's
+    ``(samples, min(ds, dt))`` spectra array among them, are checked before
+    any sampling starts.  Samples run in contiguous chunks of
     ``max(1, CHUNK_ELEMENTS // largest)``, where ``largest`` is the largest
     array one sample takes or builds; with ``jobs > 1`` a process pool of at
     most one worker per chunk runs them, and the run is summarised once.
@@ -657,7 +628,8 @@ def run_experiment(marginal: Marginal, N: int, samples: int, seed: int,
         raise ValidationError(f"jobs must be at least 1, got {jobs}")
     _check_seed(seed)
     q_list = _renyi_orders(q_list)
-    flags, plan = _route(marginal, N, unitaries, skip_traced, skip_surviving)
+    flags, plan = _route(marginal, N, unitaries)
+    _check_size(samples * plan.side, "spectra array entries")
     size = max(1, CHUNK_ELEMENTS // plan.largest)
     payloads = [(plan, seed, start, min(start + size, samples))
                 for start in range(0, samples, size)]

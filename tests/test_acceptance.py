@@ -92,7 +92,7 @@ def test_criterion_2_adapted_exactness():
         marginal = random_adapted_marginal(rng, max_vertex_dim=512, N=N)
         exact = predict_entropy(marginal, N).value(N)
         report = run_experiment(marginal, N, samples=2, seed=int(rng.integers(10 ** 6)),
-                                skip_traced=False, skip_surviving=False)
+                                unitaries="all")
         worst_gap = max(worst_gap, max(abs(h - exact) for h in report.per_sample_H))
         worst_spread = max(
             worst_spread, max(report.per_sample_H) - min(report.per_sample_H)

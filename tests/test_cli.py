@@ -774,6 +774,36 @@ def test_identity_edges_are_guarded_before_allocation(write_doc, capsys,
     assert err.startswith("resource guard: largest contraction array ")
 
 
+@pytest.mark.parametrize("command", ["simulate", "transport"])
+def test_sample_count_is_guarded_before_sampling(write_doc, capsys, monkeypatch,
+                                                 command):
+    # the (samples, side) spectra array falls under the state guard: 10^9
+    # samples of side 2, or 10^8 Haar samples of the routed doubled edge
+    # (side 4), are refused before a Haar draw or that array is allocated
+    gram_stack = arealaw.mc_simulator._gram_stack
+
+    def no_haar_draw(plan, words):  # a certificate's identity state is built
+        if plan.vertices:
+            raise AssertionError("a sample was drawn")
+        return gram_stack(plan, words)
+
+    monkeypatch.setattr("arealaw.mc_simulator._gram_stack", no_haar_draw)
+    monkeypatch.delenv("AREALAW_STATE_DIM_LIMIT", raising=False)
+    if command == "simulate":
+        argv = ["simulate", "-g", write_doc("loop.json", single_loop_doc()),
+                "-N", "2", "-n", "1000000000", "--seed", "1"]
+        entries = 2 * 10 ** 9
+    else:
+        argv = ["transport", "-i", write_doc("inst.json", doubled_edge_doc()),
+                "--certify", "--haar-samples", "100000000"]
+        entries = 4 * 10 ** 8
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"resource guard: spectra array entries {entries} exceeds the "
+                   "guard 16777216 (set AREALAW_STATE_DIM_LIMIT to override)\n")
+
+
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 def test_normalization_drift_exit_code(write_doc, capsys, monkeypatch, command):
     # a drifted trace is a defect of the package, not of the input

@@ -52,10 +52,14 @@ def test_degree_zero_vertex_rejected():
 
 
 def test_nonpositive_ratio_rejected():
-    with pytest.raises(ValidationError):
-        parse_graph(json.dumps({
-            "vertices": ["A"], "edges": [{"u": "A", "v": "A", "d": 0}],
-        }))
+    # a float, however integral, and a boolean are not integer ratios either
+    for d, shown in ((1.0, "1.0"), (0, "0"), (-1, "-1"), (True, "True")):
+        with pytest.raises(ValidationError) as caught:
+            parse_graph(json.dumps({
+                "vertices": ["A"], "edges": [{"u": "A", "v": "A", "d": d}],
+            }))
+        assert str(caught.value) == (
+            f"edge 0 has dimension ratio {shown}; it must be a positive integer")
 
 
 def test_reserved_vertex_names_rejected():

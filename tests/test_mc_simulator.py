@@ -10,12 +10,10 @@ from arealaw import (
     InconsistencyError,
     ResourceGuardError,
     ValidationError,
-    haar_unitary,
     parse_marginal,
     run_experiment,
 )
 from arealaw import mc_simulator
-from arealaw.mc_simulator import ginibre
 
 from conftest import (
     adapted_five,
@@ -38,17 +36,22 @@ def leg_dimensions(m, N):
     return tuple(leg.ratio * N for leg in m.graph.legs)
 
 
+def _haar_draws(seed, start, stop, dim, cols):
+    """Samples ``start, ..., stop - 1``'s ``dim x cols`` Haar isometries at
+    vertex slot 0, drawn as a run draws them."""
+    words = mc_simulator._seed_words(seed, start, stop, [0])[:, 0]
+    return mc_simulator._isometry(mc_simulator._ginibre_stack(words, dim, cols))
+
+
 def test_haar_unitarity():
-    rng = np.random.default_rng(0)
-    u = haar_unitary(64, rng)
+    u = _haar_draws(0, 0, 1, 64, 64)[0]
     assert np.abs(u @ u.conj().T - np.eye(64)).max() < 1e-10
     eigs = np.linalg.eigvals(u)
     assert np.abs(np.abs(eigs) - 1.0).max() < 1e-10
 
 
 def test_haar_dim_one_is_phase():
-    rng = np.random.default_rng(1)
-    phases = [haar_unitary(1, rng)[0, 0] for _ in range(200)]
+    phases = _haar_draws(1, 0, 200, 1, 1)[:, 0, 0]
     assert max(abs(abs(z) - 1.0) for z in phases) < 1e-12
     # angles spread over the circle
     angles = np.angle(phases)
@@ -58,10 +61,9 @@ def test_haar_dim_one_is_phase():
 def test_haar_first_entry_moment():
     # |U_11|^2 is Beta(1, dim - 1): mean 1/dim, var (dim-1)/(dim^2 (dim+1))
     dim, total = 64, 10_000
-    rng = np.random.default_rng(2)
     acc = []
-    for _ in range(10):
-        batch = haar_unitary(dim, rng, size=total // 10)
+    for k in range(10):
+        batch = _haar_draws(2, k * total // 10, (k + 1) * total // 10, dim, dim)
         acc.append(np.abs(batch[:, 0, 0]) ** 2)
     mean = float(np.concatenate(acc).mean())
     sigma = math.sqrt((dim - 1) / (dim ** 2 * (dim + 1)) / total)
@@ -69,34 +71,43 @@ def test_haar_first_entry_moment():
 
 
 def test_haar_isometry():
-    rng = np.random.default_rng(4)
-    v = haar_unitary(12, rng, cols=3)
+    v = _haar_draws(4, 0, 1, 12, 3)[0]
     assert v.shape == (12, 3)
     assert np.abs(v.conj().T @ v - np.eye(3)).max() < 1e-12
-    batch = haar_unitary(6, rng, size=4, cols=2)
+    batch = _haar_draws(4, 1, 5, 6, 2)
     assert batch.shape == (4, 6, 2)
     assert np.abs(batch.conj().transpose(0, 2, 1) @ batch - np.eye(2)).max() < 1e-12
-    # cols = dim is the default draw, from the same stream
-    assert np.array_equal(haar_unitary(5, np.random.default_rng(6), cols=5),
-                          haar_unitary(5, np.random.default_rng(6)))
-    for cols in (0, 13):
-        with pytest.raises(ValidationError, match="cols"):
-            haar_unitary(12, rng, cols=cols)
+    # a stacked draw is the draws of its samples one at a time
+    alone = [_haar_draws(6, i, i + 1, 5, 5)[0] for i in range(3)]
+    assert _haar_draws(6, 0, 3, 5, 5).tobytes() == np.stack(alone).tobytes()
 
 
 def test_haar_guard(monkeypatch):
-    # the state guard bounds a draw's dim * cols entries, 4096^2 by default;
-    # it fires before any allocation: the generator is never touched
-    monkeypatch.delenv("AREALAW_STATE_DIM_LIMIT", raising=False)
+    # three loops at one vertex: the plan's largest array is its isometry,
+    # N^6 x 1, so the state guard bounds the draw; at N = 17 (more than
+    # 2^24 entries) it refuses before any stream is drawn
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a Haar isometry was drawn")
+
+    m = marginal_from(["V"], [("V", "V", 1)] * 3, {"mode": "counts", "s": {"V": 2}})
+    monkeypatch.setenv("AREALAW_STATE_DIM_LIMIT", str(2 ** 30))
+    for N in (3, 17):
+        plan = _sample_plan(m, N)
+        assert [(vdim, cols) for _, vdim, cols, _ in plan.vertices] == [(N ** 6, 1)]
+        assert plan.largest == N ** 6
+    monkeypatch.delenv("AREALAW_STATE_DIM_LIMIT")
+    draw = mc_simulator._normals
+    monkeypatch.setattr(mc_simulator, "_normals", no_draw)
     with pytest.raises(ResourceGuardError,
-                       match=r"^Haar isometry entries 16785409 .*AREALAW_STATE_DIM_LIMIT"):
-        haar_unitary(4097, None)
-    rng = np.random.default_rng(3)
-    monkeypatch.setenv("AREALAW_STATE_DIM_LIMIT", "80")
+                       match=r"^largest contraction array 24137569 exceeds the "
+                             r"guard 16777216 \(set AREALAW_STATE_DIM_LIMIT"):
+        run_experiment(m, 17, samples=1, seed=0)
+    monkeypatch.setenv("AREALAW_STATE_DIM_LIMIT", str(3 ** 6 - 1))
     with pytest.raises(ResourceGuardError):
-        haar_unitary(9, rng)
-    monkeypatch.setenv("AREALAW_STATE_DIM_LIMIT", "81")
-    assert haar_unitary(9, rng).shape == (9, 9)  # no raise once overridden
+        run_experiment(m, 3, samples=1, seed=0)
+    monkeypatch.setattr(mc_simulator, "_normals", draw)
+    monkeypatch.setenv("AREALAW_STATE_DIM_LIMIT", str(3 ** 6))
+    assert run_experiment(m, 3, samples=1, seed=0).samples == 1  # no raise
 
 
 @pytest.mark.parametrize("variable", ["AREALAW_STATE_DIM_LIMIT"])
@@ -118,9 +129,8 @@ def test_state_dim_guard(monkeypatch):
 
 def test_adapted_state_uniform_spectrum():
     m = black_hole(traced=[0, 3], d1=1, d2=2)  # crossings: both edges
-    for skip in (True, False):
-        report = run_experiment(m, 3, samples=1, seed=7,
-                                skip_traced=skip, skip_surviving=skip)
+    for unitaries in ("sample", "all"):
+        report = run_experiment(m, 3, samples=1, seed=7, unitaries=unitaries)
         dim = 3 * 6
         assert report.ranks == (dim,)
         assert np.abs(report.spectra[0][:dim] - 1.0 / dim).max() < 1e-10
@@ -172,11 +182,13 @@ def test_reduced_state_invariants():
 
 def test_explicit_unitary_validation():
     m = single_loop()
-    for bad in ({"V": np.eye(4)}, None, "haar"):
+    for bad in ({"V": np.eye(4)}, None, "haar", "skip", True):
         with pytest.raises(ValidationError, match="unknown unitary mode"):
             run_experiment(m, 2, samples=1, seed=0, unitaries=bad)
     report = run_experiment(m, 2, samples=1, seed=0, unitaries="identity")
     assert "identity:V" in report.flags
+    for unitaries in ("sample", "all"):
+        assert run_experiment(m, 2, 1, 0, unitaries=unitaries).flags == ()
 
 
 def test_single_loop_vector_path_matches_wishart():
@@ -259,10 +271,8 @@ def test_leg_choice_invariance():
 
 def test_skip_invariance():
     m = black_hole(traced=[0, 2])
-    on = run_experiment(m, 8, samples=3, seed=23,
-                        skip_traced=True, skip_surviving=True)
-    off = run_experiment(m, 8, samples=3, seed=23,
-                         skip_traced=False, skip_surviving=False)
+    on = run_experiment(m, 8, samples=3, seed=23, unitaries="sample")
+    off = run_experiment(m, 8, samples=3, seed=23, unitaries="all")
     for h_on, h_off in zip(on.per_sample_H, off.per_sample_H):
         assert abs(h_on - h_off) < 1e-9
 
@@ -397,17 +407,16 @@ def test_wishart_summary_matches_spectral_report():
 
 
 def test_ginibre_shape_and_scale():
-    rng = np.random.default_rng(17)
-    g = ginibre(200, 300, rng)
-    assert g.shape == (200, 300)
+    words = mc_simulator._seed_words(17, 0, 1, [0])[:, 0]
+    g = mc_simulator._ginibre_stack(words, 200, 300)
+    assert g.shape == (1, 200, 300)
     # unit-variance complex entries
     assert abs(np.mean(np.abs(g) ** 2) - 1.0) < 0.02
 
 
-def _two_draw_ginibre(rows, cols, rng, size=None):
-    """Oracle: the real parts and the imaginary parts as two draws, of a
-    stack of ``size`` matrices when given."""
-    shape = (rows, cols) if size is None else (size, rows, cols)
+def _two_draw_ginibre(rows, cols, rng):
+    """Oracle: the real parts and the imaginary parts as two draws."""
+    shape = (rows, cols)
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     z /= math.sqrt(2.0)
     return z
@@ -417,19 +426,6 @@ def _two_draw_ginibre(rows, cols, rng, size=None):
                                    (8, 2), (64, 3), (128, 32)])
 def test_ginibre_matches_two_draws_bit_for_bit(shape):
     for seed in range(40):
-        expected_rng = np.random.default_rng(seed)
-        expected = _two_draw_ginibre(*shape, expected_rng)
-        rng = np.random.default_rng(seed)
-        assert ginibre(*shape, rng).tobytes() == expected.tobytes()
-        # the stream is left where the two draws leave it
-        assert rng.standard_normal() == expected_rng.standard_normal()
-        # haar_unitary draws through ginibre, a stack as one taller matrix
-        dim, cols = max(shape), min(shape)
-        for size in (None, 3):
-            expected = mc_simulator._isometry(_two_draw_ginibre(
-                dim, cols, np.random.default_rng(seed), size))
-            got = haar_unitary(dim, np.random.default_rng(seed), size=size, cols=cols)
-            assert got.tobytes() == expected.tobytes()
         # a chunk draws several streams into one stack, scaling by 1 / sqrt 2
         # where the two draws divide by sqrt 2
         slots = [0, 3, 5]
@@ -503,7 +499,7 @@ def _oracle_spectrum(m, N, unitaries, rng, skip_traced, skip_surviving):
             flags.append(f"skipped_surviving:{v}")
             continue
         w = _loop_embedding(g, v, dims)
-        isometry = haar_unitary(w.shape[0], streams[slot], cols=w.shape[1])
+        isometry = mc_simulator._isometry(_two_draw_ginibre(*w.shape, streams[slot]))
         psi = _apply_on_axes(psi, list(g.legs_of(v)), _completion(isometry, w))
     ds = math.prod(dims[l] for l in surviving)
     factor = psi.transpose(surviving + traced).reshape(ds, -1)
@@ -529,15 +525,21 @@ ORACLE_CASES = [
 ]
 
 
-def _assert_matches_oracle(m, unitaries, seed, skip):
-    # sample 0 of a run draws from the streams default_rng([seed, 0]) spawns
-    report = run_experiment(m, 2, samples=1, seed=seed, unitaries=unitaries,
-                            skip_traced=skip[0], skip_surviving=skip[1])
+def _assert_matches_oracle(m, unitaries, seed, skip=None):
+    # sample 0 of a run draws from the streams default_rng([seed, 0]) spawns.
+    # The oracle skips the unitaries that ``skip`` names, by default those
+    # the mode skips; a unitary on a fully traced or a fully surviving
+    # vertex leaves the spectrum as it is, so the run matches it either way,
+    # and its flags wherever the two skip the same vertices
+    report = run_experiment(m, 2, samples=1, seed=seed, unitaries=unitaries)
+    own = (unitaries == "sample",) * 2
+    skip = own if skip is None else skip
     expected, flags = _oracle_spectrum(m, 2, unitaries,
                                        np.random.default_rng([seed, 0]), *skip)
     got = report.spectra[0]
     ds = expected.size
-    assert report.flags == tuple(sorted(flags))
+    if unitaries == "identity" or skip == own:
+        assert report.flags == tuple(sorted(flags))
     assert len(got) == min(ds, math.prod(leg_dimensions(m, 2)) // ds)
     assert report.dim == ds
     assert np.abs(padded(got, ds) - expected).max() <= 1e-12
@@ -549,9 +551,10 @@ def _assert_matches_oracle(m, unitaries, seed, skip):
                                   (True, False), (False, True)])
 @pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
 def test_contraction_matches_dense_oracle(case, skip):
+    # every mode against the oracle under each of its skip pairs
     m = ORACLE_CASES[case]
-    _assert_matches_oracle(m, "sample", 100 + case, skip)
-    _assert_matches_oracle(m, "identity", 100 + case, skip)
+    for unitaries in ("sample", "all", "identity"):
+        _assert_matches_oracle(m, unitaries, 100 + case, skip)
 
 
 def test_contraction_matches_dense_oracle_random_marginals():
@@ -568,9 +571,9 @@ def test_spectrum_from_either_gram_side():
     # (ds, dt) = (1, 16), (2, 8), (4, 4), (8, 2) and (16, 1)
     for s in range(5):
         m = two_loops(s=s)
-        plan = _sample_plan(m, 2, (False, False))
+        plan = _sample_plan(m, 2, "all")
         assert (plan.dim, plan.side) == (2 ** s, min(2 ** s, 2 ** (4 - s)))
-        _assert_matches_oracle(m, "sample", 8 + s, (False, False))
+        _assert_matches_oracle(m, "all", 8 + s)
         eig = run_experiment(m, 2, samples=1, seed=s).spectra[0]
         assert (np.diff(eig) <= 0).all()
 
@@ -589,11 +592,11 @@ def lattice(rows, cols):
     return parse_marginal(json.dumps(lattice_doc(rows, cols)))
 
 
-def _sample_plan(m, N, skip=(True, True)):
-    return mc_simulator._route(m, N, "sample", *skip)[1]
+def _sample_plan(m, N, unitaries="sample"):
+    return mc_simulator._route(m, N, unitaries)[1]
 
 
-def _plan_labels(m, N, skip=(True, True)):
+def _plan_labels(m, N, unitaries="sample"):
     """The (path, inputs, output) that :func:`_compile` receives when the
     sampled plan of ``m`` is built afresh; the plan keeps only the compiled
     steps.  The inputs hold each operand's ket then bra copy (the acted
@@ -609,7 +612,7 @@ def _plan_labels(m, N, skip=(True, True)):
     mc_simulator._gram_plan.cache_clear()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mc_simulator, "_compile", recorded)
-        _sample_plan(m, N, skip)
+        _sample_plan(m, N, unitaries)
     (labels,) = calls
     return labels
 
@@ -687,23 +690,19 @@ def planned(monkeypatch):
 
 
 def test_greedy_path_matches_numpy(planned):
-    # the suite's plans, rebuilt: the dense-oracle cases under every skip
-    # flag, the random marginals of the dense-oracle test, the transport
+    # the suite's plans, rebuilt: the dense-oracle cases and the random
+    # marginals of the dense-oracle test under every mode, the transport
     # instances, the lattices and black-hole case 2 at N = 8 and 32
     from arealaw import certify
 
     from test_transport import (doubled_edge_instance, isolated_pads_instance,
                                 path_instance, single_edge_instance)
 
-    skips = [(True, True), (False, False), (True, False), (False, True)]
-    for m in ORACLE_CASES:
-        for skip in skips:
-            for unitaries in ("sample", "identity"):
-                mc_simulator._route(m, 2, unitaries, *skip)
     rng = np.random.default_rng(41)
-    for i in range(40):
-        m = random_marginal(rng, max_vertices=4, max_edges=4)
-        mc_simulator._route(m, 2, "sample", bool(i % 2), bool(i // 2 % 2))
+    randoms = [random_marginal(rng, max_vertices=4, max_edges=4) for _ in range(40)]
+    for m in ORACLE_CASES + randoms:
+        for unitaries in ("sample", "all", "identity"):
+            _sample_plan(m, 2, unitaries)
     for instance, N in ((single_edge_instance(), 2), (doubled_edge_instance(), 2),
                         (path_instance(), 2), (isolated_pads_instance(), 2),
                         (doubled_edge_instance(8), 8), (path_instance(), 3)):
@@ -713,7 +712,7 @@ def test_greedy_path_matches_numpy(planned):
     for N in (8, 32):
         _sample_plan(black_hole(traced=[0, 2]), N)
     checked = [call for call in planned if len(call[2]) <= 52]
-    assert len(checked) == len(planned) == 69  # distinct plans
+    assert len(checked) == len(planned) == 109  # distinct plans
     for inputs, output, size, path in checked:
         assert path == _numpy_greedy_path(inputs, output, size)
 
@@ -759,7 +758,7 @@ def test_plan_contracts_pairwise():
     for m in marginals:
         path, _, _ = _plan_labels(m, 2)
         assert all(len(step) == 2 for step in path), path
-    _assert_matches_oracle(twisted, "sample", 7, (True, True))
+    _assert_matches_oracle(twisted, "sample", 7)
 
 
 def test_no_pairwise_path_rejected_before_sampling(monkeypatch):
@@ -905,11 +904,12 @@ def test_nan_trace_is_a_drift(monkeypatch):
 
 
 def _isometries(m, plan, seed, index):
-    """Sample ``index``'s isometries, each drawn with haar_unitary from the
-    vertex stream that ``default_rng([seed, index])`` spawns."""
+    """Sample ``index``'s isometries, each the phase-fixed QR of the two-draw
+    Ginibre matrix from the vertex stream that ``default_rng([seed,
+    index])`` spawns."""
     streams = np.random.default_rng([seed, index]).spawn(len(m.graph.vertices))
-    return [haar_unitary(vdim, streams[slot], cols=cols).reshape(shape)
-            for slot, vdim, cols, shape in plan.vertices]
+    return [mc_simulator._isometry(_two_draw_ginibre(vdim, cols, streams[slot]))
+            .reshape(shape) for slot, vdim, cols, shape in plan.vertices]
 
 
 def _einsum(arrays, inputs, output, **kwargs):
@@ -920,12 +920,13 @@ def _einsum(arrays, inputs, output, **kwargs):
                      [compact[x] for x in output], **kwargs)
 
 
-def _einsum_oracle(m, N, samples, seed, skip, q_list=(0.0, 1.0, 2.0)):
+def _einsum_oracle(m, N, samples, seed, q_list=(0.0, 1.0, 2.0)):
     """The per-sample route that chunks replaced: each sample spawns its
-    vertex streams, draws each isometry with haar_unitary and contracts one
-    np.einsum over the plan's labels and path, then the spectrum summary."""
-    path, inputs, output = _plan_labels(m, N, skip)
-    flags, plan = mc_simulator._route(m, N, "sample", *skip)
+    vertex streams, draws each isometry (:func:`_isometries`) and contracts
+    one np.einsum over the plan's labels and path, then the spectrum
+    summary."""
+    path, inputs, output = _plan_labels(m, N)
+    flags, plan = mc_simulator._route(m, N, "sample")
     spectra = []
     for i in range(samples):
         arrays = [t for tensor in _isometries(m, plan, seed, i)
@@ -973,14 +974,14 @@ def routed_doubled_edge():
     return routed
 
 
-# (marginal, N, samples, skip_traced and skip_surviving)
+# (marginal, N, samples)
 EQUIVALENCE_CASES = {
-    "lattice": (lambda: lattice(2, 4), 2, 8, (True, True)),
-    "black_hole": (lambda: black_hole(traced=[0, 2]), 8, 4, (True, True)),
-    "two_loops": (lambda: two_loops(s=2), 8, 6, (True, True)),
+    "lattice": (lambda: lattice(2, 4), 2, 8),
+    "black_hole": (lambda: black_hole(traced=[0, 2]), 8, 4),
+    "two_loops": (lambda: two_loops(s=2), 8, 6),
     # every vertex skipped: one state for every sample
-    "nothing_acted": (lambda: adapted_path(), 3, 5, (True, True)),
-    "routed_transport": (routed_doubled_edge, 2, 5, (True, True)),
+    "nothing_acted": (lambda: adapted_path(), 3, 5),
+    "routed_transport": (routed_doubled_edge, 2, 5),
 }
 
 
@@ -989,12 +990,11 @@ EQUIVALENCE_CASES = {
 def test_chunks_match_the_per_sample_einsum(monkeypatch, case, chunk):
     # one sample per chunk, or every sample in one chunk: bit for bit the
     # reports of one einsum per sample
-    make, N, samples, skip = EQUIVALENCE_CASES[case]
+    make, N, samples = EQUIVALENCE_CASES[case]
     m = make()
     monkeypatch.setattr(mc_simulator, "CHUNK_ELEMENTS", chunk)
-    got = run_experiment(m, N, samples, seed=11, skip_traced=skip[0],
-                         skip_surviving=skip[1])
-    _assert_same_reports(got, _einsum_oracle(m, N, samples, 11, skip))
+    got = run_experiment(m, N, samples, seed=11)
+    _assert_same_reports(got, _einsum_oracle(m, N, samples, 11))
 
 
 @pytest.mark.parametrize("chunk", [1, 2 ** 30])
@@ -1002,14 +1002,14 @@ def test_ring_beyond_einsum_labels_matches_the_ket_factor(monkeypatch, chunk):
     # every vertex acted: the doubled network has 53 labels, more than
     # np.einsum takes, the ket alone 33; its factor F gives F F^dagger
     m = ring_11()
-    _, inputs, output = _plan_labels(m, 2, (False, False))
-    flags, plan = mc_simulator._route(m, 2, "sample", False, False)
+    _, inputs, output = _plan_labels(m, 2, "all")
+    flags, plan = mc_simulator._route(m, 2, "all")
     assert len(set().union(*inputs)) == 53
     kets = inputs[0::2]  # the inputs alternate ket and bra copies
     kept = output[: len(output) // 2]
     summed = sorted(set().union(*kets) & set().union(*inputs[1::2]))
     monkeypatch.setattr(mc_simulator, "CHUNK_ELEMENTS", chunk)
-    got = run_experiment(m, 2, 3, seed=13, skip_traced=False, skip_surviving=False)
+    got = run_experiment(m, 2, 3, seed=13, unitaries="all")
     assert got.flags == flags == ()
     for i, (h, spectrum) in enumerate(zip(got.per_sample_H, got.spectra)):
         arrays = _isometries(m, plan, 13, i) + [np.eye(dim) for dim in plan.eyes]
@@ -1030,23 +1030,30 @@ def test_jobs_do_not_change_a_chunked_run():
 
 
 def adapted_path():
-    # A - B - C with A and B fully traced and C fully surviving: the edge
-    # A - B is an identity, and so is B - C unless C acts
+    # A - B - C with A and B fully traced and C fully surviving: every
+    # vertex is skipped and both edges are identities
     return marginal_from(["A", "B", "C"], [("A", "B", 1), ("B", "C", 1)],
                          {"mode": "counts", "s": {"A": 0, "B": 0, "C": 1}})
 
 
-@pytest.mark.parametrize("skip_surviving", [True, False])
-def test_identity_edges_ride_the_pool(monkeypatch, skip_surviving):
+def crossed_path():
+    # A - B - C - D with A and B fully traced, D fully surviving and C
+    # crossed: the edge A - B is an identity next to C's unitary
+    return marginal_from(["A", "B", "C", "D"],
+                         [("A", "B", 1), ("B", "C", 1), ("C", "D", 1)],
+                         {"mode": "counts", "s": {"A": 0, "B": 0, "C": 1, "D": 1}})
+
+
+@pytest.mark.parametrize("acted", [True, False])
+def test_identity_edges_ride_the_pool(monkeypatch, acted):
     # the plan keeps each identity edge as a dimension and every chunk
     # builds it, in a worker as in the calling process
-    m = adapted_path()
-    plan = _sample_plan(m, 3, (True, skip_surviving))
-    assert plan.eyes == ((3, 3) if skip_surviving else (3,))
-    assert len(plan.vertices) == (not skip_surviving)
+    m = crossed_path() if acted else adapted_path()
+    plan = _sample_plan(m, 3)
+    assert plan.eyes == ((3,) if acted else (3, 3))
+    assert len(plan.vertices) == acted
     monkeypatch.setattr(mc_simulator, "CHUNK_ELEMENTS", 1)
-    runs = [run_experiment(m, 3, samples=4, seed=9, jobs=jobs,
-                           skip_surviving=skip_surviving) for jobs in (1, 2)]
+    runs = [run_experiment(m, 3, samples=4, seed=9, jobs=jobs) for jobs in (1, 2)]
     assert runs[1].to_document() == runs[0].to_document()
     _assert_same_reports(runs[1], runs[0])
 
@@ -1068,8 +1075,7 @@ def test_a_run_resolves_its_plan_once(monkeypatch):
 
     monkeypatch.setattr(mc_simulator, "_route", counted)
     monkeypatch.setattr(mc_simulator, "CHUNK_ELEMENTS", 1)
-    report = run_experiment(adapted_path(), 3, samples=3, seed=0,
-                            skip_surviving=False)
+    report = run_experiment(crossed_path(), 3, samples=3, seed=0)
     assert report.samples == 3
     ((_, plan),) = routes
     assert plan.eyes and plan.vertices
@@ -1110,7 +1116,7 @@ def test_a_run_is_summarised_once(monkeypatch):
     monkeypatch.setattr(mc_simulator, "_summarize_spectrum", counted)
     monkeypatch.setattr(mc_simulator, "CHUNK_ELEMENTS", 1)
     report = run_experiment(lattice(2, 4), 2, samples=5, seed=0)
-    side = mc_simulator._route(lattice(2, 4), 2, "sample", True, True)[1].side
+    side = _sample_plan(lattice(2, 4), 2).side
     assert calls == [(5, side)]
     assert isinstance(report.spectra, np.ndarray)
     assert report.spectra.shape == (5, side) and report.spectra.dtype == float
