@@ -27,8 +27,8 @@ _EXPORTS = {
         "ResourceGuardError", "ValidationError",
     ),
     "graph_model": (
-        "Edge", "Graph", "Leg", "Marginal", "TraceSpec", "is_adapted",
-        "parse_graph", "parse_marginal", "resolve_trace",
+        "Edge", "Graph", "Leg", "Marginal", "is_adapted", "parse_graph",
+        "parse_marginal",
     ),
     "marking": (
         "BruteForceArea", "Marking", "area_bruteforce", "marking_from_flow",

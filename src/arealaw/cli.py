@@ -182,7 +182,7 @@ def _simulate_report(marginal, args, seed: int):
     from .spectral_predictor import predict_entropy
 
     if args.spectra:  # a row per eigenvalue, structural zeros included
-        ds, _ = _side_dims(marginal.graph, marginal.completed_traced_legs(), args.N)
+        ds, _ = _side_dims(marginal.graph, marginal.traced, args.N)
         _check_size(args.samples * ds, "--spectra rows")
     mc = run_experiment(
         marginal, args.N, args.samples, seed, q_list=q_list, jobs=args.jobs,
@@ -345,10 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p):
+    def add_common(p, bits=True):
         p.add_argument("--out", help="write the JSON report here")
-        p.add_argument("--bits", action="store_true",
-                       help="display entropies in bits (stored values stay in nats)")
+        if bits:  # only where an entropy is printed
+            p.add_argument("--bits", action="store_true",
+                           help="display entropies in bits (stored values stay in nats)")
 
     p_area = sub.add_parser("area", help="boundary area via max flow and markings")
     p_area.add_argument("-g", "--graph", required=True)
@@ -359,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="enumerate markings and assert equality (the default)")
     p_area.add_argument("--limit", type=int, default=10 ** 6,
                         help="marking enumeration limit")
-    add_common(p_area)
+    add_common(p_area, bits=False)
     p_area.set_defaults(func=cmd_area)
 
     p_pred = sub.add_parser("predict", help="closed-form entropy prediction")
@@ -400,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="local dimension for the certificate")
     p_tr.add_argument("--haar-samples", type=int, default=50)
     p_tr.add_argument("--seed", type=int, default=0)
-    add_common(p_tr)
+    add_common(p_tr, bits=False)
     p_tr.set_defaults(func=cmd_transport)
     return parser
 

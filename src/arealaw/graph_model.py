@@ -1,4 +1,4 @@
-"""Multigraphs with per-edge dimension ratios, trace specifications, marginals.
+"""Multigraphs with per-edge dimension ratios and their marginals.
 
 The quantum system behind these structures has one subsystem per edge
 endpoint (a "leg"): an edge carries a maximally entangled pair between its
@@ -16,6 +16,7 @@ tables.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -24,6 +25,14 @@ from .errors import ParseError, ValidationError
 
 #: Node names reserved for the flow network's distinguished nodes.
 RESERVED_NODE_NAMES = ("source", "sink")
+
+
+def check_integer(value, low: int, message: str) -> None:
+    """Raise ``ValidationError(message)`` unless ``value`` is an integer (a
+    bool is not one) of at least ``low``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < low):
+        raise ValidationError(message)
 
 
 @dataclass(frozen=True)
@@ -43,7 +52,6 @@ class Leg:
     leg_id: int
     vertex: str
     edge: int
-    side: int  # 0 = first endpoint, 1 = second endpoint
     ratio: int
 
 
@@ -89,8 +97,8 @@ class Graph:
     def legs(self) -> tuple[Leg, ...]:
         out = []
         for i, e in enumerate(self.edges):
-            out.append(Leg(2 * i, e.u, i, 0, e.d))
-            out.append(Leg(2 * i + 1, e.v, i, 1, e.d))
+            out.append(Leg(2 * i, e.u, i, e.d))
+            out.append(Leg(2 * i + 1, e.v, i, e.d))
         return tuple(out)
 
     @cached_property
@@ -156,43 +164,65 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class TraceSpec:
-    """Which subsystems are traced out.
-
-    ``counts`` mode carries the counting function ``s`` (number of
-    *surviving* legs per vertex); ``legs`` mode carries the explicit set of
-    traced leg ids.  ``t(v) = deg(v) - s(v)`` is always the traced count.
+class Marginal:
+    """A graph and a partition of its legs: ``traced`` holds the traced leg
+    ids.  Build one with :meth:`from_counts` or :meth:`from_legs`, which
+    validate it.  ``counts`` is the counting function ``s`` (number of
+    *surviving* legs per vertex) a counts-mode marginal was given, kept for
+    :meth:`to_document`; it is ``None`` in legs mode.  ``t(v) = deg(v) -
+    s(v)`` is always the traced count.
     """
 
-    mode: str
-    s: Mapping[str, int] | None = None
-    traced: frozenset[int] | None = None
-
-    @classmethod
-    def from_counts(cls, s: Mapping[str, int]) -> "TraceSpec":
-        return cls(mode="counts", s=dict(s))
-
-    @classmethod
-    def from_legs(cls, traced: Iterable[int]) -> "TraceSpec":
-        return cls(mode="legs", traced=frozenset(traced))
-
-
-@dataclass(frozen=True)
-class Marginal:
-    """A graph together with a validated trace specification."""
-
     graph: Graph
-    trace: TraceSpec
+    traced: frozenset[int]
+    counts: Mapping[str, int] | None = None
+
+    @classmethod
+    def from_counts(cls, graph: Graph, s: Mapping[str, int]) -> "Marginal":
+        """Trace ``deg(v) - s(v)`` legs at each vertex: its lowest-numbered
+        ones (the deterministic completion rule)."""
+        s = dict(s)
+        for v in graph.vertices:
+            if v not in s:
+                raise ValidationError(f"missing trace count for vertex {v!r}")
+        for v, count in s.items():
+            if v not in graph._degree:
+                raise ValidationError(f"trace count for unknown vertex {v!r}")
+            if not isinstance(count, int) or isinstance(count, bool):
+                raise ValidationError(f"count for vertex {v!r} is not an integer")
+            if not 0 <= count <= graph.degree(v):
+                raise ValidationError(
+                    f"count {count} for vertex {v!r} outside [0, {graph.degree(v)}]"
+                )
+        traced = frozenset(leg for v in graph.vertices
+                           for leg in graph.legs_of(v)[: graph.degree(v) - s[v]])
+        return cls(graph, traced, s)
+
+    @classmethod
+    def from_legs(cls, graph: Graph, traced: Iterable[int]) -> "Marginal":
+        """Trace exactly the legs ``traced`` names."""
+        traced = frozenset(traced)
+        for leg_id in traced:
+            if not isinstance(leg_id, int) or isinstance(leg_id, bool):
+                raise ValidationError(f"traced leg id {leg_id!r} is not an integer")
+            if not 0 <= leg_id < graph.n_legs:
+                raise ValidationError(f"traced leg id {leg_id} does not exist")
+        return cls(graph, traced)
 
     @cached_property
     def s_counts(self) -> dict[str, int]:
-        """Surviving-leg count per vertex (derived from legs by grouping)."""
-        if self.trace.mode == "counts":
-            return dict(self.trace.s)
+        """Surviving-leg count per vertex."""
         counts = {v: self.graph.degree(v) for v in self.graph.vertices}
-        for leg_id in self.trace.traced:
-            counts[self.graph.leg(leg_id).vertex] -= 1
+        for leg_id in self.traced:
+            counts[self.graph.legs[leg_id].vertex] -= 1
         return counts
+
+    @cached_property
+    def crossed(self) -> frozenset[str]:
+        """The vertices the partition crosses, ``0 < s(v) < deg(v)``: the
+        only ones whose unitary can change the spectrum."""
+        return frozenset(v for v in self.graph.vertices
+                         if 0 < self.s(v) < self.graph.degree(v))
 
     @cached_property
     def _network(self):
@@ -208,64 +238,18 @@ class Marginal:
     def t(self, vertex: str) -> int:
         return self.graph.degree(vertex) - self.s_counts[vertex]
 
-    @cached_property
-    def _completed_traced(self) -> frozenset[int]:
-        if self.trace.traced is not None:
-            return self.trace.traced
-        traced = []
-        for v in self.graph.vertices:
-            traced.extend(self.graph.legs_of(v)[: self.t(v)])
-        return frozenset(traced)
-
-    def completed_traced_legs(self) -> frozenset[int]:
-        """Leg-level view, built once per marginal; counts-mode specs trace
-        the lowest-numbered legs of each vertex (the deterministic
-        completion rule)."""
-        return self._completed_traced
-
     def to_document(self) -> dict:
         doc = self.graph.to_document()
-        if self.trace.mode == "counts":
-            doc["trace"] = {"mode": "counts", "s": dict(self.trace.s)}
+        if self.counts is not None:
+            doc["trace"] = {"mode": "counts", "s": dict(self.counts)}
         else:
-            doc["trace"] = {"mode": "legs", "traced": sorted(self.trace.traced)}
+            doc["trace"] = {"mode": "legs", "traced": sorted(self.traced)}
         return doc
-
-
-def resolve_trace(graph: Graph, spec: TraceSpec) -> Marginal:
-    """Validate a trace specification against the graph and bundle them."""
-    if spec.mode == "counts":
-        if spec.s is None:
-            raise ValidationError("counts-mode trace without counts")
-        for v in graph.vertices:
-            if v not in spec.s:
-                raise ValidationError(f"missing trace count for vertex {v!r}")
-        for v, count in spec.s.items():
-            if v not in graph._degree:
-                raise ValidationError(f"trace count for unknown vertex {v!r}")
-            if not isinstance(count, int) or isinstance(count, bool):
-                raise ValidationError(f"count for vertex {v!r} is not an integer")
-            if not 0 <= count <= graph.degree(v):
-                raise ValidationError(
-                    f"count {count} for vertex {v!r} outside [0, {graph.degree(v)}]"
-                )
-    elif spec.mode == "legs":
-        if spec.traced is None:
-            raise ValidationError("legs-mode trace without traced set")
-        for leg_id in spec.traced:
-            if not isinstance(leg_id, int) or isinstance(leg_id, bool):
-                raise ValidationError(f"traced leg id {leg_id!r} is not an integer")
-            if not 0 <= leg_id < graph.n_legs:
-                raise ValidationError(f"traced leg id {leg_id} does not exist")
-    else:
-        raise ValidationError(f"unknown trace mode {spec.mode!r}")
-    return Marginal(graph=graph, trace=spec)
 
 
 def is_adapted(marginal: Marginal) -> bool:
     """True iff every vertex is traced either not at all or entirely."""
-    g = marginal.graph
-    return all(marginal.s(v) in (0, g.degree(v)) for v in g.vertices)
+    return not marginal.crossed
 
 
 # -- document I/O ----------------------------------------------------------
@@ -297,26 +281,6 @@ def graph_from_document(doc: dict) -> Graph:
     return Graph(vertices=tuple(doc["vertices"]), edges=tuple(edges))
 
 
-def trace_from_document(doc: dict) -> TraceSpec:
-    rec = doc.get("trace")
-    if rec is None:
-        raise ParseError("document has no 'trace' section")
-    if not isinstance(rec, dict) or "mode" not in rec:
-        raise ParseError("'trace' must be an object with a 'mode'")
-    if rec["mode"] == "counts":
-        if "s" not in rec or not isinstance(rec["s"], dict):
-            raise ParseError("counts-mode trace needs an 's' mapping")
-        return TraceSpec.from_counts(rec["s"])
-    if rec["mode"] == "legs":
-        if (not isinstance(rec.get("traced"), list)
-                or any(isinstance(leg, (list, dict)) for leg in rec["traced"])):
-            raise ParseError("legs-mode trace needs a 'traced' list of leg ids")
-        if len(set(rec["traced"])) < len(rec["traced"]):
-            raise ParseError(f"legs-mode trace repeats a leg id: {rec['traced']!r}")
-        return TraceSpec.from_legs(rec["traced"])
-    raise ParseError(f"unknown trace mode {rec['mode']!r}")
-
-
 def parse_graph(text: str) -> Graph:
     """Parse a serialized graph document (the 'trace' section is ignored)."""
     return graph_from_document(_load_document(text))
@@ -326,4 +290,20 @@ def parse_marginal(text: str) -> Marginal:
     """Parse a graph document together with its trace section."""
     doc = _load_document(text)
     graph = graph_from_document(doc)
-    return resolve_trace(graph, trace_from_document(doc))
+    rec = doc.get("trace")
+    if rec is None:
+        raise ParseError("document has no 'trace' section")
+    if not isinstance(rec, dict) or "mode" not in rec:
+        raise ParseError("'trace' must be an object with a 'mode'")
+    if rec["mode"] == "counts":
+        if "s" not in rec or not isinstance(rec["s"], dict):
+            raise ParseError("counts-mode trace needs an 's' mapping")
+        return Marginal.from_counts(graph, rec["s"])
+    if rec["mode"] == "legs":
+        if (not isinstance(rec.get("traced"), list)
+                or any(isinstance(leg, (list, dict)) for leg in rec["traced"])):
+            raise ParseError("legs-mode trace needs a 'traced' list of leg ids")
+        if len(set(rec["traced"])) < len(rec["traced"]):
+            raise ParseError(f"legs-mode trace repeats a leg id: {rec['traced']!r}")
+        return Marginal.from_legs(graph, rec["traced"])
+    raise ParseError(f"unknown trace mode {rec['mode']!r}")

@@ -47,7 +47,6 @@ Cross-platform bit-equality is not promised (eigensolvers).
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -60,7 +59,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .errors import (AreaLawError, InconsistencyError, ResourceGuardError,
                      ValidationError)
-from .graph_model import Graph, Marginal
+from .graph_model import Graph, Marginal, check_integer
 
 DEFAULT_STATE_DIM_LIMIT = 2 ** 24
 #: Elements a Monte Carlo chunk stacks: it holds
@@ -100,11 +99,6 @@ def _renyi_orders(q_list: Sequence[float]) -> tuple[float, ...]:
     if len(set(orders)) < len(orders):
         raise ValidationError(f"Renyi orders must be distinct, got {list(orders)}")
     return orders
-
-
-def _check_seed(seed: int) -> None:
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def _isometry(z: np.ndarray) -> np.ndarray:
@@ -364,20 +358,19 @@ def _route(marginal: Marginal, N: int,
     state guard have passed; nothing is sampled or allocated."""
     if unitaries not in ("sample", "all", "identity"):
         raise ValidationError(f"unknown unitary mode {unitaries!r}")
+    check_integer(N, 2, "N must be at least 2")  # before the plan cache: 2.0 == 2
     g = marginal.graph
     flags: list[str] = []
     acted: list[str] = []
     for v in g.vertices:
         if unitaries == "identity":
             flags.append(f"identity:{v}")
-        elif unitaries == "sample" and marginal.s(v) == 0:
-            flags.append(f"skipped_traced:{v}")
-        elif unitaries == "sample" and marginal.t(v) == 0:
-            flags.append(f"skipped_surviving:{v}")
+        elif unitaries == "sample" and v not in marginal.crossed:
+            side = "traced" if marginal.s(v) == 0 else "surviving"
+            flags.append(f"skipped_{side}:{v}")
         else:
             acted.append(v)
-    plan = _gram_plan(g, tuple(sorted(marginal.completed_traced_legs())), N,
-                      tuple(acted))
+    plan = _gram_plan(g, tuple(sorted(marginal.traced)), N, tuple(acted))
     _check_size(plan.largest, "largest contraction array")
     return tuple(flags), plan
 
@@ -622,11 +615,9 @@ def run_experiment(marginal: Marginal, N: int, samples: int, seed: int,
     array one sample takes or builds; with ``jobs > 1`` a process pool of at
     most one worker per chunk runs them, and the run is summarised once.
     """
-    if samples < 1:
-        raise ValidationError("need at least one sample")
-    if jobs < 1:
-        raise ValidationError(f"jobs must be at least 1, got {jobs}")
-    _check_seed(seed)
+    check_integer(samples, 1, "need at least one sample")
+    check_integer(jobs, 1, f"jobs must be at least 1, got {jobs}")
+    check_integer(seed, 0, f"seed must be an integer >= 0, got {seed!r}")
     q_list = _renyi_orders(q_list)
     flags, plan = _route(marginal, N, unitaries)
     _check_size(samples * plan.side, "spectra array entries")

@@ -209,7 +209,7 @@ def moment_from_B(B: Iterable[Sequence[Permutation]], marginal: Marginal,
     _check_p(p)
     g = marginal.graph
     k = len(g.vertices)
-    traced = marginal.completed_traced_legs()
+    traced = marginal.traced
 
     d_s = []
     d_t = []

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .boundary_flow import build_network, max_flow
 from .errors import ValidationError
-from .graph_model import Marginal, is_adapted
+from .graph_model import Marginal, check_integer, is_adapted
 
 
 def mp_moment(c, p: int):
@@ -100,7 +100,7 @@ def _detect_template(marginal: Marginal) -> str | None:
     g = marginal.graph
     if len(g.edges) != 2 or any(e.u == e.v for e in g.edges):
         return None
-    traced = [g.leg(l) for l in marginal.completed_traced_legs()]
+    traced = [g.leg(l) for l in marginal.traced]
     if len(traced) != 2:
         return None
     same_edge = traced[0].edge == traced[1].edge
@@ -127,7 +127,7 @@ def _case(marginal: Marginal) -> str:
 def _cut_reading(marginal: Marginal) -> tuple[int, int, int, bool]:
     """What the marginal's kept flow says: its value, the ratio products of
     its smallest and its largest minimum cut, and whether an acted vertex
-    (``0 < s(v) < deg(v)``, one whose unitary a sample does not skip) lies
+    (one the partition crosses, whose unitary a sample does not skip) lies
     between the two cuts.
 
     A cut's product runs over what the cut counts: the surviving legs on its
@@ -137,7 +137,7 @@ def _cut_reading(marginal: Marginal) -> tuple[int, int, int, bool]:
     """
     g = marginal.graph
     flow = max_flow(build_network(marginal))
-    traced = marginal.completed_traced_legs()
+    traced = marginal.traced
 
     def product(cut) -> int:
         side = set(cut)
@@ -150,7 +150,7 @@ def _cut_reading(marginal: Marginal) -> tuple[int, int, int, bool]:
         a = product(flow.cut)
         return flow.value, a, a, False
     between = set(flow.cut_max).difference(flow.cut)
-    acted = any(0 < marginal.s(v) < g.degree(v) for v in between)
+    acted = not marginal.crossed.isdisjoint(between)
     return flow.value, product(flow.cut), product(flow.cut_max), acted
 
 
@@ -158,8 +158,7 @@ def predict_entropy(marginal: Marginal, N: int) -> EntropyPrediction:
     """Predict a marginal's mean entropy by the one cut rule of the module
     docstring; the generic case leaves the correction unknown (``None``),
     and only the adapted case is exact."""
-    if N < 2:
-        raise ValidationError("N must be at least 2")
+    check_integer(N, 2, "N must be at least 2")
     case = _case(marginal)
     area, a, b, acted = _cut_reading(marginal)
     if case == "generic":

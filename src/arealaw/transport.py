@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .graph_model import Edge, Graph, Marginal, TraceSpec, resolve_trace
+from .graph_model import Edge, Graph, Marginal
 from .marking import Marking, marking_from_flow
 
 CERTIFICATE_CAVEAT = (
@@ -230,7 +230,7 @@ def to_marginal(instance: TransportInstance) -> Marginal:
         edges.extend([Edge(u=f, v=f, d=1)] * (missing // 2))
     graph = Graph(vertices=tuple(deficit), edges=tuple(edges))
     counts = {f: instance.quotas[f][0] for f in deficit}
-    return resolve_trace(graph, TraceSpec.from_counts(counts))
+    return Marginal.from_counts(graph, counts)
 
 
 def _quota_values(instance: TransportInstance) -> tuple[int, int]:
@@ -305,10 +305,8 @@ def certify(instance: TransportInstance, N: int | None = None,
     y1, y2 = _quota_values(instance)
     g = marginal.graph
 
-    routed = resolve_trace(
-        g, TraceSpec.from_legs(l for l in range(g.n_legs)
-                               if l not in plan.marking.marked)
-    )
+    routed = Marginal.from_legs(
+        g, (l for l in range(g.n_legs) if l not in plan.marking.marked))
     exact = run_experiment(routed, N, 1, seed, unitaries="identity")
     rank = exact.ranks[0]
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from arealaw import (Edge, Graph, Marginal, Marking, TraceSpec, mp_moment,
-                     parse_marginal, resolve_trace)
+from arealaw import Edge, Graph, Marginal, Marking, mp_moment, parse_marginal
 
 
 @pytest.fixture
@@ -266,7 +265,7 @@ def random_marginal(rng: np.random.Generator, max_vertices: int = 4,
                     max_edges: int = 5, dims=(1,)) -> Marginal:
     g = random_graph(rng, max_vertices, max_edges, dims)
     s = {v: int(rng.integers(0, g.degree(v) + 1)) for v in g.vertices}
-    return resolve_trace(g, TraceSpec.from_counts(s))
+    return Marginal.from_counts(g, s)
 
 
 def random_adapted_marginal(rng: np.random.Generator, max_vertices: int = 4,
@@ -289,7 +288,7 @@ def random_adapted_marginal(rng: np.random.Generator, max_vertices: int = 4,
         s = {
             v: 0 if v in traced_vertices else g.degree(v) for v in g.vertices
         }
-        return resolve_trace(g, TraceSpec.from_counts(s))
+        return Marginal.from_counts(g, s)
 
 
 def random_transport_instance(rng: np.random.Generator):

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from arealaw import (
-    TraceSpec,
+    Marginal,
     TransportInstance,
     area_bruteforce,
     build_network,
@@ -24,7 +24,6 @@ from arealaw import (
     mp_moment,
     mp_xlogx,
     predict_entropy,
-    resolve_trace,
     run_experiment,
     scenarios,
 )
@@ -69,7 +68,7 @@ def test_criterion_1_flow_marking_duality():
         mode = f"exhaustive, {len(graphs)} graphs up to isomorphism"
     mismatches = 0
     for g, s in cases:
-        marginal = resolve_trace(g, TraceSpec.from_counts(s))
+        marginal = Marginal.from_counts(g, s)
         flow = max_flow(build_network(marginal)).value
         brute = area_bruteforce(marginal).area
         if flow != brute:

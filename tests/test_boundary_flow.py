@@ -11,8 +11,8 @@ from arealaw import (
     FlowNetwork,
     FlowResult,
     Graph,
+    Marginal,
     MinCut,
-    TraceSpec,
     ValidationError,
     area_bruteforce,
     build_network,
@@ -21,9 +21,9 @@ from arealaw import (
     min_cut,
     parse_marginal,
     predict_entropy,
-    resolve_trace,
 )
-from arealaw.boundary_flow import SINK, SOURCE, cut_capacity, replay_paths
+from arealaw.boundary_flow import (SINK, SOURCE, _unit_paths, cut_capacity,
+                                   replay_paths)
 
 from conftest import (
     all_counting_functions,
@@ -253,7 +253,7 @@ def test_engine_matches_reference_on_small_census():
     # every census-family marginal with at most 3 vertices (up to 5 edges)
     for g in enumerate_small_graphs(max_vertices=3, max_edges=5):
         for s in all_counting_functions(g):
-            m = resolve_trace(g, TraceSpec.from_counts(s))
+            m = Marginal.from_counts(g, s)
             net = build_network(m)
             expected = reference_max_flow(net)
             flow = max_flow(net)
@@ -291,7 +291,7 @@ def test_kept_solves_match_direct_solves():
     # whichever caller solves first
     for g in enumerate_small_graphs(max_vertices=3, max_edges=5):
         for s in all_counting_functions(g):
-            m = resolve_trace(g, TraceSpec.from_counts(s))
+            m = Marginal.from_counts(g, s)
             prediction = predict_entropy(m, 4)
             network = build_network(m)
             direct = FlowNetwork(nodes=network.nodes,
@@ -479,6 +479,18 @@ def test_path_decomposition_replays():
             assert all(n in m.graph.vertices for n in path[1:-1])
 
 
+def test_unit_paths_cancel_a_circulation():
+    # positions: source 0, a 1, b 2, c 3, sink 4; the net flow carries one
+    # unit source -> a -> sink beside the cycle a -> b -> c -> a, which the
+    # walk from a meets first (b precedes the sink in a's node order)
+    linked = ((1,), (0, 2, 3, 4), (1, 3), (1, 2), (1,))
+    flow = [[0] * 5 for _ in range(5)]
+    for a, b in [(0, 1), (1, 4), (1, 2), (2, 3), (3, 1)]:
+        flow[a][b] = 1
+    assert _unit_paths(flow, linked, 1) == [[0, 1, 4]]
+    assert flow == [[0] * 5 for _ in range(5)]
+
+
 def test_cut_certifies_value():
     rng = np.random.default_rng(6)
     for _ in range(100):
@@ -501,7 +513,5 @@ def test_relabel_invariance():
                 type(e)(u=renamed[e.u], v=renamed[e.v], d=e.d) for e in g.edges
             ),
         )
-        m2 = resolve_trace(g2, TraceSpec.from_counts(
-            {renamed[v]: m.s(v) for v in g.vertices}
-        ))
+        m2 = Marginal.from_counts(g2, {renamed[v]: m.s(v) for v in g.vertices})
         assert max_flow(build_network(m2)).value == max_flow(build_network(m)).value

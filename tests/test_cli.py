@@ -136,6 +136,18 @@ def test_predict_single_loop_bits(write_doc, capsys):
     assert "bits" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["area", "transport"])
+def test_bits_only_where_an_entropy_is_printed(write_doc, capsys, command):
+    # area and transport print no entropy: --bits would be silently ignored
+    argv = (["area", "-g", write_doc("loop.json", single_loop_doc())]
+            if command == "area"
+            else ["transport", "-i", write_doc("inst.json", instance_doc())])
+    assert main(argv + ["--bits"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "input error: unrecognized arguments: --bits\n"
+
+
 def test_simulate_deterministic_reports(write_doc, tmp_path):
     graph = write_doc("bh.json", black_hole2_doc())
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from arealaw import (
-    TraceSpec,
+    Marginal,
     ValidationError,
     is_adapted,
     parse_graph,
     parse_marginal,
-    resolve_trace,
 )
 from arealaw.errors import ParseError
 
@@ -96,7 +95,7 @@ def test_leg_numbering_deterministic():
     g1, g2 = parse_graph(text), parse_graph(text)
     assert g1.legs == g2.legs
     # edges scanned in list order, first endpoint then second
-    assert [(l.vertex, l.edge, l.side) for l in g1.legs] == [
+    assert [(l.vertex, l.edge, l.leg_id % 2) for l in g1.legs] == [
         ("A", 0, 0), ("B", 0, 1), ("B", 1, 0), ("A", 1, 1),
     ]
 
@@ -118,17 +117,17 @@ def test_resolve_legs_mode_black_hole():
 def test_count_out_of_range():
     g = black_hole_counts(0, 0, 0).graph
     with pytest.raises(ValidationError, match="V2"):
-        resolve_trace(g, TraceSpec.from_counts({"V1": 0, "V2": 3, "V3": 0}))
+        Marginal.from_counts(g, {"V1": 0, "V2": 3, "V3": 0})
 
 
 def test_unknown_leg_and_vertex():
     g = single_loop().graph
     with pytest.raises(ValidationError):
-        resolve_trace(g, TraceSpec.from_legs([5]))
+        Marginal.from_legs(g, [5])
     with pytest.raises(ValidationError):
-        resolve_trace(g, TraceSpec.from_counts({"V": 1, "W": 0}))
+        Marginal.from_counts(g, {"V": 1, "W": 0})
     with pytest.raises(ValidationError, match="missing"):
-        resolve_trace(g, TraceSpec.from_counts({}))
+        Marginal.from_counts(g, {})
 
 
 def test_is_adapted_cases():
@@ -150,22 +149,29 @@ def test_legs_counts_round_trip():
     rng = np.random.default_rng(2)
     for _ in range(50):
         m = random_marginal(rng)
-        legs_view = resolve_trace(
-            m.graph, TraceSpec.from_legs(m.completed_traced_legs())
-        )
+        legs_view = Marginal.from_legs(m.graph, m.traced)
         assert legs_view.s_counts == m.s_counts
 
 
 def test_completed_trace_is_lowest_legs():
     m = black_hole_counts(0, 1, 1)
     # t = (1, 1, 0): lowest legs of V1 and V2
-    assert m.completed_traced_legs() == frozenset({0, 1})
-    # built once: the CLI, the sampler's route and the predictor share it
-    assert m.completed_traced_legs() is m.completed_traced_legs()
+    assert m.traced == frozenset({0, 1})
+    assert m.counts == {"V1": 0, "V2": 1, "V3": 1}
+    assert Marginal.from_legs(m.graph, [0, 1]).counts is None
+
+
+def test_crossed_vertices():
+    # 0 < s(v) < deg(v): the vertices whose unitary a sample draws
+    assert black_hole(traced=[1]).crossed == frozenset({"V2"})
+    assert black_hole(traced=[0, 3]).crossed == frozenset()
+    assert black_hole_counts(0, 1, 1).crossed == frozenset({"V2"})
+    m = black_hole(traced=[1])
+    assert m.crossed is m.crossed  # built once per marginal
 
 
 def test_document_round_trip():
     m = black_hole(traced=[0, 2], d1=1, d2=2)
     again = parse_marginal(json.dumps(m.to_document()))
     assert again.graph == m.graph
-    assert again.completed_traced_legs() == m.completed_traced_legs()
+    assert again.traced == m.traced

@@ -7,13 +7,12 @@ from arealaw import (
     CombinatorialLimitError,
     Edge,
     Graph,
+    Marginal,
     Marking,
-    TraceSpec,
     area_bruteforce,
     build_network,
     marking_from_flow,
     max_flow,
-    resolve_trace,
 )
 from arealaw.marking import _marking_masks, is_compatible, marking_count
 
@@ -146,7 +145,7 @@ def test_duality_small_exhaustive():
     # every graph with <= 3 vertices and <= 3 edges, every counting function
     for g in enumerate_small_graphs(max_vertices=3, max_edges=3):
         for s in all_counting_functions(g):
-            m = resolve_trace(g, TraceSpec.from_counts(s))
+            m = Marginal.from_counts(g, s)
             flow = max_flow(build_network(m))
             brute = area_bruteforce(m)
             assert brute.area == flow.value
@@ -219,7 +218,7 @@ def test_monotonicity_add_crossing_edge():
                    edges=g.edges + (Edge(u="V1", v="V3", d=1),))
     counts = {v: base.s(v) for v in g.vertices}
     counts["V3"] += 1  # the new surviving leg at V3
-    m2 = resolve_trace(bigger, TraceSpec.from_counts(counts))
+    m2 = Marginal.from_counts(bigger, counts)
     assert area_bruteforce(m2).area == area + 1
 
 

@@ -154,7 +154,7 @@ def test_nothing_traced_is_pure():
 
 def surviving_dimension(m, N):
     dims = leg_dimensions(m, N)
-    traced = m.completed_traced_legs()
+    traced = m.traced
     return math.prod(d for l, d in enumerate(dims) if l not in traced)
 
 
@@ -479,7 +479,7 @@ def _oracle_spectrum(m, N, unitaries, rng, skip_traced, skip_surviving):
     isometry from the same stream and applies a unitary completing it."""
     g = m.graph
     dims = leg_dimensions(m, N)
-    traced = sorted(m.completed_traced_legs())
+    traced = sorted(m.traced)
     surviving = [l for l in range(g.n_legs) if l not in traced]
     streams = rng.spawn(len(g.vertices))
     vec = np.ones(1, dtype=complex)
@@ -586,6 +586,29 @@ def test_nonpositive_jobs_rejected_before_sampling(monkeypatch):
     for jobs in (0, -2):
         with pytest.raises(ValidationError, match="jobs"):
             run_experiment(single_loop(), 4, samples=2, seed=0, jobs=jobs)
+
+
+@pytest.mark.parametrize("name, bad, message", [
+    ("samples", 2.5, "need at least one sample"),
+    ("samples", True, "need at least one sample"),
+    ("jobs", 1.5, "jobs must be at least 1, got 1.5"),
+    ("jobs", True, "jobs must be at least 1, got True"),
+    ("N", 2.5, "N must be at least 2"),
+    ("N", True, "N must be at least 2"),
+    ("N", 2.0, "N must be at least 2"),  # equal to 2, whose plan is cached
+])
+def test_non_integer_arguments_rejected_before_sampling(monkeypatch, name, bad,
+                                                        message):
+    mc_simulator._route(single_loop(), 2, "sample")
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(mc_simulator, "_gram_stack", no_sampling)
+    kwargs = {"N": 2, "samples": 2, "seed": 0, "jobs": 1, name: bad}
+    with pytest.raises(ValidationError) as info:
+        run_experiment(single_loop(), **kwargs)
+    assert str(info.value) == message
 
 
 def lattice(rows, cols):
@@ -961,14 +984,14 @@ def ring_11():
 def routed_doubled_edge():
     # the routed state transport.certify samples for two pairs over a
     # doubled edge: both endpoints act, with isometries of one shape
-    from arealaw import TraceSpec, TransportInstance, resolve_trace, routing, to_marginal
+    from arealaw import Marginal, TransportInstance, routing, to_marginal
 
     instance = TransportInstance.build(
         ["P1", "P2"], {("P1", "P2"): 2}, {"P1": (1, 1), "P2": (1, 1)})
     g = to_marginal(instance).graph
     marked = routing(instance).marking.marked
-    routed = resolve_trace(g, TraceSpec.from_legs(
-        l for l in range(g.n_legs) if l not in marked))
+    routed = Marginal.from_legs(
+        g, (l for l in range(g.n_legs) if l not in marked))
     shapes = [(vdim, cols) for _, vdim, cols, _ in _sample_plan(routed, 2).vertices]
     assert shapes == [(4, 4), (4, 4)]
     return routed

@@ -8,7 +8,7 @@ import pytest
 from arealaw import (
     Edge,
     Graph,
-    TraceSpec,
+    Marginal,
     ValidationError,
     build_network,
     is_adapted,
@@ -17,7 +17,6 @@ from arealaw import (
     mp_moment,
     mp_xlogx,
     predict_entropy,
-    resolve_trace,
     run_experiment,
 )
 from arealaw.spectral_predictor import EntropyPrediction, _page_correction
@@ -137,6 +136,13 @@ def test_predict_single_loop():
     assert pred.value(64) == pytest.approx(math.log(64) - 0.5)
 
 
+@pytest.mark.parametrize("bad", [1, 2.5, 16.0, True, "16"])
+def test_predict_needs_an_integer_dimension(bad):
+    with pytest.raises(ValidationError) as info:
+        predict_entropy(single_loop(s=1), bad)
+    assert str(info.value) == "N must be at least 2"
+
+
 def test_predict_two_loops_equal_case():
     pred = predict_entropy(two_loops(s=2), 8)
     assert pred.case == "one_vertex"
@@ -229,7 +235,7 @@ def _reference_template(marginal):
     """The path and double-edge templates with the dimensions of the traced
     side's edge and of the other one; (case, d_traced_side, d_other) or None."""
     g = marginal.graph
-    traced = marginal.completed_traced_legs()
+    traced = marginal.traced
     if len(g.edges) != 2 or len(traced) != 2:
         return None
     if any(e.u == e.v for e in g.edges):
@@ -271,7 +277,7 @@ def reference_prediction(marginal, N):
     the template's edge dimensions, and the log ratio of the smallest min
     cut for the generic case."""
     g = marginal.graph
-    traced = marginal.completed_traced_legs()
+    traced = marginal.traced
     if is_adapted(marginal):
         fully_traced = {v for v in g.vertices if marginal.s(v) == 0}
         fully_surviving = {v for v in g.vertices if marginal.t(v) == 0}
@@ -328,13 +334,13 @@ def _census_marginals(max_legs_edges: int):
     for g in enumerate_small_graphs(max_vertices=3, max_edges=5):
         ratioed = Graph(g.vertices, tuple(Edge(e.u, e.v, 1 + i % 3)
                                           for i, e in enumerate(g.edges)))
-        specs = [TraceSpec.from_counts(s) for s in all_counting_functions(g)]
-        if len(g.edges) <= max_legs_edges:
-            specs += [TraceSpec.from_legs(t) for k in range(g.n_legs + 1)
-                      for t in itertools.combinations(range(g.n_legs), k)]
         for graph in (g, ratioed):
-            for spec in specs:
-                yield resolve_trace(graph, spec)
+            for s in all_counting_functions(g):
+                yield Marginal.from_counts(graph, s)
+            if len(g.edges) <= max_legs_edges:
+                for k in range(g.n_legs + 1):
+                    for t in itertools.combinations(range(g.n_legs), k):
+                        yield Marginal.from_legs(graph, t)
 
 
 def test_cut_rule_matches_reference_prediction():
