@@ -267,13 +267,13 @@ def cmd_verify(args) -> int:
         gap = predicted - mean
         passed = gap >= -tolerance
         bound = "X ln N + cut ln d" if prediction.leading_offset else "X ln N"
-        print(f"generic case: leading-order-only check "
-              f"({bound} = {predicted:.6f}, deficit = {gap:.6f})")
+        print(f"generic case: leading-order-only check ({bound} = "
+              f"{_fmt(predicted, args.bits)}, deficit = {_fmt(gap, args.bits)})")
     else:
         gap = abs(mean - predicted)
         passed = gap <= tolerance
-        print(f"prediction {predicted:.6f}  mean {mean:.6f}  "
-              f"|gap| {gap:.6f}  tolerance {tolerance:.6f}")
+        print(f"prediction {_fmt(predicted, args.bits)}  mean {_fmt(mean, args.bits)}"
+              f"  |gap| {_fmt(gap, args.bits)}  tolerance {_fmt(tolerance, args.bits)}")
     verdict = "PASS" if passed else "FAIL"
     print(f"verdict: {verdict}")
     report["verdict"] = {

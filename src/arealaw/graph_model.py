@@ -27,6 +27,11 @@ from .errors import ParseError, ValidationError
 RESERVED_NODE_NAMES = ("source", "sink")
 
 
+def is_int(value) -> bool:
+    """An integer that is not a bool (JSON ``true`` parses to ``True``)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_integer(value, low: int, message: str) -> None:
     """Raise ``ValidationError(message)`` unless ``value`` is an integer (a
     bool is not one) of at least ``low``."""
@@ -82,7 +87,7 @@ class Graph:
                     raise ValidationError(
                         f"edge {i} references undefined vertex {endpoint!r}"
                     )
-            if not isinstance(e.d, int) or isinstance(e.d, bool) or e.d < 1:
+            if not is_int(e.d) or e.d < 1:
                 raise ValidationError(
                     f"edge {i} has dimension ratio {e.d!r}; it must be a "
                     "positive integer"
@@ -166,16 +171,32 @@ class Graph:
 @dataclass(frozen=True)
 class Marginal:
     """A graph and a partition of its legs: ``traced`` holds the traced leg
-    ids.  Build one with :meth:`from_counts` or :meth:`from_legs`, which
-    validate it.  ``counts`` is the counting function ``s`` (number of
-    *surviving* legs per vertex) a counts-mode marginal was given, kept for
-    :meth:`to_document`; it is ``None`` in legs mode.  ``t(v) = deg(v) -
-    s(v)`` is always the traced count.
+    ids, validated on construction.  ``counts`` is the counting function
+    ``s`` (number of *surviving* legs per vertex) a counts-mode marginal was
+    given, kept for :meth:`to_document`; it is ``None`` in legs mode and
+    equals :attr:`s_counts` otherwise.  ``t(v) = deg(v) - s(v)`` is always
+    the traced count.
     """
 
     graph: Graph
     traced: frozenset[int]
     counts: Mapping[str, int] | None = None
+
+    def __post_init__(self):
+        for leg_id in self.traced:
+            if not is_int(leg_id):
+                raise ValidationError(f"traced leg id {leg_id!r} is not an integer")
+            if not 0 <= leg_id < self.graph.n_legs:
+                raise ValidationError(f"traced leg id {leg_id} does not exist")
+        if self.counts is not None and (dict(self.counts) != self.s_counts
+                                        or not all(map(is_int, self.counts.values()))):
+            raise ValidationError(f"counts {dict(self.counts)!r} are not the surviving-"
+                                  f"leg counts {self.s_counts!r} of the traced legs")
+
+    def __hash__(self) -> int:
+        """Over the fields equality compares, ``counts`` as a set of items."""
+        counts = None if self.counts is None else frozenset(self.counts.items())
+        return hash((self.graph, self.traced, counts))
 
     @classmethod
     def from_counts(cls, graph: Graph, s: Mapping[str, int]) -> "Marginal":
@@ -188,7 +209,7 @@ class Marginal:
         for v, count in s.items():
             if v not in graph._degree:
                 raise ValidationError(f"trace count for unknown vertex {v!r}")
-            if not isinstance(count, int) or isinstance(count, bool):
+            if not is_int(count):
                 raise ValidationError(f"count for vertex {v!r} is not an integer")
             if not 0 <= count <= graph.degree(v):
                 raise ValidationError(
@@ -201,13 +222,7 @@ class Marginal:
     @classmethod
     def from_legs(cls, graph: Graph, traced: Iterable[int]) -> "Marginal":
         """Trace exactly the legs ``traced`` names."""
-        traced = frozenset(traced)
-        for leg_id in traced:
-            if not isinstance(leg_id, int) or isinstance(leg_id, bool):
-                raise ValidationError(f"traced leg id {leg_id!r} is not an integer")
-            if not 0 <= leg_id < graph.n_legs:
-                raise ValidationError(f"traced leg id {leg_id} does not exist")
-        return cls(graph, traced)
+        return cls(graph, frozenset(traced))
 
     @cached_property
     def s_counts(self) -> dict[str, int]:

@@ -13,7 +13,7 @@ the min(ds, dt)-sided Gram matrix, whose nonzero spectrum is that of the
 reduced state.  The labels, reshapes and greedy contraction path depend
 only on the graph, the traced legs, ``N`` and which vertices act, so they
 form a plan built once and memoised, with the path planned here on integer
-labels and compiled into pairwise ``matmul`` steps.  The plan holds only
+labels, in one pass, as pairwise ``matmul`` steps.  The plan holds only
 sizes and steps, no array (an identity edge is its dimension), so the
 state-dimension guard, the one size refusal, bounds the largest array a
 sample takes or builds (each isometry among them), and the run's spectra
@@ -153,23 +153,27 @@ class _GramPlan:
     dim: int                 # ds, the surviving dimension
     scale: float             # ket and bra normalisation of the edges outside
                              # the isometries: prod (d_e N)^-1
-    steps: tuple             # the greedy path (:func:`_greedy_path`),
-                             # compiled by :func:`_compile`
+    steps: tuple             # the greedy path's array steps (:func:`_plan_steps`)
     largest: int             # elements of the largest array one sample
                              # takes or builds
 
 
-def _greedy_path(inputs: Sequence[Sequence[int]], output: Sequence[int],
-                 size: dict[int, int]) -> tuple[tuple[int, int], ...]:
-    """numpy's greedy ``einsum_path`` order on integer labels of any number.
+def _plan_steps(inputs: Sequence[Sequence[int]], output: Sequence[int],
+                size: dict[int, int]) -> tuple[tuple, int]:
+    """numpy's greedy ``einsum_path`` order on integer labels of any number,
+    as array steps over a leading sample axis, and the elements of the
+    largest array it takes or builds per sample.
 
     Each step contracts the pair that removes the most elements, then the
     one with the fewest multiply-adds; a tie goes to the first candidate in
     numpy's order (the pairs sharing a label, each step's new ones appended;
     every pair only once none shares one).  No pair is skipped for its size:
-    the state guard bounds the largest array of the path.
+    the state guard bounds the largest array.  The step pops the pair (the
+    higher position first) and appends its result, on the labels another
+    operand or the output still needs, sorted by size, then label (the last
+    step's in output order), laid out by :func:`_step_layout`.
     """
-    terms = [frozenset(t) for t in inputs]
+    terms = [(tuple(t), frozenset(t)) for t in inputs]  # (order, label set)
 
     def numel(labels):
         return math.prod(size[x] for x in labels)
@@ -178,63 +182,40 @@ def _greedy_path(inputs: Sequence[Sequence[int]], output: Sequence[int],
         return frozenset(x for x in a | b if count[x] > (x in a) + (x in b))
 
     def cost(pair):
-        a, b = (terms[i] for i in pair)
+        a, b = (terms[i][1] for i in pair)
         result, both = joined(a, b), a | b
         return (numel(result) - numel(a) - numel(b),
                 numel(both) * (1 + (result != both)))
 
     pairs = [(i, j) for i, j in combinations(range(len(terms)), 2)
-             if terms[i] & terms[j]]
-    path = []
+             if terms[i][1] & terms[j][1]]
+    largest = max(numel(labels) for labels, _ in terms)
+    steps = []
     while len(terms) > 1:
-        count = Counter(chain(output, *terms))  # holders of each label, for joined
+        count = Counter(chain(output, *(labels for _, labels in terms)))  # for joined
         pairs = pairs or list(combinations(range(len(terms)), 2))
         i, j = best = min(pairs, key=cost)
-        terms.append(joined(terms.pop(j), terms.pop(i)))
-        path.append(best)
+        (a, a_set), (b, b_set) = terms.pop(j), terms.pop(i)
+        joint = joined(a_set, b_set)
+        result = tuple(sorted(joint, key=lambda x: (size[x], x)) if terms else output)
+        terms.append((result, joint))
+        largest = max(largest, numel(result))
+        steps.append(((j, i), *_step_layout((a, b), result, size)))
         pairs = [(k - (k > i) - (k > j), m - (m > i) - (m > j))
                  for k, m in pairs if k not in best and m not in best]
         pairs += [(k, len(terms) - 1) for k in range(len(terms) - 1)
-                  if terms[k] & terms[-1]]
-    return tuple(path)
-
-
-def _compile(path: Sequence, inputs: Sequence[Sequence[int]],
-             output: Sequence[int], size: dict[int, int]) -> tuple[tuple, int]:
-    """A pairwise path as array steps over a leading sample axis, and the
-    elements of the largest array it takes or builds per sample.
-
-    Each step pops its operands (highest position first), contracts them
-    into the labels that another operand or the output still needs (sorted
-    by size, then label; the last step gives the output order) and appends
-    the result.  A pair is laid out as numpy's own pairwise einsum lays it
-    out: batch, kept and contracted labels in term order, one ``matmul`` of
-    the fused matrices (``multiply`` when nothing is contracted), then the
-    result reshaped and transposed.  The sample axis leads every operand as
-    the first batch axis, so each sample meets the same matrix products as a
-    contraction of that sample alone.
-    """
-    terms = [tuple(labels) for labels in inputs]
-    largest = max(math.prod(size[x] for x in labels) for labels in terms)
-    steps = []
-    for n, take in enumerate(path, 1):
-        take = tuple(sorted(take, reverse=True))
-        taken = [terms.pop(i) for i in take]
-        if n == len(path):
-            result = tuple(output)
-        else:
-            needed = set(output).union(*terms)
-            result = tuple(sorted({x for t in taken for x in t if x in needed},
-                                  key=lambda x: (size[x], x)))
-        terms.append(result)
-        largest = max(largest, math.prod(size[x] for x in result))
-        steps.append((take, *_step_layout(taken, result, size)))
+                  if terms[k][1] & joint]
     return tuple(steps), largest
 
 
 def _step_layout(taken, result, size):
-    """(per operand (transpose, reshape), product, result reshape,
-    result transpose) of one step; see :func:`_compile`."""
+    """(per operand (transpose, reshape), product, result reshape, result
+    transpose) of one step of :func:`_plan_steps`, laid out as numpy's own
+    pairwise einsum: batch, kept and contracted labels in term order, one
+    ``matmul`` of the fused matrices (``multiply`` when nothing is
+    contracted), then the result reshaped and transposed.  The sample axis
+    leads every operand as the first batch axis, so each sample meets the
+    same matrix products as a contraction of that sample alone."""
 
     def axes(term, order):
         return (0, *(1 + term.index(x) for x in order))
@@ -302,9 +283,8 @@ def _gram_plan(graph: Graph, traced: tuple[int, ...], N: int,
     its edge's in-slot itself; an edge with neither endpoint acted is an
     identity on its own two labels.  The bra shares the labels of the larger
     side's legs, which are summed, and primes every other label; the smaller
-    side's legs stay open on both.  The greedy path over these labels
-    (:func:`_greedy_path`, any number of them) is compiled once into matmul
-    steps (:func:`_compile`).
+    side's legs stay open on both.  The greedy path over these labels (any
+    number of them) is planned once as matmul steps (:func:`_plan_steps`).
     """
     n = graph.n_legs
     dims = [leg.ratio * N for leg in graph.legs]
@@ -336,8 +316,7 @@ def _gram_plan(graph: Graph, traced: tuple[int, ...], N: int,
     output = tuple(kept_labels + prime(kept_labels))
     inputs = tuple(tuple(copy(ket)) for _, ket in terms for copy in (list, prime))
     size = {x: d for shape, ket in terms for x, d in zip(ket + prime(ket), shape * 2)}
-    steps, largest = _compile(_greedy_path(inputs, output, size), inputs,
-                              output, size)
+    steps, largest = _plan_steps(inputs, output, size)
     vertices = []
     for v, (shape, _) in zip(acted, terms):
         out = len(graph.legs_of(v))

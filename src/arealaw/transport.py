@@ -26,18 +26,13 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .graph_model import Edge, Graph, Marginal
+from .graph_model import Edge, Graph, Marginal, is_int
 from .marking import Marking, marking_from_flow
 
 CERTIFICATE_CAVEAT = (
     "random-unitary rank equality holds with probability one; checked "
     "here at fixed small N"
 )
-
-
-def _is_int(value) -> bool:
-    """An integer that is not a bool (JSON ``true`` parses to ``True``)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -70,7 +65,7 @@ class TransportInstance:
                 raise ValidationError(
                     f"self-pair at {a!r}: local singlets come from quota padding"
                 )
-            if not _is_int(count) or count < 0:
+            if not is_int(count) or count < 0:
                 raise ValidationError(
                     f"pair count for ({a!r}, {b!r}) must be an integer >= 0")
             key = (a, b) if index[a] < index[b] else (b, a)
@@ -83,12 +78,12 @@ class TransportInstance:
             if f not in quotas:
                 raise ValidationError(f"missing quotas for site {f!r}")
             to_a, to_b = quotas[f]
-            if not (_is_int(to_a) and _is_int(to_b)):
+            if not (is_int(to_a) and is_int(to_b)):
                 raise ValidationError(f"quotas at site {f!r} must be integers")
             if to_a < 0 or to_b < 0:
                 raise ValidationError(f"negative quota at site {f!r}")
             clean_quotas[f] = (to_a, to_b)
-        if not _is_int(N) or N < 2:
+        if not is_int(N) or N < 2:
             raise ValidationError(
                 f"local dimension N must be an integer >= 2, got {N!r}")
         return cls(facilities=facilities, pairs=canonical,

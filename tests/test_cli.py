@@ -265,11 +265,38 @@ def test_verify_generic_counts_the_cut_ratios(write_doc, capsys, tmp_path):
     out = tmp_path / "r.json"
     assert main(["verify", "-g", graph, "-N", "3", "-n", "20", "--seed", "1",
                  "--out", str(out)]) == 0
-    assert "(X ln N + cut ln d = 3.988984," in capsys.readouterr().out
+    assert "(X ln N + cut ln d = 3.988984 nats," in capsys.readouterr().out
     report = json.loads(out.read_text())
     assert report["prediction"]["leading_area"] == 2
     assert report["prediction"]["leading_offset_nats"] == pytest.approx(math.log(6))
     assert report["verdict"]["predicted_nats"] == pytest.approx(math.log(54))
+
+
+@pytest.mark.parametrize("flag, line", [
+    ([], "prediction 3.658883 nats  mean 3.669830 nats  |gap| 0.010947 nats  "
+         "tolerance 0.030000 nats"),
+    (["--bits"], "prediction 5.278652 bits  mean 5.294446 bits  |gap| 0.015793 bits  "
+                 "tolerance 0.043281 bits"),
+])
+def test_verify_comparison_in_the_display_unit(write_doc, capsys, tmp_path, flag, line):
+    # --bits converts every printed entropy; the verdict stays in nats
+    graph = write_doc("bh.json", black_hole2_doc())
+    out = tmp_path / "r.json"
+    assert main(["verify", "-g", graph, "-N", "8", "-n", "4", "--seed", "7",
+                 "--out", str(out), *flag]) == 0
+    assert capsys.readouterr().out == f"{line}\nverdict: PASS\n"
+    verdict = json.loads(out.read_text())["verdict"]
+    assert verdict["mean_nats"] == pytest.approx(3.669830, abs=1e-6)
+    assert verdict["tolerance_nats"] == 0.03
+
+
+def test_verify_generic_line_in_bits(write_doc, capsys):
+    graph = write_doc("lattice.json", lattice_doc(2, 4))
+    assert main(["verify", "-g", graph, "-N", "2", "-n", "2", "--seed", "3",
+                 "--bits"]) == 0
+    assert capsys.readouterr().out == (
+        "generic case: leading-order-only check (X ln N = 6.000000 bits, "
+        "deficit = 0.082708 bits)\nverdict: PASS\n")
 
 
 def test_verify_expect_self_test(write_doc, capsys):
@@ -920,14 +947,19 @@ for step, argv in (
 """
 
 
-def test_cli_import_leaves_scipy_unloaded(write_doc):
+def _fresh_python(*argv) -> subprocess.CompletedProcess:
+    """Run ``python argv...`` in a fresh interpreter that imports this
+    checkout's package."""
     src = str(Path(arealaw.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_STEPS, write_doc("bh.json", black_hole2_doc()),
-         write_doc("inst.json", instance_doc())],
-        env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True)
+
+
+def test_cli_import_leaves_scipy_unloaded(write_doc):
+    proc = _fresh_python("-c", IMPORT_STEPS, write_doc("bh.json", black_hole2_doc()),
+                         write_doc("inst.json", instance_doc()))
     assert proc.returncode == 0, proc.stderr
     steps = dict(json.loads(line) for line in proc.stdout.splitlines())
     # a serial run samples with numpy and starts no process pool
@@ -947,6 +979,25 @@ def test_cli_import_leaves_scipy_unloaded(write_doc):
                      "area --flow-only 0": sorted(flow),
                      "predict 0": sorted(predict), "area 0": sorted(area),
                      "transport 0": sorted(transport)}
+
+
+# Every CLI call imports the CLI before it parses its arguments; none of
+# these, or their submodules, may come with it.
+UNWANTED_AT_CLI_IMPORT = ("numpy", "dataclasses", "numbers", "inspect", "fractions",
+                          "decimal", "hashlib", "random", "secrets", "tempfile",
+                          "concurrent.futures")
+
+
+def test_cli_import_loads_no_heavy_module():
+    proc = _fresh_python("-c", "import json, sys\n"
+                               "before = set(sys.modules)\n"
+                               "import arealaw.cli\n"
+                               "print(json.dumps(sorted(set(sys.modules) - before)))")
+    assert proc.returncode == 0, proc.stderr
+    added = json.loads(proc.stdout)
+    assert "arealaw.cli" in added
+    assert [m for m in added if any(m == name or m.startswith(f"{name}.")
+                                    for name in UNWANTED_AT_CLI_IMPORT)] == []
 
 
 def test_missing_file_exit_code(tmp_path):

@@ -130,6 +130,34 @@ def test_unknown_leg_and_vertex():
         Marginal.from_counts(g, {})
 
 
+def test_bare_constructor_refuses_an_unknown_leg():
+    # the checks and messages of from_legs, whichever way a marginal is built
+    g = single_loop().graph
+    with pytest.raises(ValidationError, match="^traced leg id 99 does not exist$"):
+        Marginal(g, frozenset({99}))
+    with pytest.raises(ValidationError, match="^traced leg id '0' is not an integer$"):
+        Marginal(g, frozenset({"0"}))
+
+
+def test_bare_constructor_refuses_counts_its_legs_do_not_give():
+    # a one-loop vertex with nothing traced keeps both legs: s = 2, not 0
+    g = single_loop().graph
+    with pytest.raises(ValidationError, match=r"^counts \{'V': 0\} are not the "
+                                              r"surviving-leg counts \{'V': 2\}"):
+        Marginal(g, frozenset(), counts={"V": 0})
+    with pytest.raises(ValidationError, match="surviving-leg counts"):
+        Marginal(g, frozenset({0}), counts={"V": True})
+    assert Marginal(g, frozenset({0}), counts={"V": 1}) == single_loop()
+
+
+def test_counts_mode_marginals_hash():
+    g = black_hole_counts(0, 0, 0).graph
+    m = Marginal.from_counts(g, {"V1": 0, "V2": 1, "V3": 1})
+    reordered = Marginal.from_counts(g, {"V3": 1, "V2": 1, "V1": 0})
+    assert m == reordered and hash(m) == hash(reordered)
+    assert len({m, reordered, Marginal.from_legs(g, m.traced)}) == 2
+
+
 def test_is_adapted_cases():
     assert is_adapted(black_hole(traced=[0, 3]))       # end vertices traced
     assert not is_adapted(black_hole(traced=[1]))      # traces inside V2

@@ -620,24 +620,30 @@ def _sample_plan(m, N, unitaries="sample"):
 
 
 def _plan_labels(m, N, unitaries="sample"):
-    """The (path, inputs, output) that :func:`_compile` receives when the
-    sampled plan of ``m`` is built afresh; the plan keeps only the compiled
-    steps.  The inputs hold each operand's ket then bra copy (the acted
-    vertices, then the identity edges); the output holds the ket then bra
-    labels of the smaller side's legs."""
+    """The (path, inputs, output) that :func:`_plan_steps` plans when the
+    sampled plan of ``m`` is built afresh; the plan keeps only the steps.
+    The inputs hold each operand's ket then bra copy (the acted vertices,
+    then the identity edges); the output holds the ket then bra labels of
+    the smaller side's legs."""
     calls = []
-    compile_steps = mc_simulator._compile
+    plan_steps = mc_simulator._plan_steps
 
-    def recorded(path, inputs, output, size):
-        calls.append((path, inputs, output))
-        return compile_steps(path, inputs, output, size)
+    def recorded(inputs, output, size):
+        steps, largest = plan_steps(inputs, output, size)
+        calls.append((_path(steps), inputs, output))
+        return steps, largest
 
     mc_simulator._gram_plan.cache_clear()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mc_simulator, "_compile", recorded)
+        patch.setattr(mc_simulator, "_plan_steps", recorded)
         _sample_plan(m, N, unitaries)
     (labels,) = calls
     return labels
+
+
+def _path(steps):
+    """The pairwise path of planned steps, as einsum_path's (i, j) pairs."""
+    return tuple((i, j) for (j, i), *_ in steps)
 
 
 def test_guard_bounds_the_largest_array(monkeypatch):
@@ -700,13 +706,14 @@ def planned(monkeypatch):
     """Every path planned while the test runs, as (inputs, output, size,
     path); the plan cache is emptied before and after."""
     calls = []
-    plan = mc_simulator._greedy_path
+    plan_steps = mc_simulator._plan_steps
 
     def recorded(inputs, output, size):
-        calls.append((inputs, output, size, plan(inputs, output, size)))
-        return calls[-1][-1]
+        steps, largest = plan_steps(inputs, output, size)
+        calls.append((inputs, output, size, _path(steps)))
+        return steps, largest
 
-    monkeypatch.setattr(mc_simulator, "_greedy_path", recorded)
+    monkeypatch.setattr(mc_simulator, "_plan_steps", recorded)
     mc_simulator._gram_plan.cache_clear()
     yield calls
     mc_simulator._gram_plan.cache_clear()
