@@ -27,8 +27,7 @@ _EXPORTS = {
         "ResourceGuardError", "ValidationError",
     ),
     "graph_model": (
-        "Edge", "Graph", "Leg", "Marginal", "is_adapted", "parse_graph",
-        "parse_marginal",
+        "Edge", "Graph", "Leg", "Marginal", "is_adapted", "parse_marginal",
     ),
     "marking": (
         "BruteForceArea", "Marking", "area_bruteforce", "marking_from_flow",
@@ -36,12 +35,8 @@ _EXPORTS = {
     "mc_simulator": (
         "MCReport", "run_experiment",
     ),
-    "nc_combinatorics": (
-        "case_B", "catalan", "catalan_bound", "count_multichains",
-        "enumerate_nc", "fuss_catalan", "moment_from_B",
-    ),
     "spectral_predictor": (
-        "EntropyPrediction", "mp_moment", "mp_xlogx", "predict_entropy",
+        "EntropyPrediction", "mp_xlogx", "predict_entropy",
     ),
     "transport": (
         "RoutingPlan", "TransportCertificate", "TransportInstance", "certify",

@@ -2,7 +2,7 @@
 
 The network has one node per graph vertex plus two distinguished nodes.
 Its arcs are directed: ``t(v)`` from the source to each vertex, ``s(v)`` from
-each vertex to the sink, and the multiplicity of the edges between two
+each vertex to the sink, and the number of edges between two
 distinct vertices in both directions.  Loops carry no capacity.  The maximal
 flow equals the boundary area of the partition (see :mod:`arealaw.marking`
 for the dual, marking-based definition).

@@ -149,18 +149,6 @@ class Graph:
             i for i, e in enumerate(self.edges) if e.u == e.v == vertex
         )
 
-    def edges_between(self, v: str, w: str) -> tuple[int, ...]:
-        """Indices of non-loop edges joining two distinct vertices."""
-        if v == w:
-            return ()
-        pair = {v, w}
-        return tuple(
-            i for i, e in enumerate(self.edges) if {e.u, e.v} == pair
-        )
-
-    def multiplicity(self, v: str, w: str) -> int:
-        return len(self.edges_between(v, w))
-
     def to_document(self) -> dict:
         return {
             "vertices": list(self.vertices),
@@ -270,13 +258,15 @@ def is_adapted(marginal: Marginal) -> bool:
 # -- document I/O ----------------------------------------------------------
 
 
-def _load_document(text: str) -> dict:
+def _load_document(text: str, kind: str = "graph") -> dict:
+    """The JSON object ``text`` holds; malformed or too deeply nested JSON
+    is a parse error."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ParseError("graph document must be a JSON object")
+        raise ParseError(f"{kind} document must be a JSON object")
     return doc
 
 
@@ -294,11 +284,6 @@ def graph_from_document(doc: dict) -> Graph:
         d = rec.get("d", 1)
         edges.append(Edge(u=rec["u"], v=rec["v"], d=d))
     return Graph(vertices=tuple(doc["vertices"]), edges=tuple(edges))
-
-
-def parse_graph(text: str) -> Graph:
-    """Parse a serialized graph document (the 'trace' section is ignored)."""
-    return graph_from_document(_load_document(text))
 
 
 def parse_marginal(text: str) -> Marginal:

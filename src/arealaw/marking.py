@@ -43,16 +43,6 @@ class Marking:
         return sorted(self.marked)
 
 
-def is_compatible(marginal: Marginal, marking: Marking) -> bool:
-    g = marginal.graph
-    if not marking.marked <= set(range(g.n_legs)):
-        return False
-    return all(
-        sum(1 for leg in g.legs_of(v) if leg in marking.marked) == marginal.s(v)
-        for v in g.vertices
-    )
-
-
 def marking_count(marginal: Marginal) -> int:
     """Number of compatible markings: product of per-vertex binomials."""
     g = marginal.graph

@@ -1,11 +1,9 @@
 """Closed-form and numerical entropy predictions.
 
-The Marchenko-Pastur family drives every known correction: ``mp_moment``
-gives its moments (the tests check them against quadrature), ``mp_xlogx``
-the value of ``integral x ln x dpi_c``, and ``_page_correction`` the O(1)
-deficit ``Dmin / (2 Dmax)`` of Page's mean entropy of an induced random
-state, ``ln(Dmin) - Dmin / (2 Dmax)``, from which every case takes its
-correction.
+The Marchenko-Pastur family drives every known correction: ``mp_xlogx``
+gives ``integral x ln x dpi_c``, and ``_page_correction`` the O(1) deficit
+``Dmin / (2 Dmax)`` of Page's mean entropy of an induced random state,
+``ln(Dmin) - Dmin / (2 Dmax)``, from which every case takes its correction.
 
 ``predict_entropy`` reads every case off the marginal's kept flow, as in the
 domain-wall picture of random tensor networks (Hayden et al.,
@@ -28,21 +26,6 @@ from dataclasses import dataclass
 from .boundary_flow import build_network, max_flow
 from .errors import ValidationError
 from .graph_model import Marginal, check_integer, is_adapted
-
-
-def mp_moment(c, p: int):
-    """p-th moment of the Marchenko-Pastur distribution.
-
-    Evaluates ``sum_k narayana(p, k) c^k`` (the non-crossing partition sum),
-    which keeps exact types exact: a ``Fraction`` argument yields a
-    ``Fraction``.  No command calls it, so :mod:`arealaw.nc_combinatorics`
-    loads only here.
-    """
-    from .nc_combinatorics import MAX_P, narayana
-
-    if not 1 <= p <= MAX_P:
-        raise ValidationError(f"moment order p={p} outside [1, {MAX_P}]")
-    return sum(narayana(p, k) * c ** k for k in range(1, p + 1))
 
 
 def mp_xlogx(c: float) -> float:

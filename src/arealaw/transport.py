@@ -13,7 +13,6 @@ its marginal, flow value and routing, which :func:`scenarios`,
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,7 +25,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .graph_model import Edge, Graph, Marginal, is_int
+from .graph_model import Edge, Graph, Marginal, _load_document, is_int
 from .marking import Marking, marking_from_flow
 
 CERTIFICATE_CAVEAT = (
@@ -133,12 +132,7 @@ class TransportInstance:
 
 
 def parse_instance(text: str) -> TransportInstance:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("instance document must be a JSON object")
+    doc = _load_document(text, "instance")
     for key, kind, name in (("facilities", list, "array"),
                             ("pairs", list, "array"),
                             ("quotas", dict, "object")):

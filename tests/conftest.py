@@ -1,7 +1,7 @@
 """Shared fixture builders and test oracles: canonical graphs, marginals,
 graph families, the Marchenko-Pastur quadrature and spectral moments, a
 Wishart spectrum and the fattened graph with its crossings and compatible
-markings."""
+markings.  The non-crossing oracles live in ``nc_combinatorics``."""
 
 from __future__ import annotations
 
@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from arealaw import Edge, Graph, Marginal, Marking, mp_moment, parse_marginal
+from arealaw import Edge, Graph, Marginal, Marking, parse_marginal
+from arealaw.graph_model import _load_document, graph_from_document
+from nc_combinatorics import mp_moment
 
 
 @pytest.fixture
@@ -155,7 +157,22 @@ def iter_compatible_markings(marginal: Marginal):
         yield Marking(marked=frozenset(itertools.chain.from_iterable(choice)))
 
 
+def is_compatible(marginal: Marginal, marking: Marking) -> bool:
+    g = marginal.graph
+    if not marking.marked <= set(range(g.n_legs)):
+        return False
+    return all(
+        sum(1 for leg in g.legs_of(v) if leg in marking.marked) == marginal.s(v)
+        for v in g.vertices
+    )
+
+
 # -- canonical marginals -----------------------------------------------------
+
+
+def parse_graph(text: str) -> Graph:
+    """Parse a serialized graph document (the 'trace' section is ignored)."""
+    return graph_from_document(_load_document(text))
 
 
 def doc(vertices, edges, trace) -> dict:

@@ -1,5 +1,8 @@
-"""Geodesic permutations, the non-crossing partition lattice and asymptotic
-moment coefficients.
+"""Test oracles: geodesic permutations, the non-crossing partition lattice,
+Marchenko-Pastur moments and asymptotic moment coefficients.
+
+No command reads these; the tests check the predictor and the sampler
+against them.
 
 Permutations are tuples in one-line notation on ``{0, .., p-1}`` (images of
 0..p-1).  A permutation is geodesic when ``#(b) + #(b^-1 g) = p + 1`` with
@@ -19,8 +22,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import CombinatorialLimitError, ValidationError
-from .graph_model import Marginal
+from arealaw.errors import CombinatorialLimitError, ValidationError
+from arealaw.graph_model import Graph, Marginal
 
 #: Exact enumeration guard; Catalan(8) = 1430 keeps every cross-check fast.
 MAX_P = 8
@@ -115,9 +118,16 @@ def fuss_catalan(p: int, length: int) -> int:
     return math.comb((length + 1) * p, p) // (length * p + 1)
 
 
-def cycle_notation(a: Permutation) -> str:
-    """Debug rendering, e.g. ``(0 1 2)`` or ``(0)(1 2)``."""
-    return "".join("(" + " ".join(map(str, c)) + ")" for c in _cycles(a))
+def mp_moment(c, p: int):
+    """p-th moment of the Marchenko-Pastur distribution.
+
+    Evaluates ``sum_k narayana(p, k) c^k`` (the non-crossing partition sum),
+    which keeps exact types exact: a ``Fraction`` argument yields a
+    ``Fraction``.
+    """
+    if not 1 <= p <= MAX_P:
+        raise ValidationError(f"moment order p={p} outside [1, {MAX_P}]")
+    return sum(narayana(p, k) * c ** k for k in range(1, p + 1))
 
 
 def to_partition(a: Permutation) -> frozenset[frozenset[int]]:
@@ -167,6 +177,14 @@ def count_multichains(p: int, length: int) -> int:
 
 
 # -- moment coefficients for the worked cases --------------------------------
+
+
+def edges_between(g: Graph, v: str, w: str) -> tuple[int, ...]:
+    """Indices of non-loop edges joining two distinct vertices."""
+    if v == w:
+        return ()
+    pair = {v, w}
+    return tuple(i for i, e in enumerate(g.edges) if {e.u, e.v} == pair)
 
 
 def case_B(case: str, p: int) -> list[tuple[Permutation, ...]]:
@@ -227,7 +245,7 @@ def moment_from_B(B: Iterable[Sequence[Permutation]], marginal: Marginal,
     for i, v in enumerate(g.vertices):
         for j in range(i + 1, k):
             prod = 1
-            for edge_index in g.edges_between(v, g.vertices[j]):
+            for edge_index in edges_between(g, v, g.vertices[j]):
                 prod *= g.edges[edge_index].d
             d_e[(i, j)] = prod
 

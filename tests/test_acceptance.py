@@ -15,13 +15,8 @@ from arealaw import (
     TransportInstance,
     area_bruteforce,
     build_network,
-    catalan,
     certify,
-    count_multichains,
-    enumerate_nc,
-    fuss_catalan,
     max_flow,
-    mp_moment,
     mp_xlogx,
     predict_entropy,
     run_experiment,
@@ -42,6 +37,13 @@ from conftest import (
     random_adapted_marginal,
     random_transport_instance,
     two_loops,
+)
+from nc_combinatorics import (
+    catalan,
+    count_multichains,
+    enumerate_nc,
+    fuss_catalan,
+    mp_moment,
 )
 
 EXHAUSTION_CAP = 100_000

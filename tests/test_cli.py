@@ -119,6 +119,17 @@ def test_area_invalid_document(write_doc, capsys):
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("input error:")
 
+
+def test_area_deeply_nested_document(tmp_path, capsys):
+    # json.loads raises RecursionError here, not JSONDecodeError
+    graph = tmp_path / "deep.json"
+    graph.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main(["area", "-g", str(graph)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("input error: invalid JSON:")
+
+
 def test_predict_adapted(write_doc, capsys, tmp_path):
     graph = write_doc("adapted.json", adapted_five_doc())
     out = tmp_path / "report.json"
@@ -524,6 +535,16 @@ def test_transport_bad_instance_exit_code(write_doc, capsys, change, certify):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("input error:")
+
+
+def test_transport_deeply_nested_instance(tmp_path, capsys):
+    instance = tmp_path / "deep.json"
+    instance.write_text('{"facilities": ' + "[" * 50_000 + "]" * 50_000 + "}",
+                        encoding="utf-8")
+    assert main(["transport", "-i", str(instance)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("input error: invalid JSON:")
 
 
 @pytest.mark.parametrize("certify", [False, True], ids=["plain", "certify"])
@@ -962,11 +983,16 @@ def test_cli_import_leaves_scipy_unloaded(write_doc):
                          write_doc("inst.json", instance_doc()))
     assert proc.returncode == 0, proc.stderr
     steps = dict(json.loads(line) for line in proc.stdout.splitlines())
+    # the package is what the commands run: together they load every module
+    package_dir = Path(arealaw.__file__).parent
+    assert {m for loaded in steps.values() for m in loaded
+            if m.startswith("arealaw")} == {
+        "arealaw" if path.stem == "__init__" else f"arealaw.{path.stem}"
+        for path in package_dir.glob("*.py")}
     # a serial run samples with numpy and starts no process pool
     simulate = set(steps.pop("simulate 0"))
     assert {"numpy", "arealaw.mc_simulator"} <= simulate
-    assert not simulate & {"scipy", "concurrent.futures.process",
-                           "arealaw.nc_combinatorics"}
+    assert not simulate & {"scipy", "concurrent.futures.process"}
     # the package and the parser load no layer; the combinatorial commands
     # need only the standard library and load only the layers they run
     package = ["arealaw"]

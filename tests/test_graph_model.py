@@ -7,12 +7,17 @@ from arealaw import (
     Marginal,
     ValidationError,
     is_adapted,
-    parse_graph,
     parse_marginal,
 )
 from arealaw.errors import ParseError
 
-from conftest import black_hole, black_hole_counts, random_marginal, single_loop
+from conftest import (
+    black_hole,
+    black_hole_counts,
+    parse_graph,
+    random_marginal,
+    single_loop,
+)
 
 
 def test_parse_single_loop():

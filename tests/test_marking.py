@@ -14,7 +14,7 @@ from arealaw import (
     marking_from_flow,
     max_flow,
 )
-from arealaw.marking import _marking_masks, is_compatible, marking_count
+from arealaw.marking import _marking_masks, marking_count
 
 from conftest import (
     all_counting_functions,
@@ -23,6 +23,7 @@ from conftest import (
     crossings,
     enumerate_small_graphs,
     fatten,
+    is_compatible,
     iter_compatible_markings,
     oxygen,
     random_marginal,

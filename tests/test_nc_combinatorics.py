@@ -3,26 +3,24 @@ from fractions import Fraction
 
 import pytest
 
-from arealaw import (
-    ValidationError,
+from arealaw import ValidationError
+from arealaw.errors import CombinatorialLimitError
+
+from nc_combinatorics import (
     case_B,
     catalan,
     catalan_bound,
-    count_multichains,
-    enumerate_nc,
-    fuss_catalan,
-    moment_from_B,
-    mp_moment,
-)
-from arealaw.errors import CombinatorialLimitError
-from arealaw.nc_combinatorics import (
     compose,
+    count_multichains,
     cycle_count,
-    cycle_notation,
+    enumerate_nc,
     full_cycle,
+    fuss_catalan,
     identity,
     inverse,
     is_geodesic,
+    moment_from_B,
+    mp_moment,
     narayana,
     refines,
     to_partition,
@@ -83,6 +81,8 @@ def test_geodesic_cycle_identities():
     for p in range(1, 6):
         assert cycle_count(identity(p)) == p
         assert cycle_count(full_cycle(p)) == 1
+    assert to_partition((0, 2, 1)) == {frozenset({0}), frozenset({1, 2})}
+    assert cycle_count((0, 2, 1)) == 2
 
 
 def test_multichain_counts():
@@ -123,14 +123,6 @@ def test_kreweras_agrees_with_refinement():
         for a in enumerate_nc(p):
             for b in enumerate_nc(p):
                 assert kreweras_leq(a, b) == refines(a, b)
-
-
-def test_cycle_notation():
-    assert cycle_notation(identity(3)) == "(0)(1)(2)"
-    assert cycle_notation(full_cycle(3)) == "(0 1 2)"
-    assert cycle_notation((0, 2, 1)) == "(0)(1 2)"
-    assert to_partition((0, 2, 1)) == {frozenset({0}), frozenset({1, 2})}
-    assert cycle_count((0, 2, 1)) == 2
 
 
 def test_narayana_sums_to_catalan():
