@@ -8,15 +8,17 @@ flow equals the boundary area of the partition (see :mod:`arealaw.marking`
 for the dual, marking-based definition).
 
 One engine solves every flow, on node positions rather than names: a network
-derives its capacity matrix and, per node, the positions it is linked to,
-and solves its flow at most once, keeping both (cached).  A marginal keeps
-its network, so every caller of :func:`build_network` for one marginal reads
-that one solve.  Breadth-first augmenting paths (Edmonds-Karp, neighbours in
-node order) update one residual matrix, which then gives both extremal
-minimum cuts (residual reachability from the source, and co-reachability of
-the sink; a tie is two distinct cuts) and the decomposition of the final
-flow into unit source-sink paths.  Positions become names only in the
-:class:`FlowResult`.
+derives one map per position ``p``, from each position ``q`` joined to it
+by an arc either way to the capacity of ``p -> q``, and solves its flow at
+most once, keeping both (cached).  A marginal keeps its network, so every
+caller of :func:`build_network` for one marginal reads that one solve.
+Breadth-first augmenting paths (Edmonds-Karp, neighbours in node order)
+update a copy of those maps, the residual table, which then gives both
+extremal minimum cuts (residual reachability from the source, and
+co-reachability of the sink; a tie is two distinct cuts) and the
+decomposition of the final flow (capacity minus residual) into unit
+source-sink paths.  Memory is linear in the number of arcs.  Positions
+become names only in the :class:`FlowResult`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from functools import cached_property
 from typing import Hashable, Iterable, Mapping
 
 from .errors import InconsistencyError, ValidationError
-from .graph_model import Marginal
+from .graph_model import Marginal, is_int
 
 SOURCE = "source"
 SINK = "sink"
@@ -41,15 +43,18 @@ class FlowNetwork:
     capacities: Mapping[tuple[Hashable, Hashable], int]  # (tail, head) -> cap
 
     @cached_property
-    def _arcs(self) -> tuple[list[list[int]], tuple[tuple[int, ...], ...]]:
-        """The capacity matrix on node positions (read only: a flow works on
-        a copy), and per position the positions joined to it by an arc
-        either way, ascending: the only candidates for a residual arc."""
-        if self.nodes[0] != SOURCE or self.nodes[-1] != SINK:
+    def _arcs(self) -> list[dict[int, int]]:
+        """Per node position, the positions joined to it by an arc either
+        way, ascending, each mapped to the capacity of the arc to it (0 for
+        an arc that only runs the other way).  Read only: a flow works on a
+        copy.  Repeated node names, and capacities that are not
+        non-negative integers, are a :class:`ValidationError`."""
+        if not self.nodes or self.nodes[0] != SOURCE or self.nodes[-1] != SINK:
             raise ValidationError("a network's nodes must run from source to sink")
         index = {node: i for i, node in enumerate(self.nodes)}
-        matrix = [[0] * len(self.nodes) for _ in self.nodes]
-        linked = [set() for _ in self.nodes]
+        if len(index) != len(self.nodes):
+            raise ValidationError("a network's nodes must be distinct")
+        arcs = [{} for _ in self.nodes]
         for (a, b), c in self.capacities.items():
             try:
                 i, j = index[a], index[b]
@@ -57,35 +62,35 @@ class FlowNetwork:
                 raise ValidationError(
                     f"arc ({a!r}, {b!r}) names {exc.args[0]!r}, which is not "
                     f"a node of the network") from None
-            matrix[i][j] = c
-            linked[i].add(j)
-            linked[j].add(i)
-        return matrix, tuple(tuple(sorted(s)) for s in linked)
+            if not is_int(c) or c < 0:
+                raise ValidationError(
+                    f"arc ({a!r}, {b!r}) has capacity {c!r}; it must be a "
+                    "non-negative integer")
+            arcs[i][j] = c
+            arcs[j].setdefault(i, 0)
+        return [dict(sorted(row.items())) for row in arcs]
 
     @cached_property
     def _flow(self) -> FlowResult:
         """The maximum flow, with its unit paths and both extremal minimum
         cuts."""
-        capacity, linked = self._arcs
+        capacity = self._arcs
         residual = _augment(self)
-        value = sum(capacity[0]) - sum(residual[0])
-        minimal = _reached(residual, linked, 0, forward=True)
-        coreach = _reached(residual, linked, len(linked) - 1, forward=False)
-        inside = [i for i, reached in enumerate(minimal) if reached]
-        outside = [j for j, reached in enumerate(minimal) if not reached]
-        if sum(capacity[i][j] for i in inside for j in outside) != value:
+        value = sum(capacity[0].values()) - sum(residual[0].values())
+        minimal = _search(residual, 0)
+        coreach = _search(residual, len(residual) - 1, forward=False)
+        if sum(c for i, row in enumerate(capacity) if minimal[i] >= 0
+               for j, c in row.items() if minimal[j] < 0) != value:
             raise InconsistencyError("min cut does not certify the flow value")
-        # net flow per arc; the decomposition reads only positive entries
-        flow = [[c - r for c, r in zip(crow, rrow)]
-                for crow, rrow in zip(capacity, residual)]
         nodes = self.nodes
         return FlowResult(
             value=value,
+            # consumes the residual table: every other read of it comes first
             paths=tuple(tuple(nodes[i] for i in p)
-                        for p in _unit_paths(flow, linked, value)),
-            cut=tuple(nodes[i] for i in inside),
+                        for p in _unit_paths(capacity, residual, value)),
+            cut=tuple(node for node, p in zip(nodes, minimal) if p >= 0),
             # every node that cannot reach the sink: the largest minimum cut
-            cut_max=tuple(node for node, r in zip(nodes, coreach) if not r))
+            cut_max=tuple(node for node, p in zip(nodes, coreach) if p < 0))
 
     def cap(self, a: Hashable, b: Hashable) -> int:
         return self.capacities.get((a, b), 0)
@@ -147,28 +152,15 @@ def _construct_network(marginal: Marginal) -> FlowNetwork:
     return FlowNetwork(nodes=(SOURCE, *g.vertices, SINK), capacities=caps)
 
 
-def _augment(network: FlowNetwork) -> list[list[int]]:
+def _augment(network: FlowNetwork) -> list[dict[int, int]]:
     """Edmonds-Karp on node positions (source first, sink last); returns the
-    residual matrix of a maximum flow.  The net flow on an arc is its
+    residual maps of a maximum flow.  The net flow on an arc is its
     capacity minus its residual."""
-    capacity, linked = network._arcs
-    residual = [row[:] for row in capacity]
-    sink = len(linked) - 1
+    residual = [row.copy() for row in network._arcs]
+    sink = len(residual) - 1
     while True:
-        # shortest augmenting path; a parent is final once set, so the
-        # search may stop as soon as it finds the sink
-        parent = [-1] * len(linked)
-        parent[0] = 0
-        queue = [0]
-        for node in queue:
-            row = residual[node]
-            for other in linked[node]:
-                if parent[other] < 0 and row[other] > 0:
-                    parent[other] = node
-                    queue.append(other)
-            if parent[sink] >= 0:
-                break
-        else:
+        parent = _search(residual, 0)
+        if parent[sink] < 0:
             return residual
         path = [sink]
         while path[-1]:
@@ -180,33 +172,40 @@ def _augment(network: FlowNetwork) -> list[list[int]]:
             residual[b][a] += bottleneck
 
 
-def _reached(residual: list[list[int]], linked: tuple[tuple[int, ...], ...],
-             start: int, forward: bool) -> list[bool]:
-    """Residual reachability from ``start`` per position; ``forward=False``
-    follows residual arcs backwards (who can still reach ``start``)."""
-    seen = [False] * len(linked)
-    seen[start] = True
+def _search(residual: list[dict[int, int]], start: int,
+            forward: bool = True) -> list[int]:
+    """Breadth-first search of the residual arcs from ``start``, neighbours
+    in node order: per position, the node it was reached from (``start``
+    for itself), or -1 if unreached.  ``forward=False`` follows residual
+    arcs backwards (who can still reach ``start``).  A forward search stops
+    once the sink (the last position) is reached: a parent is final once
+    set, so the path to the sink is a shortest augmenting path."""
+    parent = [-1] * len(residual)
+    parent[start] = start
+    sink = len(residual) - 1
     queue = [start]
     for node in queue:
-        for other in linked[node]:
-            if not seen[other] and (residual[node][other] if forward
-                                    else residual[other][node]) > 0:
-                seen[other] = True
+        for other, r in residual[node].items():
+            if parent[other] < 0 and (r if forward else residual[other][node]) > 0:
+                parent[other] = node
                 queue.append(other)
-    return seen
+        if forward and parent[sink] >= 0:
+            break
+    return parent
 
 
-def _unit_paths(flow: list[list[int]], linked: tuple[tuple[int, ...], ...],
+def _unit_paths(capacity: list[dict[int, int]], residual: list[dict[int, int]],
                 value: int) -> list[list[int]]:
-    """Split a net flow into ``value`` unit source-sink paths of positions,
-    cancelling any circulation encountered along the way.  Only positive
-    entries are read; consumes ``flow``."""
-    sink = len(linked) - 1
+    """Split the net flow ``capacity - residual`` into ``value`` unit
+    source-sink paths of positions, cancelling any circulation encountered
+    along the way.  Only positive net flows are read; consumes ``residual``
+    (taking a unit off arc ``a -> b`` adds one to its residual)."""
+    sink = len(capacity) - 1
 
     def next_hop(node: int) -> int | None:
-        row = flow[node]
-        for other in linked[node]:  # deterministic node order
-            if row[other] > 0:
+        row = residual[node]
+        for other, c in capacity[node].items():  # deterministic node order
+            if c > row[other]:
                 return other
         return None
 
@@ -222,7 +221,7 @@ def _unit_paths(flow: list[list[int]], linked: tuple[tuple[int, ...], ...],
                 # cancel the cycle and resume from its entry point
                 start = position[nxt]
                 for a, b in zip(path[start:], path[start + 1:] + [nxt]):
-                    flow[a][b] -= 1
+                    residual[a][b] += 1
                 for node in path[start + 1:]:
                     del position[node]
                 del path[start + 1:]
@@ -230,7 +229,7 @@ def _unit_paths(flow: list[list[int]], linked: tuple[tuple[int, ...], ...],
             position[nxt] = len(path)
             path.append(nxt)
         for a, b in zip(path, path[1:]):
-            flow[a][b] -= 1
+            residual[a][b] += 1
         paths.append(path)
     return paths
 

@@ -148,7 +148,7 @@ def marking_from_flow(marginal: Marginal, flow: FlowResult) -> Marking:
     # node positions: the source, the edges, the vertices, the sink
     position = {v: 1 + len(g.edges) + k for k, v in enumerate(g.vertices)}
     # a drain the flow does not fill keeps residual capacity into the sink
-    if any(residual[position[v]][-1] for v in g.vertices):
+    if any(residual[position[v]].get(len(residual) - 1) for v in g.vertices):
         raise InconsistencyError("the cut admits no leg assignment")
 
     fed = set()

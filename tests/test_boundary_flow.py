@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import tracemalloc
 import weakref
 from collections import defaultdict, deque
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from arealaw import (
+    Edge,
     FlowNetwork,
     FlowResult,
     Graph,
@@ -393,6 +395,47 @@ def test_arc_to_a_missing_node_is_a_validation_error():
         max_flow(net)
 
 
+def test_a_network_without_nodes_is_a_validation_error():
+    with pytest.raises(ValidationError, match="from source to sink"):
+        max_flow(FlowNetwork(nodes=(), capacities={}))
+
+
+@pytest.mark.parametrize("nodes", [
+    (SOURCE, "A", "A", SINK),
+    (SOURCE, "A", SOURCE, SINK),
+])
+def test_repeated_node_names_are_a_validation_error(nodes):
+    net = FlowNetwork(nodes=nodes, capacities={
+        (SOURCE, "A"): 1, ("A", SINK): 1})
+    with pytest.raises(ValidationError, match="must be distinct"):
+        max_flow(net)
+
+
+@pytest.mark.parametrize("capacity", [1.5, -1, True])
+def test_capacity_must_be_a_non_negative_integer(capacity):
+    net = FlowNetwork(nodes=(SOURCE, "A", SINK), capacities={
+        (SOURCE, "A"): capacity, ("A", SINK): 1})
+    with pytest.raises(ValidationError, match="capacity"):
+        max_flow(net)
+
+
+def test_flow_memory_is_linear_in_the_arcs():
+    # a 500-vertex path, every vertex keeping one leg but the first: the
+    # flow and the marking's assignment flow together stay within a few MiB
+    # (a dense capacity matrix per network would need about 18 MiB here)
+    vertices = tuple(f"V{i}" for i in range(500))
+    g = Graph(vertices=vertices, edges=tuple(
+        Edge(u, v) for u, v in zip(vertices, vertices[1:])))
+    m = Marginal.from_counts(g, {v: int(i > 0) for i, v in enumerate(vertices)})
+    tracemalloc.start()
+    try:
+        marking_from_flow(m, max_flow(build_network(m)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
+
+
 def test_single_loop_flow():
     flow = max_flow(build_network(single_loop(s=1)))
     assert flow.value == 1
@@ -483,12 +526,18 @@ def test_unit_paths_cancel_a_circulation():
     # positions: source 0, a 1, b 2, c 3, sink 4; the net flow carries one
     # unit source -> a -> sink beside the cycle a -> b -> c -> a, which the
     # walk from a meets first (b precedes the sink in a's node order)
-    linked = ((1,), (0, 2, 3, 4), (1, 3), (1, 2), (1,))
-    flow = [[0] * 5 for _ in range(5)]
+    capacity = [{} for _ in range(5)]
+    residual = [{} for _ in range(5)]
     for a, b in [(0, 1), (1, 4), (1, 2), (2, 3), (3, 1)]:
-        flow[a][b] = 1
-    assert _unit_paths(flow, linked, 1) == [[0, 1, 4]]
-    assert flow == [[0] * 5 for _ in range(5)]
+        capacity[a][b], residual[a][b] = 1, 0
+        capacity[b].setdefault(a, 0)
+        residual[b][a] = residual[b].get(a, 0) + 1
+    capacity = [dict(sorted(row.items())) for row in capacity]
+    residual = [dict(sorted(row.items())) for row in residual]
+    assert _unit_paths(capacity, residual, 1) == [[0, 1, 4]]
+    # all consumed: no arc carries net flow any more
+    assert all(c <= residual[a][b]
+               for a, row in enumerate(capacity) for b, c in row.items())
 
 
 def test_cut_certifies_value():
