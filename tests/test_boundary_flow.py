@@ -535,9 +535,15 @@ def test_unit_paths_cancel_a_circulation():
     capacity = [dict(sorted(row.items())) for row in capacity]
     residual = [dict(sorted(row.items())) for row in residual]
     assert _unit_paths(capacity, residual, 1) == [[0, 1, 4]]
-    # all consumed: no arc carries net flow any more
-    assert all(c <= residual[a][b]
-               for a, row in enumerate(capacity) for b, c in row.items())
+    # all consumed, each unit exactly once: every forward arc's residual went
+    # 0 -> 1 and every reverse arc keeps the 1 it was given above
+    assert residual == [
+        {1: 1},
+        {0: 1, 2: 1, 3: 1, 4: 1},
+        {1: 1, 3: 1},
+        {1: 1, 2: 1},
+        {1: 1},
+    ]
 
 
 def test_cut_certifies_value():
