@@ -7,18 +7,20 @@ distinct vertices in both directions.  Loops carry no capacity.  The maximal
 flow equals the boundary area of the partition (see :mod:`arealaw.marking`
 for the dual, marking-based definition).
 
-One engine solves every flow, on node positions rather than names: a network
-derives one map per position ``p``, from each position ``q`` joined to it
-by an arc either way to the capacity of ``p -> q``, and solves its flow at
-most once, keeping both (cached).  A marginal keeps its network, so every
-caller of :func:`build_network` for one marginal reads that one solve.
-Breadth-first augmenting paths (Edmonds-Karp, neighbours in node order)
-update a copy of those maps, the residual table, which then gives both
-extremal minimum cuts (residual reachability from the source, and
-co-reachability of the sink; a tie is two distinct cuts) and the
-decomposition of the final flow (capacity minus residual) into unit
-source-sink paths.  Memory is linear in the number of arcs.  Positions
-become names only in the :class:`FlowResult`.
+One engine solves every flow on arc maps by position, not names: per
+position ``p``, a map from each position ``q`` joined to it by an arc either
+way to the capacity of ``p -> q``, source first and sink last.  The
+marking's assignment flow builds its maps itself; a :class:`FlowNetwork` is
+the named, validated form that the API and a marginal's network use.  It
+derives its maps once and solves at most once, keeping both (cached), and a
+marginal keeps its network, so every caller of :func:`build_network` for
+one marginal reads that one solve.  Breadth-first augmenting paths
+(Edmonds-Karp, neighbours in node order) update a copy of the maps, the
+residual table, from which a network reads both extremal minimum cuts
+(residual reachability from the source, and co-reachability of the sink; a
+tie is two distinct cuts) and the decomposition of the final flow (capacity
+minus residual) into unit source-sink paths.  Memory is linear in the
+number of arcs.  Positions become names only in the :class:`FlowResult`.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class FlowNetwork:
         """The maximum flow, with its unit paths and both extremal minimum
         cuts."""
         capacity = self._arcs
-        residual = _augment(self)
+        residual = _augment(capacity)
         value = sum(capacity[0].values()) - sum(residual[0].values())
         minimal = _search(residual, 0)
         coreach = _search(residual, len(residual) - 1, forward=False)
@@ -140,11 +142,9 @@ def _construct_network(marginal: Marginal) -> FlowNetwork:
     g = marginal.graph
     caps: dict[tuple[str, str], int] = {}
     for v in g.vertices:
-        t = marginal.t(v)
-        s = marginal.s(v)
-        if t > 0:
+        if t := marginal.t(v):
             caps[(SOURCE, v)] = t
-        if s > 0:
+        if s := marginal.s(v):
             caps[(v, SINK)] = s
     for e in g.edges:
         if e.u != e.v:
@@ -152,11 +152,11 @@ def _construct_network(marginal: Marginal) -> FlowNetwork:
     return FlowNetwork(nodes=(SOURCE, *g.vertices, SINK), capacities=caps)
 
 
-def _augment(network: FlowNetwork) -> list[dict[int, int]]:
-    """Edmonds-Karp on node positions (source first, sink last); returns the
-    residual maps of a maximum flow.  The net flow on an arc is its
-    capacity minus its residual."""
-    residual = [row.copy() for row in network._arcs]
+def _augment(arcs: list[dict[int, int]]) -> list[dict[int, int]]:
+    """Edmonds-Karp on arc maps laid out as :attr:`FlowNetwork._arcs` has
+    them (source first, sink last, keys ascending, a reverse-only arc held
+    as 0); returns the residual maps of a maximum flow, ``arcs`` untouched."""
+    residual = [row.copy() for row in arcs]
     sink = len(residual) - 1
     while True:
         parent = _search(residual, 0)
@@ -165,9 +165,9 @@ def _augment(network: FlowNetwork) -> list[dict[int, int]]:
         path = [sink]
         while path[-1]:
             path.append(parent[path[-1]])
-        arcs = list(zip(path[1:], path))
-        bottleneck = min(residual[a][b] for a, b in arcs)
-        for a, b in arcs:
+        hops = list(zip(path[1:], path))
+        bottleneck = min(residual[a][b] for a, b in hops)
+        for a, b in hops:
             residual[a][b] -= bottleneck
             residual[b][a] += bottleneck
 
@@ -265,7 +265,7 @@ def replay_paths(network: FlowNetwork, paths: Iterable[tuple[str, ...]]) -> int:
     """Push unit paths through a fresh copy of the network; returns the total
     flow and raises if any capacity or endpoint rule is violated."""
     usage: dict[tuple[str, str], int] = defaultdict(int)
-    count = 0
+    paths = tuple(paths)
     for path in paths:
         if len(path) < 2 or path[0] != SOURCE or path[-1] != SINK:
             raise InconsistencyError(f"path {path} must run source -> sink")
@@ -274,8 +274,7 @@ def replay_paths(network: FlowNetwork, paths: Iterable[tuple[str, ...]]) -> int:
                 raise InconsistencyError(f"path interior node {node!r} is not a graph vertex")
         for a, b in zip(path, path[1:]):
             usage[(a, b)] += 1
-        count += 1
     for (a, b), used in usage.items():
         if used + usage.get((b, a), 0) > network.cap(a, b):
             raise InconsistencyError(f"capacity exceeded on ({a}, {b})")
-    return count
+    return len(paths)

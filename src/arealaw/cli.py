@@ -177,6 +177,9 @@ def _simulate_report(marginal, args, seed: int):
     q_list = _parse_orders(args.q)
     _check_writable(args.out)
     _check_writable(args.spectra)
+    if args.out and args.spectra and (
+            os.path.realpath(args.out) == os.path.realpath(args.spectra)):
+        raise ValidationError(f"--out {args.out} and --spectra {args.spectra} are one file")
     from .boundary_flow import build_network, max_flow
     from .mc_simulator import _check_size, _side_dims, run_experiment
     from .spectral_predictor import predict_entropy

@@ -9,8 +9,10 @@ compatible markings.  That maximum equals the maximal flow of the
 associated network.  :func:`marking_from_flow` realizes it constructively:
 no marking crosses more edges than a minimum cut's capacity, and one
 assignment flow on the same max-flow engine finds a marking that crosses
-exactly that many.  :func:`area_bruteforce` is the independent route: it
-never touches a flow and enumerates the markings as leg bitmasks.
+exactly that many; it goes to the engine as arc maps by position (source 0,
+edge ``i`` of ``E`` at ``1 + i``, vertex ``k`` at ``1 + E + k``, sink last).
+:func:`area_bruteforce` is the independent route: it never touches a flow
+and enumerates the markings as leg bitmasks.
 """
 
 from __future__ import annotations
@@ -20,9 +22,6 @@ import math
 from dataclasses import dataclass
 
 from .boundary_flow import (
-    SINK,
-    SOURCE,
-    FlowNetwork,
     FlowResult,
     _augment,
     build_network,
@@ -62,10 +61,6 @@ def _marking_masks(marginal: Marginal):
     return map(sum, itertools.product(*per_vertex))  # disjoint bits: sum is OR
 
 
-def _mask_marking(mask: int, n_legs: int) -> Marking:
-    return Marking(marked=frozenset(l for l in range(n_legs) if mask >> l & 1))
-
-
 @dataclass(frozen=True)
 class BruteForceArea:
     area: int
@@ -98,9 +93,8 @@ def area_bruteforce(marginal: Marginal, combination_limit: int = 10 ** 6
         if crossed > best:
             best = crossed
             witness = mask
-    return BruteForceArea(area=best,
-                          witness=_mask_marking(witness, marginal.graph.n_legs),
-                          combinations=count)
+    marked = frozenset(l for l in range(marginal.graph.n_legs) if witness >> l & 1)
+    return BruteForceArea(area=best, witness=Marking(marked), combinations=count)
 
 
 # -- constructive translation: flow -> marking ------------------------------
@@ -120,12 +114,13 @@ def marking_from_flow(marginal: Marginal, flow: FlowResult) -> Marking:
 
     One max flow finds such legs: the source feeds each edge not cut by S,
     each edge feeds one of its endpoints, and each vertex drains ``s(v)``
-    (in S) or ``t(v)`` (in T) into the sink.  The fed legs in S and the
-    unfed legs in T are marked.  The inputs are checked first, on the
-    network the marginal keeps (:func:`build_network`): the paths replay to
-    the flow value and the cut's capacity equals it.  A flow that does not
-    fill every drain, or a marking that misses the flow value, raises
-    :class:`InconsistencyError`.
+    (in S) or ``t(v)`` (in T) into the sink, on arc maps by position: source
+    0, edge ``i`` of ``E`` at ``1 + i``, vertex ``k`` at ``1 + E + k``, sink
+    last.  The fed legs in S and the unfed legs in T are marked.  The inputs
+    are checked first, on the network the marginal keeps
+    (:func:`build_network`): the paths replay to the flow value and the
+    cut's capacity equals it.  A flow that does not fill every drain, or a
+    marking that misses the flow value, raises :class:`InconsistencyError`.
     """
     g = marginal.graph
     network = build_network(marginal)
@@ -135,31 +130,31 @@ def marking_from_flow(marginal: Marginal, flow: FlowResult) -> Marking:
         raise InconsistencyError("the cut does not certify the flow value")
 
     side = set(flow.cut)
-    # edge i is node i: an int never collides with a vertex name
-    caps: dict[tuple, int] = {}
+    vertex = {v: 1 + len(g.edges) + k for k, v in enumerate(g.vertices)}
+    sink = 1 + len(g.edges) + len(g.vertices)
+    arcs: list[dict[int, int]] = [{} for _ in range(sink + 1)]
     for i, e in enumerate(g.edges):
         if (e.u in side) == (e.v in side):
-            caps[(SOURCE, i)] = 1
-            caps[(i, e.u)] = caps[(i, e.v)] = 1
-    drains = {v: marginal.s(v) if v in side else marginal.t(v) for v in g.vertices}
-    caps.update({(v, SINK): d for v, d in drains.items() if d > 0})
-    residual = _augment(FlowNetwork(
-        nodes=(SOURCE, *range(len(g.edges)), *g.vertices, SINK), capacities=caps))
-    # node positions: the source, the edges, the vertices, the sink
-    position = {v: 1 + len(g.edges) + k for k, v in enumerate(g.vertices)}
+            ends = sorted({vertex[e.u], vertex[e.v]})  # one end for a loop
+            arcs[0][1 + i] = 1
+            arcs[1 + i] = {0: 0, **dict.fromkeys(ends, 1)}
+            for p in ends:
+                arcs[p][1 + i] = 0
+    for v, p in vertex.items():
+        if drain := (marginal.s(v) if v in side else marginal.t(v)):
+            arcs[p][sink], arcs[sink][p] = drain, 0
+    residual = _augment(arcs)
     # a drain the flow does not fill keeps residual capacity into the sink
-    if any(residual[position[v]].get(len(residual) - 1) for v in g.vertices):
+    if any(residual[p].get(sink) for p in vertex.values()):
         raise InconsistencyError("the cut admits no leg assignment")
 
     fed = set()
     for i, e in enumerate(g.edges):
-        if (e.u in side) != (e.v in side):
-            continue
-        # a unit arc carries flow iff its residual is zero
+        # a unit arc carries flow iff its residual is zero (a cut edge has none)
         row = residual[1 + i]
-        if row[position[e.u]] == 0:
+        if row.get(vertex[e.u]) == 0:
             fed.add(2 * i)
-        elif row[position[e.v]] == 0:
+        elif row.get(vertex[e.v]) == 0:
             fed.add(2 * i + 1)
     marked = frozenset(
         leg.leg_id for leg in g.legs if (leg.leg_id in fed) == (leg.vertex in side))

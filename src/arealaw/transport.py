@@ -284,7 +284,9 @@ def certify(instance: TransportInstance, N: int | None = None,
     uniform spectrum and ``H_q = Y3 ln N``.  Haar-random unitaries are then
     sampled to confirm that randomness never beats the flow bound.  Both
     states come from :func:`~arealaw.mc_simulator.run_experiment`, the
-    routed one as its single identity sample.
+    routed one as its single identity sample.  When the routed marginal
+    crosses no vertex, the Haar run skips every unitary (none can change
+    the spectrum): its "Haar samples" are the routed state itself.
     """
     from .mc_simulator import run_experiment
 

@@ -36,16 +36,17 @@ def transport_calls(monkeypatch) -> Counter:
 
 @pytest.fixture
 def solves(monkeypatch) -> list:
-    """The networks the Edmonds-Karp engine solves while the test runs, one
-    entry per solve, the marking's assignment flows included."""
+    """The arc maps the Edmonds-Karp engine solves while the test runs, one
+    entry per solve, the marking's assignment flows included: a network's
+    solve records its ``_arcs``."""
     from arealaw import boundary_flow, marking
 
     solved = []
     augment = boundary_flow._augment
 
-    def counted(network):
-        solved.append(network)
-        return augment(network)
+    def counted(arcs):
+        solved.append(arcs)
+        return augment(arcs)
     monkeypatch.setattr(boundary_flow, "_augment", counted)
     monkeypatch.setattr(marking, "_augment", counted)
     return solved

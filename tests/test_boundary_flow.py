@@ -282,8 +282,8 @@ def test_one_solve_per_marginal(solves):
     assert min_cut(network) == MinCut(flow.cut, flow.value, flow.cut_tied)
     marking_from_flow(m, flow)
     assert build_network(m) is network and max_flow(network) is flow
-    assert sum(n is network for n in solves) == 1
-    # the marking's assignment flow runs on a network of its own
+    assert sum(n is network._arcs for n in solves) == 1
+    # the marking's assignment flow runs on arc maps of its own
     assert len(solves) == 2
 
 

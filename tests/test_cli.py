@@ -422,8 +422,9 @@ def test_verify_on_the_lattice_solves_its_network_once(write_doc, capsys, solves
     graph = write_doc("lattice.json", lattice_doc(2, 4))
     assert main(["verify", "-g", graph, "-N", "2", "-n", "1", "--seed", "0"]) == 0
     assert "generic case" in capsys.readouterr().out
-    [network] = solves
-    assert network.graph_vertices == tuple(lattice_doc(2, 4)["vertices"])
+    [arcs] = solves
+    document = json.dumps(lattice_doc(2, 4))
+    assert arcs == arealaw.build_network(arealaw.parse_marginal(document))._arcs
 
 
 def test_transport_infeasible_exit_code(write_doc):
@@ -674,6 +675,24 @@ def test_unwritable_output_exit_code(write_doc, capsys, tmp_path, monkeypatch,
         assert capsys.readouterr() == ("", (
             f"input error: cannot write {target}: "
             f"no directory {str(tmp_path / 'missing')!r}\n"))
+
+
+@pytest.mark.parametrize("form", ["same_name", "symlink"])
+def test_out_and_spectra_naming_one_file_exit_code(write_doc, capsys, tmp_path,
+                                                  monkeypatch, form):
+    # the report would overwrite the spectra: refused before any sampling
+    _no_sampling(monkeypatch)
+    graph = write_doc("loop.json", single_loop_doc())
+    out = spectra = tmp_path / "same.out"
+    if form == "symlink":
+        spectra = tmp_path / "link.csv"
+        spectra.symlink_to(out)
+    for command in ("simulate", "verify"):
+        assert main([command, "-g", graph, "-N", "2", "-n", "1", "--seed", "0",
+                     "--out", str(out), "--spectra", str(spectra)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"input error: --out {out} and --spectra {spectra} are one file\n"))
+    assert not out.exists()
 
 
 def test_transport_unwritable_output_before_certifying(write_doc, capsys,

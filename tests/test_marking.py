@@ -6,6 +6,7 @@ import pytest
 from arealaw import (
     CombinatorialLimitError,
     Edge,
+    FlowNetwork,
     Graph,
     Marginal,
     Marking,
@@ -14,6 +15,7 @@ from arealaw import (
     marking_from_flow,
     max_flow,
 )
+from arealaw.boundary_flow import SINK, SOURCE
 from arealaw.marking import _marking_masks, marking_count
 
 from conftest import (
@@ -209,6 +211,48 @@ def test_marking_from_flow_reuses_the_flow_network(monkeypatch):
 
     monkeypatch.setattr(boundary_flow, "_construct_network", rebuilt)
     assert marking_from_flow(m, flow) == expected
+
+
+def _named_assignment_arcs(marginal, flow):
+    """The assignment's arc maps built from named nodes, as a
+    :class:`FlowNetwork` lays them out: the source feeds each edge not cut
+    by the flow's cut, each such edge its endpoints, and each vertex drains
+    ``s(v)`` (cut side) or ``t(v)`` into the sink."""
+    g = marginal.graph
+    side = set(flow.cut)
+    caps = {}
+    for i, e in enumerate(g.edges):
+        if (e.u in side) == (e.v in side):
+            caps[(SOURCE, i)] = 1
+            caps[(i, e.u)] = caps[(i, e.v)] = 1
+    for v in g.vertices:
+        drain = marginal.s(v) if v in side else marginal.t(v)
+        if drain > 0:
+            caps[(v, SINK)] = drain
+    return FlowNetwork(nodes=(SOURCE, *range(len(g.edges)), *g.vertices, SINK),
+                       capacities=caps)._arcs
+
+
+def test_assignment_arcs_match_the_named_network(solves):
+    # every census-family marginal with at most 3 vertices, and again with
+    # every edge's endpoints swapped: census edges list the earlier vertex
+    # first, so only the swap shows an edge row whose keys do not ascend
+    checked = 0
+    for g in enumerate_small_graphs(max_vertices=3, max_edges=5):
+        swapped = Graph(g.vertices, tuple(Edge(e.v, e.u, e.d) for e in g.edges))
+        for graph in (g, swapped):
+            for s in all_counting_functions(graph):
+                m = Marginal.from_counts(graph, s)
+                flow = max_flow(build_network(m))
+                solves.clear()
+                marking_from_flow(m, flow)
+                [arcs] = solves
+                expected = _named_assignment_arcs(m, flow)
+                assert len(arcs) == len(expected)
+                for row, want in zip(arcs, expected):
+                    assert list(row.items()) == list(want.items())
+                checked += 1
+    assert checked == 8642
 
 
 def test_monotonicity_add_crossing_edge():
