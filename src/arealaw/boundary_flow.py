@@ -25,16 +25,14 @@ number of arcs.  Positions become names only in the :class:`FlowResult`.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Mapping
 
 from .errors import InconsistencyError, ValidationError
-from .graph_model import Marginal, is_int
+from .graph_model import RESERVED_NODE_NAMES, Marginal, is_int
 
-SOURCE = "source"
-SINK = "sink"
+SOURCE, SINK = RESERVED_NODE_NAMES
 
 
 @dataclass(frozen=True)
@@ -93,13 +91,6 @@ class FlowNetwork:
             cut=tuple(node for node, p in zip(nodes, minimal) if p >= 0),
             # every node that cannot reach the sink: the largest minimum cut
             cut_max=tuple(node for node, p in zip(nodes, coreach) if p < 0))
-
-    def cap(self, a: Hashable, b: Hashable) -> int:
-        return self.capacities.get((a, b), 0)
-
-    @property
-    def graph_vertices(self) -> tuple[Hashable, ...]:
-        return self.nodes[1:-1]
 
 
 @dataclass(frozen=True)
@@ -234,15 +225,6 @@ def _unit_paths(capacity: list[dict[int, int]], residual: list[dict[int, int]],
     return paths
 
 
-def cut_capacity(network: FlowNetwork, source_side: Iterable[Hashable]) -> int:
-    """Capacity of the arcs leaving ``source_side``."""
-    side = set(source_side)
-    if SOURCE not in side or SINK in side:
-        raise ValidationError("cut must contain the source and not the sink")
-    return sum(c for (a, b), c in network.capacities.items()
-               if a in side and b not in side)
-
-
 def max_flow(network: FlowNetwork) -> FlowResult:
     """Exact integer maximum flow with a unit-path decomposition and a
     minimum-cut certificate.  The network solves on the first call and
@@ -259,22 +241,3 @@ def min_cut(network: FlowNetwork) -> MinCut:
     """
     result = network._flow
     return MinCut(source_side=result.cut, capacity=result.value, tied=result.cut_tied)
-
-
-def replay_paths(network: FlowNetwork, paths: Iterable[tuple[str, ...]]) -> int:
-    """Push unit paths through a fresh copy of the network; returns the total
-    flow and raises if any capacity or endpoint rule is violated."""
-    usage: dict[tuple[str, str], int] = defaultdict(int)
-    paths = tuple(paths)
-    for path in paths:
-        if len(path) < 2 or path[0] != SOURCE or path[-1] != SINK:
-            raise InconsistencyError(f"path {path} must run source -> sink")
-        for node in path[1:-1]:
-            if node not in network.graph_vertices:
-                raise InconsistencyError(f"path interior node {node!r} is not a graph vertex")
-        for a, b in zip(path, path[1:]):
-            usage[(a, b)] += 1
-    for (a, b), used in usage.items():
-        if used + usage.get((b, a), 0) > network.cap(a, b):
-            raise InconsistencyError(f"capacity exceeded on ({a}, {b})")
-    return len(paths)

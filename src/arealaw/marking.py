@@ -7,10 +7,12 @@ crossings are the fat edges with exactly one marked endpoint, and the
 boundary area of a partition is the maximal crossing count over all
 compatible markings.  That maximum equals the maximal flow of the
 associated network.  :func:`marking_from_flow` realizes it constructively:
-no marking crosses more edges than a minimum cut's capacity, and one
-assignment flow on the same max-flow engine finds a marking that crosses
-exactly that many; it goes to the engine as arc maps by position (source 0,
-edge ``i`` of ``E`` at ``1 + i``, vertex ``k`` at ``1 + E + k``, sink last).
+no marking crosses more edges than a cut's capacity, and one assignment
+flow on the same max-flow engine finds a marking that crosses exactly that
+many; it goes to the engine as arc maps by position (source 0, edge ``i``
+of ``E`` at ``1 + i``, vertex ``k`` at ``1 + E + k``, sink last).  It reads
+only the flow's cut and value, not its paths: the filled drains and the
+crossing count certify the marking, and with it the cut and the value.
 :func:`area_bruteforce` is the independent route: it never touches a flow
 and enumerates the markings as leg bitmasks.
 """
@@ -21,13 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .boundary_flow import (
-    FlowResult,
-    _augment,
-    build_network,
-    cut_capacity,
-    replay_paths,
-)
+from .boundary_flow import FlowResult, _augment
 from .errors import CombinatorialLimitError, InconsistencyError
 from .graph_model import Marginal
 
@@ -116,19 +112,17 @@ def marking_from_flow(marginal: Marginal, flow: FlowResult) -> Marking:
     each edge feeds one of its endpoints, and each vertex drains ``s(v)``
     (in S) or ``t(v)`` (in T) into the sink, on arc maps by position: source
     0, edge ``i`` of ``E`` at ``1 + i``, vertex ``k`` at ``1 + E + k``, sink
-    last.  The fed legs in S and the unfed legs in T are marked.  The inputs
-    are checked first, on the network the marginal keeps
-    (:func:`build_network`): the paths replay to the flow value and the
-    cut's capacity equals it.  A flow that does not fill every drain, or a
-    marking that misses the flow value, raises :class:`InconsistencyError`.
+    last.  The fed legs in S and the unfed legs in T are marked.
+
+    Only the cut's vertex side and the flow value are read: ``flow.paths``
+    is not, and no flow network is built.  The output certifies itself.
+    The drains are all filled exactly when S is a minimum cut, and a
+    marking that then crosses ``flow.value`` edges is a maximum one, so
+    ``flow.value`` is the boundary area.  A flow that does not fill every
+    drain, or a marking that misses the flow value, raises
+    :class:`InconsistencyError`.
     """
     g = marginal.graph
-    network = build_network(marginal)
-    if replay_paths(network, flow.paths) != flow.value:
-        raise InconsistencyError("path decomposition does not match the flow value")
-    if cut_capacity(network, flow.cut) != flow.value:
-        raise InconsistencyError("the cut does not certify the flow value")
-
     side = set(flow.cut)
     vertex = {v: 1 + len(g.edges) + k for k, v in enumerate(g.vertices)}
     sink = 1 + len(g.edges) + len(g.vertices)

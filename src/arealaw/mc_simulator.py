@@ -17,9 +17,10 @@ labels, in one pass, as pairwise ``matmul`` steps.  The plan holds only
 sizes and steps, no array (an identity edge is its dimension), so the
 state-dimension guard, the one size refusal, bounds the largest array a
 sample takes or builds (each isometry among them), and the run's spectra
-array, before anything is allocated.  A run resolves its plan and checks
-the guard once, then ships the plan to its samples in contiguous chunks: a
-chunk derives its samples' seed words in one pass, draws, contracts and
+array, before anything is allocated (the Gram matrix, the plan's output,
+before the plan is made).  A run resolves its plan and checks the guard
+once, then ships the plan to its samples in contiguous chunks: a chunk
+derives its samples' seed words in one pass, draws, contracts and
 diagonalises its samples together on a leading sample axis, each sample
 meeting the same matrix products as it would alone; when no vertex acts,
 it diagonalises its one state once and repeats the spectrum.  The chunks
@@ -334,7 +335,9 @@ def _gram_plan(graph: Graph, traced: tuple[int, ...], N: int,
 def _route(marginal: Marginal, N: int,
            unitaries: str) -> tuple[tuple[str, ...], _GramPlan]:
     """The flags of a state and its Gram plan, once the inputs and the
-    state guard have passed; nothing is sampled or allocated."""
+    state guard have passed; nothing is sampled or allocated.  The Gram
+    matrix is the plan's output, so its ``min(ds, dt) ** 2`` entries are
+    guarded before the plan is made."""
     if unitaries not in ("sample", "all", "identity"):
         raise ValidationError(f"unknown unitary mode {unitaries!r}")
     check_integer(N, 2, "N must be at least 2")  # before the plan cache: 2.0 == 2
@@ -349,6 +352,7 @@ def _route(marginal: Marginal, N: int,
             flags.append(f"skipped_{side}:{v}")
         else:
             acted.append(v)
+    _check_size(min(_side_dims(g, marginal.traced, N)) ** 2, "Gram matrix entries")
     plan = _gram_plan(g, tuple(sorted(marginal.traced)), N, tuple(acted))
     _check_size(plan.largest, "largest contraction array")
     return tuple(flags), plan

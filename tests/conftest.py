@@ -1,20 +1,23 @@
 """Shared fixture builders and test oracles: canonical graphs, marginals,
 graph families, the Marchenko-Pastur quadrature and spectral moments, a
-Wishart spectrum and the fattened graph with its crossings and compatible
-markings.  The non-crossing oracles live in ``nc_combinatorics``."""
+Wishart spectrum, the fattened graph with its crossings and compatible
+markings, and the name-keyed flow oracles (capacity lookup, cut capacity
+and path replay).  The non-crossing oracles live in ``nc_combinatorics``."""
 
 from __future__ import annotations
 
 import itertools
 import json
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from arealaw import Edge, Graph, Marginal, Marking, parse_marginal
+from arealaw import (Edge, FlowNetwork, Graph, InconsistencyError, Marginal,
+                     Marking, ValidationError, parse_marginal)
+from arealaw.boundary_flow import SINK, SOURCE
 from arealaw.graph_model import _load_document, graph_from_document
 from nc_combinatorics import mp_moment
 
@@ -166,6 +169,39 @@ def is_compatible(marginal: Marginal, marking: Marking) -> bool:
         sum(1 for leg in g.legs_of(v) if leg in marking.marked) == marginal.s(v)
         for v in g.vertices
     )
+
+
+def cap(network: FlowNetwork, a, b) -> int:
+    """The capacity of the arc ``a -> b`` (0 if there is none)."""
+    return network.capacities.get((a, b), 0)
+
+
+def cut_capacity(network: FlowNetwork, source_side) -> int:
+    """Capacity of the arcs leaving ``source_side``."""
+    side = set(source_side)
+    if SOURCE not in side or SINK in side:
+        raise ValidationError("cut must contain the source and not the sink")
+    return sum(c for (a, b), c in network.capacities.items()
+               if a in side and b not in side)
+
+
+def replay_paths(network: FlowNetwork, paths) -> int:
+    """Push unit paths through a fresh copy of the network; returns the total
+    flow and raises if any capacity or endpoint rule is violated."""
+    usage: dict[tuple, int] = defaultdict(int)
+    paths = tuple(paths)
+    for path in paths:
+        if len(path) < 2 or path[0] != SOURCE or path[-1] != SINK:
+            raise InconsistencyError(f"path {path} must run source -> sink")
+        for node in path[1:-1]:
+            if node not in network.nodes[1:-1]:
+                raise InconsistencyError(f"path interior node {node!r} is not a graph vertex")
+        for a, b in zip(path, path[1:]):
+            usage[(a, b)] += 1
+    for (a, b), used in usage.items():
+        if used + usage.get((b, a), 0) > cap(network, a, b):
+            raise InconsistencyError(f"capacity exceeded on ({a}, {b})")
+    return len(paths)
 
 
 # -- canonical marginals -----------------------------------------------------

@@ -832,8 +832,8 @@ def test_state_guard_is_the_only_size_refusal(write_doc, capsys, monkeypatch):
 def test_identity_edges_are_guarded_before_allocation(write_doc, capsys,
                                                       monkeypatch, command):
     # both endpoints of every edge skipped: each edge is an identity of side
-    # N = 100000, 10^10 entries, refused by the state guard before any
-    # np.eye is built
+    # N = 100000, 10^10 entries; the Gram side is 10^10 too, so its square
+    # is refused by the state guard before the plan, and no np.eye is built
     def no_eye(*args, **kwargs):
         raise AssertionError("np.eye was called")
 
@@ -850,7 +850,27 @@ def test_identity_edges_are_guarded_before_allocation(write_doc, capsys,
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1
-    assert err.startswith("resource guard: largest contraction array ")
+    assert err.startswith("resource guard: Gram matrix entries ")
+
+
+def test_identity_edge_is_guarded_in_the_plan(write_doc, capsys, monkeypatch):
+    # a fully traced edge of d = 5000 at N = 2 is an identity of side 10^4,
+    # 10^8 entries; beside a one-loop vertex with s = 1 the Gram side is 2,
+    # so the plan's largest array is refused, and no np.eye is built
+    def no_eye(*args, **kwargs):
+        raise AssertionError("np.eye was called")
+
+    monkeypatch.setattr("numpy.eye", no_eye)
+    monkeypatch.delenv("AREALAW_STATE_DIM_LIMIT", raising=False)
+    graph = write_doc("traced.json", doc(["A", "B", "C"],
+                                         [("A", "B", 5000), ("C", "C", 1)],
+                                         {"mode": "counts",
+                                          "s": {"A": 0, "B": 0, "C": 1}}))
+    assert main(["simulate", "-g", graph, "-N", "2", "-n", "1", "--seed", "0"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("resource guard: largest contraction array 100000000 exceeds "
+                   "the guard 16777216 (set AREALAW_STATE_DIM_LIMIT to override)\n")
 
 
 @pytest.mark.parametrize("command", ["simulate", "transport"])

@@ -7,7 +7,9 @@ from arealaw import (
     CombinatorialLimitError,
     Edge,
     FlowNetwork,
+    FlowResult,
     Graph,
+    InconsistencyError,
     Marginal,
     Marking,
     area_bruteforce,
@@ -23,6 +25,7 @@ from conftest import (
     black_hole,
     black_hole_counts,
     crossings,
+    cut_capacity,
     enumerate_small_graphs,
     fatten,
     is_compatible,
@@ -170,9 +173,6 @@ def test_marking_from_flow_random():
 
 
 def test_marking_from_flow_rejects_bad_decomposition():
-    from arealaw import FlowResult
-    from arealaw.errors import InconsistencyError
-
     m = single_loop(s=1)
     bogus = FlowResult(
         value=2,
@@ -182,18 +182,57 @@ def test_marking_from_flow_rejects_bad_decomposition():
     with pytest.raises(InconsistencyError):
         marking_from_flow(m, bogus)
 
-    # valid paths, but the cut {V2} has capacity 6, not the flow value 2
+    # valid paths, but the cut {V2} has capacity 6, not the flow value 2:
+    # the assignment cannot fill its drains
     m = black_hole(traced=[0, 3])
     flow = max_flow(build_network(m))
     assert flow.value == 2
     not_minimum = FlowResult(value=flow.value, paths=flow.paths,
                              cut=("source", "V2"), cut_max=("source", "V2"))
-    with pytest.raises(InconsistencyError, match="certify"):
+    with pytest.raises(InconsistencyError, match="assignment"):
         marking_from_flow(m, not_minimum)
 
 
+def test_marking_certifies_every_cut():
+    # every census-family marginal with at most 3 vertices and every vertex
+    # set S as the cut: the marking is refused exactly when S is not a
+    # minimum cut, and crosses the flow value otherwise
+    checked = 0
+    for g in enumerate_small_graphs(max_vertices=3, max_edges=5):
+        for s in all_counting_functions(g):
+            m = Marginal.from_counts(g, s)
+            network = build_network(m)
+            solved = max_flow(network)
+            value = solved.value
+            for k in range(len(g.vertices) + 1):
+                for side in itertools.combinations(g.vertices, k):
+                    cut = (SOURCE, *side)
+                    flow = FlowResult(value=value, paths=solved.paths, cut=cut,
+                                      cut_max=cut)
+                    if cut_capacity(network, cut) != value:
+                        with pytest.raises(InconsistencyError):
+                            marking_from_flow(m, flow)
+                    else:
+                        marking = marking_from_flow(m, flow)
+                        assert is_compatible(m, marking)
+                        assert crossings(fatten(g), marking) == value
+                    checked += 1
+    assert checked == 31814
+
+
+def test_marking_from_flow_builds_no_network():
+    # a flow solved on one marginal, handed over with an equal but distinct
+    # one: the marking reads the flow alone and builds no network for it
+    m = black_hole(traced=[0, 3])
+    twin = black_hole(traced=[0, 3])
+    assert twin == m and twin is not m
+    flow = max_flow(build_network(m))
+    assert marking_from_flow(twin, flow) == marking_from_flow(m, flow)
+    assert "_network" not in vars(twin)
+
+
 def test_marking_from_flow_reuses_the_flow_network(monkeypatch):
-    from arealaw import FlowResult, boundary_flow
+    from arealaw import boundary_flow
 
     m = black_hole(traced=[0, 3])
     network = build_network(m)

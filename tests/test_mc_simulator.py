@@ -120,11 +120,26 @@ def test_bad_guard_values_are_input_errors(monkeypatch, variable, value):
 
 def test_state_dim_guard(monkeypatch):
     m = adapted_five()
-    with pytest.raises(ResourceGuardError, match="largest contraction array 1073741824"):
+    with pytest.raises(ResourceGuardError, match="Gram matrix entries 1073741824"):
         run_experiment(m, 8, samples=1, seed=0)  # Gram side 8^5
     monkeypatch.setenv("AREALAW_STATE_DIM_LIMIT", "2")
     with pytest.raises(ResourceGuardError):
         run_experiment(single_loop(), 2, samples=1, seed=0)
+
+
+def test_gram_side_is_guarded_before_planning(monkeypatch):
+    # the plan's output is the Gram matrix, so its min(ds, dt)^2 entries
+    # are refused before any contraction is planned
+    def no_planning(*args, **kwargs):
+        raise AssertionError("the contraction was planned")
+
+    mc_simulator._gram_plan.cache_clear()
+    monkeypatch.setattr(mc_simulator, "_plan_steps", no_planning)
+    monkeypatch.delenv("AREALAW_STATE_DIM_LIMIT", raising=False)
+    with pytest.raises(ResourceGuardError,
+                       match=r"^Gram matrix entries 1073741824 exceeds the "
+                             r"guard 16777216 \(set AREALAW_STATE_DIM_LIMIT"):
+        run_experiment(adapted_five(), 8, samples=1, seed=0)  # Gram side 8^5
 
 
 def test_adapted_state_uniform_spectrum():
