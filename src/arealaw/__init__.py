@@ -17,8 +17,7 @@ __version__ = "0.1.0"
 # submodule -> the names the package exports from it
 _EXPORTS = {
     "boundary_flow": (
-        "FlowNetwork", "FlowResult", "MinCut", "build_network", "max_flow",
-        "min_cut",
+        "FlowResult", "MinCut", "build_network", "max_flow", "min_cut",
     ),
     "cli": (),
     "errors": (

@@ -7,15 +7,15 @@ distinct vertices in both directions.  Loops carry no capacity.  The maximal
 flow equals the boundary area of the partition (see :mod:`arealaw.marking`
 for the dual, marking-based definition).
 
-One engine solves every flow on arc maps by position, not names: per
-position ``p``, a map from each position ``q`` joined to it by an arc either
-way to the capacity of ``p -> q``, source first and sink last.  The
-marking's assignment flow builds its maps itself; a :class:`FlowNetwork` is
-the named, validated form that the API and a marginal's network use.  It
-derives its maps once and solves at most once, keeping both (cached), and a
-marginal keeps its network, so every caller of :func:`build_network` for
-one marginal reads that one solve.  Breadth-first augmenting paths
-(Edmonds-Karp, neighbours in node order) update a copy of the maps, the
+One engine solves every flow, and every flow is built by position: per
+position ``p``, a map from each position ``q`` joined to it by an arc
+either way to the capacity of ``p -> q``, source first and sink last.  A
+marginal's network is built here (vertex ``k`` at ``1 + k``), the marking's
+assignment flow in :mod:`arealaw.marking`.  :func:`build_network` returns
+a :class:`FlowNetwork`, the node names and those maps, which solves at most
+once and keeps the result (cached); a marginal keeps its network, so every
+caller for one marginal reads that one solve.  Breadth-first augmenting
+paths (Edmonds-Karp, neighbours in node order) update a copy of the maps, the
 residual table, from which a network reads both extremal minimum cuts
 (residual reachability from the source, and co-reachability of the sink; a
 tie is two distinct cuts) and the decomposition of the final flow (capacity
@@ -27,54 +27,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Mapping
 
-from .errors import InconsistencyError, ValidationError
-from .graph_model import RESERVED_NODE_NAMES, Marginal, is_int
+from .errors import InconsistencyError
+from .graph_model import RESERVED_NODE_NAMES, Marginal
 
 SOURCE, SINK = RESERVED_NODE_NAMES
 
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """Integer capacities on directed arcs; an undirected edge is two arcs."""
+    """What :func:`build_network` returns: the node names and, per node
+    position, the arc map the engine solves (keys ascending, 0 for an arc
+    that only runs the other way).  Read only: a flow works on a copy."""
 
-    nodes: tuple[Hashable, ...]  # (source, inner nodes in document order, sink)
-    capacities: Mapping[tuple[Hashable, Hashable], int]  # (tail, head) -> cap
-
-    @cached_property
-    def _arcs(self) -> list[dict[int, int]]:
-        """Per node position, the positions joined to it by an arc either
-        way, ascending, each mapped to the capacity of the arc to it (0 for
-        an arc that only runs the other way).  Read only: a flow works on a
-        copy.  Repeated node names, and capacities that are not
-        non-negative integers, are a :class:`ValidationError`."""
-        if not self.nodes or self.nodes[0] != SOURCE or self.nodes[-1] != SINK:
-            raise ValidationError("a network's nodes must run from source to sink")
-        index = {node: i for i, node in enumerate(self.nodes)}
-        if len(index) != len(self.nodes):
-            raise ValidationError("a network's nodes must be distinct")
-        arcs = [{} for _ in self.nodes]
-        for (a, b), c in self.capacities.items():
-            try:
-                i, j = index[a], index[b]
-            except KeyError as exc:
-                raise ValidationError(
-                    f"arc ({a!r}, {b!r}) names {exc.args[0]!r}, which is not "
-                    f"a node of the network") from None
-            if not is_int(c) or c < 0:
-                raise ValidationError(
-                    f"arc ({a!r}, {b!r}) has capacity {c!r}; it must be a "
-                    "non-negative integer")
-            arcs[i][j] = c
-            arcs[j].setdefault(i, 0)
-        return [dict(sorted(row.items())) for row in arcs]
+    nodes: tuple[str, ...]  # (source, vertices in document order, sink)
+    arcs: list[dict[int, int]]
 
     @cached_property
     def _flow(self) -> FlowResult:
         """The maximum flow, with its unit paths and both extremal minimum
         cuts."""
-        capacity = self._arcs
+        capacity = self.arcs
         residual = _augment(capacity)
         value = sum(capacity[0].values()) - sum(residual[0].values())
         minimal = _search(residual, 0)
@@ -122,29 +95,34 @@ class MinCut:
 
 
 def build_network(marginal: Marginal) -> FlowNetwork:
-    """The flow network of a marginal, built on the first call and kept on
-    the marginal: every later call for the same :class:`Marginal` object
-    returns the same network, and so reaches the same solved flow."""
+    """The flow network of a marginal, built by position (as every flow is,
+    the marking's assignment flow too) on the first call and kept on the
+    marginal: every later call for the same :class:`Marginal` object returns
+    the same :class:`FlowNetwork`, and so reaches the same solved flow."""
     return marginal._network
 
 
 def _construct_network(marginal: Marginal) -> FlowNetwork:
-    """The network that :func:`build_network` keeps on a marginal."""
+    """The network :func:`build_network` keeps: vertex ``k`` at ``1 + k``."""
     g = marginal.graph
-    caps: dict[tuple[str, str], int] = {}
-    for v in g.vertices:
+    position = {v: 1 + k for k, v in enumerate(g.vertices)}
+    sink = 1 + len(position)
+    arcs: list[dict[int, int]] = [{} for _ in range(sink + 1)]
+    for v, p in position.items():
         if t := marginal.t(v):
-            caps[(SOURCE, v)] = t
+            arcs[0][p], arcs[p][0] = t, 0
         if s := marginal.s(v):
-            caps[(v, SINK)] = s
+            arcs[p][sink], arcs[sink][p] = s, 0
     for e in g.edges:
         if e.u != e.v:
-            caps[(e.u, e.v)] = caps[(e.v, e.u)] = caps.get((e.u, e.v), 0) + 1
-    return FlowNetwork(nodes=(SOURCE, *g.vertices, SINK), capacities=caps)
+            i, j = position[e.u], position[e.v]
+            arcs[i][j] = arcs[j][i] = arcs[i].get(j, 0) + 1
+    return FlowNetwork(nodes=(SOURCE, *g.vertices, SINK),
+                       arcs=[dict(sorted(row.items())) for row in arcs])
 
 
 def _augment(arcs: list[dict[int, int]]) -> list[dict[int, int]]:
-    """Edmonds-Karp on arc maps laid out as :attr:`FlowNetwork._arcs` has
+    """Edmonds-Karp on arc maps laid out as :attr:`FlowNetwork.arcs` has
     them (source first, sink last, keys ascending, a reverse-only arc held
     as 0); returns the residual maps of a maximum flow, ``arcs`` untouched."""
     residual = [row.copy() for row in arcs]

@@ -32,12 +32,13 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def check_integer(value, low: int, message: str) -> None:
-    """Raise ``ValidationError(message)`` unless ``value`` is an integer (a
-    bool is not one) of at least ``low``."""
+def check_integer(value, low: int, message: str) -> int:
+    """``value`` as an ``int`` if it is an integer (a bool is not one, a
+    numpy integer is) of at least ``low``, else ``ValidationError(message)``."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
             or value < low):
         raise ValidationError(message)
+    return int(value)
 
 
 @dataclass(frozen=True)

@@ -79,13 +79,18 @@ NUMERICS_DISCLAIMER = (
 
 def _check_size(size: int, what: str) -> None:
     """Refuse ``size`` elements above the state guard, the positive integer
-    ``AREALAW_STATE_DIM_LIMIT`` read from the environment at call time."""
+    ``AREALAW_STATE_DIM_LIMIT`` of at most 4300 digits, read from the
+    environment at call time.  A count of more than 18 digits prints as
+    ``about 10^k``: Python refuses ``str`` of an int of over 4300 digits."""
     raw = os.environ.get("AREALAW_STATE_DIM_LIMIT", str(DEFAULT_STATE_DIM_LIMIT))
-    if not (raw.isdecimal() and int(raw) >= 1):
+    if not (raw.isdecimal() and len(raw) <= 4300 and int(raw) >= 1):
+        got = repr(raw) if len(raw) <= 4300 else f"{len(raw)} characters (4300 at most)"
         raise ValidationError(
-            f"AREALAW_STATE_DIM_LIMIT must be a positive integer, got {raw!r}")
+            f"AREALAW_STATE_DIM_LIMIT must be a positive integer, got {got}")
     limit = int(raw)
     if size > limit:
+        size, limit = (n if n < 10 ** 18 else f"about 10^{math.floor(math.log10(n))}"
+                       for n in (size, limit))
         raise ResourceGuardError(
             f"{what} {size} exceeds the guard {limit} "
             "(set AREALAW_STATE_DIM_LIMIT to override)"
@@ -340,7 +345,7 @@ def _route(marginal: Marginal, N: int,
     guarded before the plan is made."""
     if unitaries not in ("sample", "all", "identity"):
         raise ValidationError(f"unknown unitary mode {unitaries!r}")
-    check_integer(N, 2, "N must be at least 2")  # before the plan cache: 2.0 == 2
+    N = check_integer(N, 2, "N must be at least 2")  # before the plan cache: 2.0 == 2
     g = marginal.graph
     flags: list[str] = []
     acted: list[str] = []
@@ -598,10 +603,11 @@ def run_experiment(marginal: Marginal, N: int, samples: int, seed: int,
     array one sample takes or builds; with ``jobs > 1`` a process pool of at
     most one worker per chunk runs them, and the run is summarised once.
     """
-    check_integer(samples, 1, "need at least one sample")
-    check_integer(jobs, 1, f"jobs must be at least 1, got {jobs}")
-    check_integer(seed, 0, f"seed must be an integer >= 0, got {seed!r}")
+    samples = check_integer(samples, 1, "need at least one sample")
+    jobs = check_integer(jobs, 1, f"jobs must be at least 1, got {jobs}")
+    seed = check_integer(seed, 0, f"seed must be an integer >= 0, got {seed!r}")
     q_list = _renyi_orders(q_list)
+    N = check_integer(N, 2, "N must be at least 2")
     flags, plan = _route(marginal, N, unitaries)
     _check_size(samples * plan.side, "spectra array entries")
     size = max(1, CHUNK_ELEMENTS // plan.largest)

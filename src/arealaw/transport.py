@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .graph_model import Edge, Graph, Marginal, _load_document, is_int
+from .graph_model import Edge, Graph, Marginal, _load_document, check_integer, is_int
 from .marking import Marking, marking_from_flow
 
 CERTIFICATE_CAVEAT = (
@@ -290,8 +290,7 @@ def certify(instance: TransportInstance, N: int | None = None,
     """
     from .mc_simulator import run_experiment
 
-    if N is None:
-        N = instance.N
+    N = check_integer(instance.N if N is None else N, 2, "N must be at least 2")
     marginal, y3, plan = instance._solution
     y1, y2 = _quota_values(instance)
     g = marginal.graph

@@ -1,8 +1,9 @@
 """Shared fixture builders and test oracles: canonical graphs, marginals,
 graph families, the Marchenko-Pastur quadrature and spectral moments, a
 Wishart spectrum, the fattened graph with its crossings and compatible
-markings, and the name-keyed flow oracles (capacity lookup, cut capacity
-and path replay).  The non-crossing oracles live in ``nc_combinatorics``."""
+markings, and the name-keyed flow oracles (a network built by node names,
+capacity lookup, cut capacity and path replay).  The non-crossing oracles
+live in ``nc_combinatorics``."""
 
 from __future__ import annotations
 
@@ -11,13 +12,14 @@ import json
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from typing import Hashable, Mapping
 
 import numpy as np
 import pytest
 
-from arealaw import (Edge, FlowNetwork, Graph, InconsistencyError, Marginal,
-                     Marking, ValidationError, parse_marginal)
-from arealaw.boundary_flow import SINK, SOURCE
+from arealaw import (Edge, Graph, InconsistencyError, Marginal, Marking,
+                     ValidationError, parse_marginal)
+from arealaw.boundary_flow import SINK, SOURCE, FlowNetwork
 from arealaw.graph_model import _load_document, graph_from_document
 from nc_combinatorics import mp_moment
 
@@ -41,7 +43,7 @@ def transport_calls(monkeypatch) -> Counter:
 def solves(monkeypatch) -> list:
     """The arc maps the Edmonds-Karp engine solves while the test runs, one
     entry per solve, the marking's assignment flows included: a network's
-    solve records its ``_arcs``."""
+    solve records its ``arcs``."""
     from arealaw import boundary_flow, marking
 
     solved = []
@@ -171,12 +173,58 @@ def is_compatible(marginal: Marginal, marking: Marking) -> bool:
     )
 
 
-def cap(network: FlowNetwork, a, b) -> int:
+@dataclass(frozen=True)
+class NamedNetwork:
+    """A flow network keyed by node names: integer capacities on directed
+    arcs, an undirected edge being two arcs.  The flow oracles read it, and
+    :meth:`flow_network` lays it out as the engine's arc maps."""
+
+    nodes: tuple[Hashable, ...]  # (source, inner nodes, sink)
+    capacities: Mapping[tuple[Hashable, Hashable], int]  # (tail, head) -> cap
+
+    def flow_network(self) -> FlowNetwork:
+        """Per node position, the positions joined to it by an arc either
+        way, ascending, each mapped to the capacity of the arc to it (0 for
+        an arc that only runs the other way)."""
+        index = {node: i for i, node in enumerate(self.nodes)}
+        arcs = [{} for _ in self.nodes]
+        for (a, b), c in self.capacities.items():
+            arcs[index[a]][index[b]] = c
+            arcs[index[b]].setdefault(index[a], 0)
+        return FlowNetwork(self.nodes, [dict(sorted(row.items())) for row in arcs])
+
+
+def named_network(marginal: Marginal) -> NamedNetwork:
+    """A marginal's flow network built by node names: ``t(v)`` from the
+    source to each vertex, ``s(v)`` from each vertex to the sink, and the
+    number of edges between two distinct vertices both ways."""
+    g = marginal.graph
+    caps: dict[tuple[str, str], int] = {}
+    for v in g.vertices:
+        if t := marginal.t(v):
+            caps[(SOURCE, v)] = t
+        if s := marginal.s(v):
+            caps[(v, SINK)] = s
+    for e in g.edges:
+        if e.u != e.v:
+            caps[(e.u, e.v)] = caps[(e.v, e.u)] = caps.get((e.u, e.v), 0) + 1
+    return NamedNetwork(nodes=(SOURCE, *g.vertices, SINK), capacities=caps)
+
+
+def named(network: FlowNetwork) -> NamedNetwork:
+    """A built network read back by node names (its zero arcs left out)."""
+    nodes = network.nodes
+    return NamedNetwork(nodes, {(nodes[i], nodes[j]): c
+                                for i, row in enumerate(network.arcs)
+                                for j, c in row.items() if c})
+
+
+def cap(network: NamedNetwork, a, b) -> int:
     """The capacity of the arc ``a -> b`` (0 if there is none)."""
     return network.capacities.get((a, b), 0)
 
 
-def cut_capacity(network: FlowNetwork, source_side) -> int:
+def cut_capacity(network: NamedNetwork, source_side) -> int:
     """Capacity of the arcs leaving ``source_side``."""
     side = set(source_side)
     if SOURCE not in side or SINK in side:
@@ -185,7 +233,7 @@ def cut_capacity(network: FlowNetwork, source_side) -> int:
                if a in side and b not in side)
 
 
-def replay_paths(network: FlowNetwork, paths) -> int:
+def replay_paths(network: NamedNetwork, paths) -> int:
     """Push unit paths through a fresh copy of the network; returns the total
     flow and raises if any capacity or endpoint rule is violated."""
     usage: dict[tuple, int] = defaultdict(int)

@@ -424,7 +424,7 @@ def test_verify_on_the_lattice_solves_its_network_once(write_doc, capsys, solves
     assert "generic case" in capsys.readouterr().out
     [arcs] = solves
     document = json.dumps(lattice_doc(2, 4))
-    assert arcs == arealaw.build_network(arealaw.parse_marginal(document))._arcs
+    assert arcs == arealaw.build_network(arealaw.parse_marginal(document)).arcs
 
 
 def test_transport_infeasible_exit_code(write_doc):
@@ -812,6 +812,21 @@ def test_state_guard_bounds_a_loop_isometry(write_doc, capsys, monkeypatch):
                    "the guard 262143 (set AREALAW_STATE_DIM_LIMIT to override)\n")
 
 
+def test_a_huge_count_is_refused_by_its_magnitude(write_doc, capsys,
+                                                  monkeypatch):
+    # N = 10^2200: the Gram matrix's 10^4400 entries have more digits than
+    # Python turns into a string, so the refusal prints their magnitude
+    monkeypatch.delenv("AREALAW_STATE_DIM_LIMIT", raising=False)
+    graph = write_doc("loop.json", single_loop_doc())
+    assert main(["simulate", "-g", graph, "-N", "1" + "0" * 2200, "-n", "1",
+                 "--seed", "0"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("resource guard: Gram matrix entries about 10^4400 exceeds "
+                   "the guard 16777216 (set AREALAW_STATE_DIM_LIMIT to override)\n")
+    assert len(err.encode()) < 200
+
+
 def test_state_guard_is_the_only_size_refusal(write_doc, capsys, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("a sample was drawn")
@@ -948,6 +963,18 @@ def test_bad_guard_environment_exit_code(write_doc, capsys, monkeypatch, variabl
                  "--seed", "0"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and variable in err
+
+
+def test_a_limit_too_long_to_read_is_an_input_error(write_doc, capsys,
+                                                    monkeypatch):
+    graph = write_doc("bh.json", black_hole2_doc())
+    monkeypatch.setenv("AREALAW_STATE_DIM_LIMIT", "9" * 5000)
+    assert main(["simulate", "-g", graph, "-N", "2", "-n", "1",
+                 "--seed", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("input error: AREALAW_STATE_DIM_LIMIT must be a positive "
+                   "integer, got 5000 characters (4300 at most)\n")
 
 
 @pytest.mark.parametrize("orders", ["0,x", "0,", "-1", "nan"])

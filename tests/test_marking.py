@@ -6,7 +6,6 @@ import pytest
 from arealaw import (
     CombinatorialLimitError,
     Edge,
-    FlowNetwork,
     FlowResult,
     Graph,
     InconsistencyError,
@@ -21,6 +20,7 @@ from arealaw.boundary_flow import SINK, SOURCE
 from arealaw.marking import _marking_masks, marking_count
 
 from conftest import (
+    NamedNetwork,
     all_counting_functions,
     black_hole,
     black_hole_counts,
@@ -30,6 +30,7 @@ from conftest import (
     fatten,
     is_compatible,
     iter_compatible_markings,
+    named,
     oxygen,
     random_marginal,
     single_loop,
@@ -203,13 +204,14 @@ def test_marking_certifies_every_cut():
             m = Marginal.from_counts(g, s)
             network = build_network(m)
             solved = max_flow(network)
+            by_name = named(network)
             value = solved.value
             for k in range(len(g.vertices) + 1):
                 for side in itertools.combinations(g.vertices, k):
                     cut = (SOURCE, *side)
                     flow = FlowResult(value=value, paths=solved.paths, cut=cut,
                                       cut_max=cut)
-                    if cut_capacity(network, cut) != value:
+                    if cut_capacity(by_name, cut) != value:
                         with pytest.raises(InconsistencyError):
                             marking_from_flow(m, flow)
                     else:
@@ -227,36 +229,22 @@ def test_marking_from_flow_builds_no_network():
     twin = black_hole(traced=[0, 3])
     assert twin == m and twin is not m
     flow = max_flow(build_network(m))
-    assert marking_from_flow(twin, flow) == marking_from_flow(m, flow)
-    assert "_network" not in vars(twin)
-
-
-def test_marking_from_flow_reuses_the_flow_network(monkeypatch):
-    from arealaw import boundary_flow
-
-    m = black_hole(traced=[0, 3])
-    network = build_network(m)
-    flow = max_flow(network)
-    assert build_network(m) is network
+    # a bare result with the same fields is equal to the solved one
     bare = FlowResult(value=flow.value, paths=flow.paths, cut=flow.cut,
                       cut_max=flow.cut_max)
     assert flow == bare and hash(flow) == hash(bare)
     assert repr(flow) == repr(bare)
     assert flow.to_document() == bare.to_document()
-    expected = marking_from_flow(m, bare)
-
-    def rebuilt(marginal):
-        raise AssertionError("the network was rebuilt")
-
-    monkeypatch.setattr(boundary_flow, "_construct_network", rebuilt)
-    assert marking_from_flow(m, flow) == expected
+    assert marking_from_flow(twin, flow) == marking_from_flow(m, flow) \
+        == marking_from_flow(m, bare)
+    assert "_network" not in vars(twin)
 
 
 def _named_assignment_arcs(marginal, flow):
-    """The assignment's arc maps built from named nodes, as a
-    :class:`FlowNetwork` lays them out: the source feeds each edge not cut
-    by the flow's cut, each such edge its endpoints, and each vertex drains
-    ``s(v)`` (cut side) or ``t(v)`` into the sink."""
+    """The assignment's arc maps built from named nodes, as
+    :meth:`NamedNetwork.flow_network` lays them out: the source feeds each
+    edge not cut by the flow's cut, each such edge its endpoints, and each
+    vertex drains ``s(v)`` (cut side) or ``t(v)`` into the sink."""
     g = marginal.graph
     side = set(flow.cut)
     caps = {}
@@ -268,8 +256,8 @@ def _named_assignment_arcs(marginal, flow):
         drain = marginal.s(v) if v in side else marginal.t(v)
         if drain > 0:
             caps[(v, SINK)] = drain
-    return FlowNetwork(nodes=(SOURCE, *range(len(g.edges)), *g.vertices, SINK),
-                       capacities=caps)._arcs
+    return NamedNetwork(nodes=(SOURCE, *range(len(g.edges)), *g.vertices, SINK),
+                        capacities=caps).flow_network().arcs
 
 
 def test_assignment_arcs_match_the_named_network(solves):

@@ -118,6 +118,38 @@ def test_bad_guard_values_are_input_errors(monkeypatch, variable, value):
         run_experiment(black_hole(traced=[0, 2]), 2, samples=1, seed=0)
 
 
+def test_a_count_of_more_than_18_digits_prints_its_magnitude(monkeypatch):
+    monkeypatch.setenv("AREALAW_STATE_DIM_LIMIT", "1")
+    with pytest.raises(ResourceGuardError,
+                       match=r"^rows 999999999999999999 exceeds the guard 1 \("):
+        mc_simulator._check_size(10 ** 18 - 1, "rows")
+    with pytest.raises(ResourceGuardError,
+                       match=r"^rows about 10\^18 exceeds the guard 1 \("):
+        mc_simulator._check_size(10 ** 18, "rows")
+    # a limit of 4300 digits is read; the count above it has more
+    monkeypatch.setenv("AREALAW_STATE_DIM_LIMIT", "1" + "0" * 4299)
+    with pytest.raises(ResourceGuardError,
+                       match=r"^rows about 10\^4400 exceeds the guard about "
+                             r"10\^4299 \("):
+        mc_simulator._check_size(10 ** 4400, "rows")
+
+
+def test_route_guards_a_numpy_integer_as_its_int(monkeypatch):
+    # (2^32)^2 Gram entries wrap to 0 in int64; the guard reads the int
+    monkeypatch.delenv("AREALAW_STATE_DIM_LIMIT", raising=False)
+    with pytest.raises(ResourceGuardError,
+                       match=r"^Gram matrix entries about 10\^19 exceeds the "
+                             r"guard 16777216 \("):
+        mc_simulator._route(single_loop(), np.int64(2 ** 32), "sample")
+
+
+def test_numpy_integer_inputs_run_as_their_ints():
+    m = black_hole(traced=[0, 2])
+    expected = run_experiment(m, 2, 2, 5).to_document()
+    assert run_experiment(m, 2, 2, np.int64(5)).to_document() == expected
+    assert run_experiment(m, np.int64(2), np.int64(2), 5).to_document() == expected
+
+
 def test_state_dim_guard(monkeypatch):
     m = adapted_five()
     with pytest.raises(ResourceGuardError, match="Gram matrix entries 1073741824"):
