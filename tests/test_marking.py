@@ -229,15 +229,29 @@ def test_marking_from_flow_builds_no_network():
     twin = black_hole(traced=[0, 3])
     assert twin == m and twin is not m
     flow = max_flow(build_network(m))
-    # a bare result with the same fields is equal to the solved one
+    assert marking_from_flow(twin, flow) == marking_from_flow(m, flow)
+    assert "_network" not in vars(twin)
+
+
+def test_marking_from_flow_reuses_the_flow_network(monkeypatch):
+    from arealaw import boundary_flow
+
+    m = black_hole(traced=[0, 3])
+    network = build_network(m)
+    flow = max_flow(network)
+    assert build_network(m) is network
     bare = FlowResult(value=flow.value, paths=flow.paths, cut=flow.cut,
                       cut_max=flow.cut_max)
     assert flow == bare and hash(flow) == hash(bare)
     assert repr(flow) == repr(bare)
     assert flow.to_document() == bare.to_document()
-    assert marking_from_flow(twin, flow) == marking_from_flow(m, flow) \
-        == marking_from_flow(m, bare)
-    assert "_network" not in vars(twin)
+    expected = marking_from_flow(m, bare)
+
+    def rebuilt(marginal):
+        raise AssertionError("the network was rebuilt")
+
+    monkeypatch.setattr(boundary_flow, "_construct_network", rebuilt)
+    assert marking_from_flow(m, flow) == expected
 
 
 def _named_assignment_arcs(marginal, flow):
