@@ -48,9 +48,8 @@ class FlowNetwork:
         """The maximum flow, with its unit paths and both extremal minimum
         cuts."""
         capacity = self.arcs
-        residual = _augment(capacity)
+        residual, minimal = _augment(capacity)
         value = sum(capacity[0].values()) - sum(residual[0].values())
-        minimal = _search(residual, 0)
         coreach = _search(residual, len(residual) - 1, forward=False)
         if sum(c for i, row in enumerate(capacity) if minimal[i] >= 0
                for j, c in row.items() if minimal[j] < 0) != value:
@@ -121,16 +120,19 @@ def _construct_network(marginal: Marginal) -> FlowNetwork:
                        arcs=[dict(sorted(row.items())) for row in arcs])
 
 
-def _augment(arcs: list[dict[int, int]]) -> list[dict[int, int]]:
+def _augment(arcs: list[dict[int, int]]
+             ) -> tuple[list[dict[int, int]], list[int]]:
     """Edmonds-Karp on arc maps laid out as :attr:`FlowNetwork.arcs` has
     them (source first, sink last, keys ascending, a reverse-only arc held
-    as 0); returns the residual maps of a maximum flow, ``arcs`` untouched."""
+    as 0); returns the residual maps of a maximum flow, ``arcs`` untouched,
+    and the last search's parents, which miss the sink and so reach all the
+    source reaches: the smallest minimum cut."""
     residual = [row.copy() for row in arcs]
     sink = len(residual) - 1
     while True:
         parent = _search(residual, 0)
         if parent[sink] < 0:
-            return residual
+            return residual, parent
         path = [sink]
         while path[-1]:
             path.append(parent[path[-1]])

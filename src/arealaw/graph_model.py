@@ -16,6 +16,7 @@ tables.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,6 +42,12 @@ def check_integer(value, low: int, message: str) -> int:
     return int(value)
 
 
+def _count_text(n: int) -> str:
+    """A count as a message prints it: in full up to 18 digits, else as
+    ``about 10^k`` (Python refuses ``str`` of an int of over 4300 digits)."""
+    return f"{n}" if n < 10 ** 18 else f"about 10^{math.floor(math.log10(n))}"
+
+
 @dataclass(frozen=True)
 class Edge:
     """An undirected edge; ``u == v`` is a loop.  ``d`` is the integer
@@ -63,7 +70,11 @@ class Leg:
 
 @dataclass(frozen=True)
 class Graph:
-    """A validated multigraph with loops and per-edge dimension ratios."""
+    """A validated multigraph with loops and per-edge dimension ratios.
+
+    The leg table is built with the validation: ``legs`` holds every leg
+    in id order, and each vertex's leg ids are kept, ascending, for
+    :meth:`legs_of` and :meth:`degree`."""
 
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
@@ -71,62 +82,37 @@ class Graph:
     def __post_init__(self):
         if not self.vertices:
             raise ValidationError("graph has no vertices")
-        seen = set()
+        by_vertex: dict[str, list[int]] = {}
         for name in self.vertices:
             if not isinstance(name, str) or not name:
                 raise ValidationError(f"invalid vertex name {name!r}")
             if name in RESERVED_NODE_NAMES:
                 raise ValidationError(f"vertex name {name!r} is reserved")
-            if name in seen:
+            if name in by_vertex:
                 raise ValidationError(f"duplicate vertex {name!r}")
-            seen.add(name)
+            by_vertex[name] = []
         if not self.edges:
             raise ValidationError("graph has no edges")
+        legs = []
         for i, e in enumerate(self.edges):
-            for endpoint in (e.u, e.v):
-                if endpoint not in seen:
-                    raise ValidationError(
-                        f"edge {i} references undefined vertex {endpoint!r}"
-                    )
+            for leg_id, endpoint in enumerate((e.u, e.v), 2 * i):
+                if endpoint not in by_vertex:
+                    raise ValidationError(f"edge {i} references undefined "
+                                          f"vertex {endpoint!r}")
+                legs.append(Leg(leg_id, endpoint, i, e.d))
+                by_vertex[endpoint].append(leg_id)
             if not is_int(e.d) or e.d < 1:
-                raise ValidationError(
-                    f"edge {i} has dimension ratio {e.d!r}; it must be a "
-                    "positive integer"
-                )
-        for name in self.vertices:
-            if self.degree(name) == 0:
+                raise ValidationError(f"edge {i} has dimension ratio {e.d!r}; "
+                                      "it must be a positive integer")
+        for name, ids in by_vertex.items():
+            if not ids:
                 raise ValidationError(f"vertex {name!r} has degree 0")
-
-    # -- derived tables ----------------------------------------------------
-
-    @cached_property
-    def legs(self) -> tuple[Leg, ...]:
-        out = []
-        for i, e in enumerate(self.edges):
-            out.append(Leg(2 * i, e.u, i, e.d))
-            out.append(Leg(2 * i + 1, e.v, i, e.d))
-        return tuple(out)
-
-    @cached_property
-    def _legs_by_vertex(self) -> dict[str, tuple[int, ...]]:
-        table: dict[str, list[int]] = {v: [] for v in self.vertices}
-        for leg in self.legs:
-            table[leg.vertex].append(leg.leg_id)
-        return {v: tuple(ids) for v, ids in table.items()}
-
-    @cached_property
-    def _degree(self) -> dict[str, int]:
-        deg = {v: 0 for v in self.vertices}
-        for e in self.edges:
-            deg[e.u] += 1
-            deg[e.v] += 1
-        return deg
+        object.__setattr__(self, "legs", tuple(legs))
+        object.__setattr__(self, "_legs_by_vertex",
+                           {v: tuple(ids) for v, ids in by_vertex.items()})
 
     def degree(self, vertex: str) -> int:
-        try:
-            return self._degree[vertex]
-        except KeyError:
-            raise ValidationError(f"unknown vertex {vertex!r}") from None
+        return len(self.legs_of(vertex))
 
     def legs_of(self, vertex: str) -> tuple[int, ...]:
         """Leg ids attached to ``vertex``, ascending."""
@@ -146,9 +132,7 @@ class Graph:
 
     def loop_indices(self, vertex: str) -> tuple[int, ...]:
         """Indices of loop edges at ``vertex``."""
-        return tuple(
-            i for i, e in enumerate(self.edges) if e.u == e.v == vertex
-        )
+        return tuple(i for i, e in enumerate(self.edges) if e.u == e.v == vertex)
 
     def to_document(self) -> dict:
         return {
@@ -160,11 +144,14 @@ class Graph:
 @dataclass(frozen=True)
 class Marginal:
     """A graph and a partition of its legs: ``traced`` holds the traced leg
-    ids, validated on construction.  ``counts`` is the counting function
-    ``s`` (number of *surviving* legs per vertex) a counts-mode marginal was
-    given, kept for :meth:`to_document`; it is ``None`` in legs mode and
-    equals :attr:`s_counts` otherwise.  ``t(v) = deg(v) - s(v)`` is always
-    the traced count.
+    ids, validated on construction.  The validation also builds
+    ``s_counts``, the number of *surviving* legs per vertex (the counting
+    function ``s``), and ``crossed``, the vertices the partition crosses,
+    ``0 < s(v) < deg(v)``: the only ones whose unitary can change the
+    spectrum.  ``counts`` is the ``s`` a counts-mode marginal was given,
+    kept for :meth:`to_document`; it is ``None`` in legs mode and equals
+    ``s_counts`` otherwise.  ``t(v) = deg(v) - s(v)`` is always the traced
+    count.
     """
 
     graph: Graph
@@ -172,15 +159,21 @@ class Marginal:
     counts: Mapping[str, int] | None = None
 
     def __post_init__(self):
+        g = self.graph
+        s_counts = {v: len(ids) for v, ids in g._legs_by_vertex.items()}
         for leg_id in self.traced:
             if not is_int(leg_id):
                 raise ValidationError(f"traced leg id {leg_id!r} is not an integer")
-            if not 0 <= leg_id < self.graph.n_legs:
+            if not 0 <= leg_id < g.n_legs:
                 raise ValidationError(f"traced leg id {leg_id} does not exist")
-        if self.counts is not None and (dict(self.counts) != self.s_counts
+            s_counts[g.legs[leg_id].vertex] -= 1
+        if self.counts is not None and (dict(self.counts) != s_counts
                                         or not all(map(is_int, self.counts.values()))):
             raise ValidationError(f"counts {dict(self.counts)!r} are not the surviving-"
-                                  f"leg counts {self.s_counts!r} of the traced legs")
+                                  f"leg counts {s_counts!r} of the traced legs")
+        object.__setattr__(self, "s_counts", s_counts)
+        object.__setattr__(self, "crossed", frozenset(
+            v for v, s in s_counts.items() if 0 < s < g.degree(v)))
 
     def __hash__(self) -> int:
         """Over the fields equality compares, ``counts`` as a set of items."""
@@ -196,7 +189,7 @@ class Marginal:
             if v not in s:
                 raise ValidationError(f"missing trace count for vertex {v!r}")
         for v, count in s.items():
-            if v not in graph._degree:
+            if v not in graph._legs_by_vertex:
                 raise ValidationError(f"trace count for unknown vertex {v!r}")
             if not is_int(count):
                 raise ValidationError(f"count for vertex {v!r} is not an integer")
@@ -212,21 +205,6 @@ class Marginal:
     def from_legs(cls, graph: Graph, traced: Iterable[int]) -> "Marginal":
         """Trace exactly the legs ``traced`` names."""
         return cls(graph, frozenset(traced))
-
-    @cached_property
-    def s_counts(self) -> dict[str, int]:
-        """Surviving-leg count per vertex."""
-        counts = {v: self.graph.degree(v) for v in self.graph.vertices}
-        for leg_id in self.traced:
-            counts[self.graph.legs[leg_id].vertex] -= 1
-        return counts
-
-    @cached_property
-    def crossed(self) -> frozenset[str]:
-        """The vertices the partition crosses, ``0 < s(v) < deg(v)``: the
-        only ones whose unitary can change the spectrum."""
-        return frozenset(v for v in self.graph.vertices
-                         if 0 < self.s(v) < self.graph.degree(v))
 
     @cached_property
     def _network(self):
@@ -260,11 +238,11 @@ def is_adapted(marginal: Marginal) -> bool:
 
 
 def _load_document(text: str, kind: str = "graph") -> dict:
-    """The JSON object ``text`` holds; malformed or too deeply nested JSON
-    is a parse error."""
+    """The JSON object ``text`` holds; malformed or too deeply nested JSON,
+    or an integer too long to convert, is a parse error."""
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{kind} document must be a JSON object")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .boundary_flow import FlowResult, _augment
 from .errors import CombinatorialLimitError, InconsistencyError
-from .graph_model import Marginal
+from .graph_model import Marginal, _count_text
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,8 @@ def area_bruteforce(marginal: Marginal, combination_limit: int = 10 ** 6
     count = marking_count(marginal)
     if count > combination_limit:
         raise CombinatorialLimitError(
-            f"{count} compatible markings exceed the limit {combination_limit}"
+            f"{_count_text(count)} compatible markings exceed the limit "
+            f"{_count_text(combination_limit)}"
         )
     # legs 2i and 2i+1 are the two ends of edge i: bit 2i of m ^ (m >> 1)
     # is set iff edge i crosses
@@ -137,7 +138,7 @@ def marking_from_flow(marginal: Marginal, flow: FlowResult) -> Marking:
     for v, p in vertex.items():
         if drain := (marginal.s(v) if v in side else marginal.t(v)):
             arcs[p][sink], arcs[sink][p] = drain, 0
-    residual = _augment(arcs)
+    residual, _ = _augment(arcs)
     # a drain the flow does not fill keeps residual capacity into the sink
     if any(residual[p].get(sink) for p in vertex.values()):
         raise InconsistencyError("the cut admits no leg assignment")

@@ -60,7 +60,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .errors import (AreaLawError, InconsistencyError, ResourceGuardError,
                      ValidationError)
-from .graph_model import Graph, Marginal, check_integer
+from .graph_model import Graph, Marginal, _count_text, check_integer
 
 DEFAULT_STATE_DIM_LIMIT = 2 ** 24
 #: Elements a Monte Carlo chunk stacks: it holds
@@ -81,7 +81,7 @@ def _check_size(size: int, what: str) -> None:
     """Refuse ``size`` elements above the state guard, the positive integer
     ``AREALAW_STATE_DIM_LIMIT`` of at most 4300 digits, read from the
     environment at call time.  A count of more than 18 digits prints as
-    ``about 10^k``: Python refuses ``str`` of an int of over 4300 digits."""
+    ``about 10^k`` (:func:`arealaw.graph_model._count_text`)."""
     raw = os.environ.get("AREALAW_STATE_DIM_LIMIT", str(DEFAULT_STATE_DIM_LIMIT))
     if not (raw.isdecimal() and len(raw) <= 4300 and int(raw) >= 1):
         got = repr(raw) if len(raw) <= 4300 else f"{len(raw)} characters (4300 at most)"
@@ -89,10 +89,8 @@ def _check_size(size: int, what: str) -> None:
             f"AREALAW_STATE_DIM_LIMIT must be a positive integer, got {got}")
     limit = int(raw)
     if size > limit:
-        size, limit = (n if n < 10 ** 18 else f"about 10^{math.floor(math.log10(n))}"
-                       for n in (size, limit))
         raise ResourceGuardError(
-            f"{what} {size} exceeds the guard {limit} "
+            f"{what} {_count_text(size)} exceeds the guard {_count_text(limit)} "
             "(set AREALAW_STATE_DIM_LIMIT to override)"
         )
 

@@ -112,8 +112,10 @@ def test_area_invalid_document(write_doc, capsys):
     traced["trace"]["traced"] = [[0]]
     repeated = black_hole2_doc()  # was read as legs {0, 2}
     repeated["trace"]["traced"] = [0, 0, 2]
+    duplicate = black_hole2_doc()
+    duplicate["vertices"].append("V1")
     capsys.readouterr()
-    for payload in (endpoint, traced, repeated):
+    for payload in (endpoint, traced, repeated, duplicate):
         assert main(["area", "-g", write_doc("bad.json", payload)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -499,6 +501,42 @@ def test_transport_odd_deficit(write_doc, capsys, certify):
         "creation cannot provide an unpaired particle\n"))
 
 
+def test_area_integer_too_long_to_read(write_doc, capsys):
+    # json.loads refuses a 5,000-digit integer with a plain ValueError
+    text = json.dumps(single_loop_doc()).replace('"d": 1', '"d": ' + "1" * 5000)
+    graph = write_doc("long.json", {})
+    Path(graph).write_text(text, encoding="utf-8")
+    assert main(["area", "-g", graph]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("input error: invalid JSON:")
+    assert len(err.encode()) < 200
+
+
+def test_area_bruteforce_refuses_a_huge_count_by_its_magnitude(write_doc, capsys):
+    # C(14400, 7200) markings: more digits than Python turns into a string
+    graph = write_doc("loops.json", doc(["V"], [("V", "V", 1)] * 7200,
+                                        {"mode": "counts", "s": {"V": 7200}}))
+    assert main(["area", "-g", graph]) == 3
+    out, err = capsys.readouterr()
+    assert "boundary area X = 7200" in out
+    assert err == ("combinatorial limit: about 10^4332 compatible markings exceed "
+                   "the limit 1000000; hint: rerun with --flow-only, the flow "
+                   "value equals the enumerated area\n")
+    assert len(err.encode()) < 200
+
+
+def test_simulate_spectra_checks_N(write_doc, capsys, tmp_path):
+    # the --spectra row count reads the side dimensions, which check N first
+    graph = write_doc("loop.json", single_loop_doc())
+    csv_path = tmp_path / "x.csv"
+    assert main(["simulate", "-g", graph, "-N", "1", "-n", "1", "--seed", "0",
+                 "--spectra", str(csv_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "input error: N must be at least 2\n"
+    assert not csv_path.exists()
+
+
 @pytest.mark.parametrize("quota", [1.7, True])
 def test_transport_non_integer_quota_exit_code(write_doc, capsys, quota):
     payload = instance_doc()
@@ -520,13 +558,14 @@ def test_transport_non_integer_quota_exit_code(write_doc, capsys, quota):
     {"quotas": [1, 2]},
     {"facilities": "P1"},
     {"facilities": [["P1"], "P2"]},
+    {"facilities": []},
     {"pairs": {"a": "P1", "b": "P2", "count": 1}},
     {"pairs": [{"a": ["P1"], "b": "P2", "count": 1}]},
     {"quotas": {"P1": {"A": 1, "B": 0}, "P2": {"A": 0, "B": 1},
                 "P9": {"A": 5, "B": 5}}},
 ], ids=["count-true", "count-float", "count-negative-summand", "N-float",
         "N-string", "N-true", "quotas-array", "facilities-string",
-        "facilities-nested", "pairs-object", "pair-site-array",
+        "facilities-nested", "facilities-empty", "pairs-object", "pair-site-array",
         "quota-unknown-site"])
 @pytest.mark.parametrize("certify", [False, True], ids=["plain", "certify"])
 def test_transport_bad_instance_exit_code(write_doc, capsys, change, certify):
@@ -546,6 +585,17 @@ def test_transport_deeply_nested_instance(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("input error: invalid JSON:")
+
+
+def test_transport_integer_too_long_to_read(write_doc, capsys):
+    text = json.dumps(instance_doc()).replace('"N": 2', '"N": ' + "2" * 5000)
+    instance = write_doc("long.json", {})
+    Path(instance).write_text(text, encoding="utf-8")
+    assert main(["transport", "-i", instance]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("input error: invalid JSON:")
+    assert len(err.encode()) < 200
 
 
 @pytest.mark.parametrize("certify", [False, True], ids=["plain", "certify"])

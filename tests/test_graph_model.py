@@ -14,6 +14,7 @@ from arealaw.errors import ParseError
 from conftest import (
     black_hole,
     black_hole_counts,
+    doc,
     parse_graph,
     random_marginal,
     single_loop,
@@ -208,3 +209,55 @@ def test_document_round_trip():
     again = parse_marginal(json.dumps(m.to_document()))
     assert again.graph == m.graph
     assert again.traced == m.traced
+
+
+def loop_document(**change) -> dict:
+    """A one-loop vertex traced in counts mode, with ``change`` applied."""
+    return dict(doc(["V"], [("V", "V", 1)], {"mode": "counts", "s": {"V": 1}}),
+                **change)
+
+
+@pytest.mark.parametrize("payload, error, message", [
+    ([loop_document()], ParseError, "graph document must be a JSON object"),
+    (loop_document(vertices="V"), ParseError, "'vertices' and 'edges' must be lists"),
+    (loop_document(edges={"u": "V", "v": "V"}), ParseError,
+     "'vertices' and 'edges' must be lists"),
+    (loop_document(edges=["V"]), ParseError,
+     "edge 0 must be an object with 'u' and 'v'"),
+    (loop_document(edges=[{"u": "V"}]), ParseError,
+     "edge 0 must be an object with 'u' and 'v'"),
+    (loop_document(vertices=[]), ValidationError, "graph has no vertices"),
+    (loop_document(vertices=[1]), ValidationError, "invalid vertex name 1"),
+    (loop_document(vertices=[""]), ValidationError, "invalid vertex name ''"),
+    (loop_document(vertices=["V", "V"]), ValidationError, "duplicate vertex 'V'"),
+    ({"vertices": ["V"], "edges": [{"u": "V", "v": "V"}]}, ParseError,
+     "document has no 'trace' section"),
+    (loop_document(trace={"s": {"V": 1}}), ParseError,
+     "'trace' must be an object with a 'mode'"),
+    (loop_document(trace=["counts"]), ParseError,
+     "'trace' must be an object with a 'mode'"),
+    (loop_document(trace={"mode": "counts"}), ParseError,
+     "counts-mode trace needs an 's' mapping"),
+    (loop_document(trace={"mode": "counts", "s": [1]}), ParseError,
+     "counts-mode trace needs an 's' mapping"),
+    (loop_document(trace={"mode": "both"}), ParseError, "unknown trace mode 'both'"),
+    (loop_document(trace={"mode": "counts", "s": {"V": 1.0}}), ValidationError,
+     "count for vertex 'V' is not an integer"),
+], ids=["not-object", "vertices-string", "edges-object", "edge-string",
+        "edge-without-v", "no-vertices", "vertex-int", "vertex-empty",
+        "vertex-duplicate", "no-trace", "trace-without-mode", "trace-array",
+        "counts-without-s", "counts-s-array", "unknown-mode", "count-float"])
+def test_parse_marginal_rejects_wrong_shapes(payload, error, message):
+    with pytest.raises(error) as caught:
+        parse_marginal(json.dumps(payload))
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_lookups_refuse_an_unknown_vertex_or_leg():
+    g = single_loop().graph
+    for lookup in (g.degree, g.legs_of):
+        with pytest.raises(ValidationError, match="^unknown vertex 'W'$"):
+            lookup("W")
+    for leg_id in (-1, 2):
+        with pytest.raises(ValidationError, match=f"^unknown leg id {leg_id}$"):
+            g.leg(leg_id)

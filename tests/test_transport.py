@@ -158,6 +158,10 @@ def test_random_near_optimality():
 
 
 def test_instance_validation():
+    for facilities in ([], ["P1", "P1"]):
+        with pytest.raises(ValidationError,
+                           match="^facilities must be non-empty and unique$"):
+            TransportInstance.build(facilities, {}, {"P1": (1, 1)})
     with pytest.raises(ValidationError, match="self-pair"):
         TransportInstance.build(["P1"], {("P1", "P1"): 1}, {"P1": (1, 1)})
     with pytest.raises(ValidationError, match="unknown site"):
@@ -193,9 +197,22 @@ def test_instance_validation():
     ({"pairs": {"a": "P1", "b": "P2", "count": 1}}, "'pairs' must be a JSON array"),
     ({"pairs": [{"a": ["P1"], "b": "P2", "count": 1}]}, "pair 0 must name"),
     ({"quotas": [1, 2]}, "'quotas' must be a JSON object"),
+    ({"facilities": None}, "^instance document needs 'facilities'$"),
+    ({"pairs": None}, "^instance document needs 'pairs'$"),
+    ({"quotas": None}, "^instance document needs 'quotas'$"),
+    ({"pairs": ["P1"]}, "^pair 0 must be an object with 'a', 'b', 'count'$"),
+    ({"pairs": [{"a": "P1", "b": "P2"}]},
+     "^pair 0 must be an object with 'a', 'b', 'count'$"),
+    ({"quotas": {"P1": {"A": 1}, "P2": {"A": 0, "B": 1}}},
+     "^quotas for 'P1' must carry 'A' and 'B'$"),
+    ({"quotas": {"P1": [1, 0], "P2": {"A": 0, "B": 1}}},
+     "^quotas for 'P1' must carry 'A' and 'B'$"),
 ])
 def test_parse_instance_rejects_wrong_shapes(change, message):
-    payload = dict(single_edge_instance().to_document(), **change)
+    # a key changed to None is left out of the document
+    payload = {key: value for key, value in
+               dict(single_edge_instance().to_document(), **change).items()
+               if value is not None}
     with pytest.raises(ParseError, match=message):
         parse_instance(json.dumps(payload))
 
