@@ -38,12 +38,12 @@ CERTIFICATE_CAVEAT = (
 class TransportInstance:
     """Shared pairs, per-site shipping quotas and the local dimension.
 
-    The instance keeps its solution once solved; that assumes its mappings
-    are not mutated after :meth:`build`, as a ``Marginal`` assumes of its
-    trace."""
+    :meth:`build` stores the pairs sorted by their sites' positions.  The
+    instance keeps its solution once solved; that assumes its mappings are
+    not mutated after :meth:`build`, as a ``Marginal`` assumes of its trace."""
 
     facilities: tuple[str, ...]
-    pairs: Mapping[tuple[str, str], int]   # canonical (earlier, later) keys
+    pairs: Mapping[tuple[str, str], int]   # (earlier, later) keys, in facility order
     quotas: Mapping[str, tuple[int, int]]  # site -> (to A, to B)
     N: int = 2
 
@@ -55,8 +55,12 @@ class TransportInstance:
         if len(set(facilities)) != len(facilities) or not facilities:
             raise ValidationError("facilities must be non-empty and unique")
         index = {f: i for i, f in enumerate(facilities)}
-        canonical: dict[tuple[str, str], int] = {}
-        items = pairs.items() if isinstance(pairs, Mapping) else pairs
+        try:
+            items = [((a, b), count) for (a, b), count in
+                     (pairs.items() if isinstance(pairs, Mapping) else pairs)]
+        except (TypeError, ValueError):
+            raise ValidationError("pairs must hold ((a, b), count) items") from None
+        counts: dict[tuple[int, int], int] = {}
         for (a, b), count in items:
             if a not in index or b not in index:
                 raise ValidationError(f"pair ({a!r}, {b!r}) names an unknown site")
@@ -67,8 +71,10 @@ class TransportInstance:
             if not is_int(count) or count < 0:
                 raise ValidationError(
                     f"pair count for ({a!r}, {b!r}) must be an integer >= 0")
-            key = (a, b) if index[a] < index[b] else (b, a)
-            canonical[key] = canonical.get(key, 0) + count
+            key = tuple(sorted((index[a], index[b])))
+            counts[key] = counts.get(key, 0) + count
+        if not isinstance(quotas, Mapping):
+            raise ValidationError("quotas must map each site to (to A, to B)")
         for site in quotas:
             if site not in index:
                 raise ValidationError(f"quotas name an unknown site {site!r}")
@@ -76,17 +82,20 @@ class TransportInstance:
         for f in facilities:
             if f not in quotas:
                 raise ValidationError(f"missing quotas for site {f!r}")
-            to_a, to_b = quotas[f]
+            try:
+                to_a, to_b = quotas[f]
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"quotas at site {f!r} must be a pair (to A, to B)") from None
             if not (is_int(to_a) and is_int(to_b)):
                 raise ValidationError(f"quotas at site {f!r} must be integers")
             if to_a < 0 or to_b < 0:
                 raise ValidationError(f"negative quota at site {f!r}")
             clean_quotas[f] = (to_a, to_b)
-        if not is_int(N) or N < 2:
-            raise ValidationError(
-                f"local dimension N must be an integer >= 2, got {N!r}")
-        return cls(facilities=facilities, pairs=canonical,
-                   quotas=clean_quotas, N=N)
+        N = check_integer(
+            N, 2, f"local dimension N must be an integer >= 2, got {N!r}")
+        pairs = {(facilities[i], facilities[j]): counts[i, j] for i, j in sorted(counts)}
+        return cls(facilities=facilities, pairs=pairs, quotas=clean_quotas, N=N)
 
     def __hash__(self) -> int:
         """A hash over the fields equality compares, the mappings read as
@@ -118,11 +127,7 @@ class TransportInstance:
         return {
             "facilities": list(self.facilities),
             "pairs": [
-                {"a": a, "b": b, "count": c} for (a, b), c in sorted(
-                    self.pairs.items(),
-                    key=lambda kv: (self.facilities.index(kv[0][0]),
-                                    self.facilities.index(kv[0][1])),
-                )
+                {"a": a, "b": b, "count": c} for (a, b), c in self.pairs.items()
             ],
             "quotas": {
                 f: {"A": q[0], "B": q[1]} for f, q in self.quotas.items()
@@ -209,11 +214,8 @@ def to_marginal(instance: TransportInstance) -> Marginal:
                 f"site {f!r} has an odd particle deficit of {missing}; local "
                 "pair creation cannot provide an unpaired particle"
             )
-    index = {f: i for i, f in enumerate(instance.facilities)}
     edges = []
-    for (a, b), count in sorted(
-        instance.pairs.items(), key=lambda kv: (index[kv[0][0]], index[kv[0][1]])
-    ):
+    for (a, b), count in instance.pairs.items():
         edges.extend([Edge(u=a, v=b, d=1)] * count)
     for f, missing in deficit.items():
         edges.extend([Edge(u=f, v=f, d=1)] * (missing // 2))
@@ -222,20 +224,13 @@ def to_marginal(instance: TransportInstance) -> Marginal:
     return Marginal.from_counts(graph, counts)
 
 
-def _quota_values(instance: TransportInstance) -> tuple[int, int]:
-    """Y1 and Y2, which depend on the quotas alone."""
-    y1 = sum(min(a, b) for a, b in instance.quotas.values())
-    y2 = min(
-        sum(a for a, _ in instance.quotas.values()),
-        sum(b for _, b in instance.quotas.values()),
-    )
-    return y1, y2
-
-
 def scenarios(instance: TransportInstance) -> tuple[int, int, int]:
-    """The three scenario values (Y1, Y2, Y3) in ebits."""
+    """The scenario values (Y1, Y2, Y3) in ebits; Y1 and Y2 read the quotas."""
+    quotas = instance.quotas.values()
+    y1 = sum(min(a, b) for a, b in quotas)
+    y2 = min(sum(a for a, _ in quotas), sum(b for _, b in quotas))
     y3 = instance._solution[1] if instance.has_particles else 0
-    return (*_quota_values(instance), y3)
+    return y1, y2, y3
 
 
 def routing(instance: TransportInstance) -> RoutingPlan:
@@ -291,8 +286,8 @@ def certify(instance: TransportInstance, N: int | None = None,
     from .mc_simulator import run_experiment
 
     N = check_integer(instance.N if N is None else N, 2, "N must be at least 2")
-    marginal, y3, plan = instance._solution
-    y1, y2 = _quota_values(instance)
+    marginal, _, plan = instance._solution
+    y1, y2, y3 = scenarios(instance)
     g = marginal.graph
 
     routed = Marginal.from_legs(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -620,6 +621,81 @@ def test_internal_error_exit_code(write_doc, capsys, monkeypatch, command, modul
     assert main([command, *source]) == 5
     assert capsys.readouterr().err == (
         "internal error: min cut does not certify the flow value\n")
+
+
+@pytest.mark.parametrize("unitaries, tamper, message", [
+    ("identity", lambda mc: {"ranks": (3,)}, "routed state has rank 3, expected 2"),
+    ("identity", lambda mc: {"spectra": mc.spectra + [[0.25, -0.25]]},
+     "routed spectrum deviates from uniform by 0.25"),
+    ("identity", lambda mc: {"renyi_mean": dict.fromkeys(mc.renyi_mean, 1.0)},
+     f"H_0.0 = 1.0 differs from Y3 ln N = {math.log(2)}"),
+    ("sample", lambda mc: {"ranks": (4,) * mc.samples},
+     "a Haar sample reached rank 4 above the bound 2"),
+], ids=["rank", "uniform-spectrum", "renyi", "haar-rank"])
+def test_certificate_failure_exit_code(write_doc, capsys, monkeypatch,
+                                       unitaries, tamper, message):
+    # the routed run (unitaries="identity") or the Haar run of the single
+    # edge, N = 2 and Y3 = 1, reports what a broken sampler would
+    from arealaw.mc_simulator import run_experiment
+
+    def tampered(*args, **kwargs):
+        mc = run_experiment(*args, **kwargs)
+        if kwargs.get("unitaries", "sample") != unitaries:
+            return mc
+        return dataclasses.replace(mc, **tamper(mc))
+
+    monkeypatch.setattr("arealaw.mc_simulator.run_experiment", tampered)
+    instance = write_doc("inst.json", instance_doc())
+    assert main(["transport", "-i", instance, "--certify", "--haar-samples", "2"]) == 1
+    assert capsys.readouterr() == ("", f"certificate failure: {message}\n")
+
+
+def test_area_disagreement_exit_code(write_doc, capsys, monkeypatch, tmp_path):
+    from arealaw.marking import area_bruteforce
+
+    def off_by_one(marginal, limit):
+        brute = area_bruteforce(marginal, limit)
+        return dataclasses.replace(brute, area=brute.area + 1)
+
+    monkeypatch.setattr("arealaw.marking.area_bruteforce", off_by_one)
+    out_path = tmp_path / "report.json"
+    graph = write_doc("loop.json", single_loop_doc())
+    assert main(["area", "-g", graph, "--out", str(out_path)]) == 1
+    assert capsys.readouterr().err == "ERROR: flow and brute-force area disagree\n"
+    assert not out_path.exists()
+
+
+def test_write_failure_after_the_check_exit_code(write_doc, capsys, monkeypatch,
+                                                 tmp_path):
+    # the path passes _check_writable; the write itself fails (a full disk).
+    # The check's "permission denied" branch is not reachable when the tests
+    # run as root, who may write anywhere.
+    def full_disk(path, *args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("arealaw.cli.open", full_disk, raising=False)
+    out_path = tmp_path / "report.json"
+    graph = write_doc("loop.json", single_loop_doc())
+    assert main(["area", "-g", graph, "--flow-only", "--out", str(out_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: cannot write {out_path}: [Errno 28] No space left on device\n")
+
+
+def test_eigensolver_failure_exit_code(write_doc, capsys, monkeypatch):
+    # no vertex of the adapted edge acts, so its Gram matrix is fixed:
+    # diag(1/2, 1/2)
+    import numpy as np
+
+    def unconverged(gram):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr("numpy.linalg.eigvalsh", unconverged)
+    graph = write_doc("adapted.json", doc(["A", "B"], [("A", "B", 1)],
+                                          {"mode": "counts", "s": {"A": 0, "B": 1}}))
+    assert main(["simulate", "-g", graph, "-N", "2", "-n", "1", "--seed", "0"]) == 5
+    assert capsys.readouterr() == ("", (
+        "internal error: eigensolver failed on a (2, 2) Gram matrix (max "
+        "magnitude 5.000e-01): Eigenvalues did not converge\n"))
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])

@@ -246,8 +246,9 @@ def test_parse_instance_round_trip():
 
 
 def test_equal_instances_hash_equal():
-    # the mappings are dicts: the hash reads them as sets of items, so the
-    # order pairs and quotas are given in does not matter
+    # build stores the pairs in facility order, whatever order they are
+    # given in; the hash reads the mappings as sets of items, so a directly
+    # constructed instance holding them in another order hashes equal too
     assert isinstance(hash(TransportInstance.build(["P1"], {}, {"P1": (1, 1)})), int)
     sites = ["P1", "P2", "P3"]
     quotas = {"P1": (0, 1), "P2": (2, 0), "P3": (0, 1)}
@@ -255,12 +256,43 @@ def test_equal_instances_hash_equal():
         sites, [(("P1", "P2"), 1), (("P2", "P3"), 1)], quotas)
     backward = TransportInstance.build(
         sites, [(("P3", "P2"), 1), (("P2", "P1"), 1)], dict(reversed(quotas.items())))
-    assert list(forward.pairs) != list(backward.pairs)
+    assert list(forward.pairs) == list(backward.pairs) == [("P1", "P2"), ("P2", "P3")]
     assert forward == backward and hash(forward) == hash(backward)
     assert len({forward, backward}) == 1
+    direct = TransportInstance(
+        facilities=forward.facilities, pairs=dict(reversed(forward.pairs.items())),
+        quotas=dict(reversed(forward.quotas.items())), N=forward.N)
+    assert list(direct.pairs) != list(forward.pairs)
+    assert direct == forward and hash(direct) == hash(forward)
+    assert len({forward, direct}) == 1
 
 
 def test_certify_mismatched_unitary_bound_is_hard():
     # sanity: the certificate never reports a rank above N^Y3
     cert = certify(path_instance(), 3, haar_samples=10, seed=5)
     assert cert.haar_rank_max <= 3 ** cert.Y3
+
+
+@pytest.mark.parametrize("pairs, quotas, message", [
+    ({"P12": 1}, {"P1": (1, 0), "P2": (0, 1)},
+     r"^pairs must hold \(\(a, b\), count\) items$"),
+    ([("P1",)], {"P1": (1, 0), "P2": (0, 1)},
+     r"^pairs must hold \(\(a, b\), count\) items$"),
+    (5, {"P1": (1, 0), "P2": (0, 1)}, r"^pairs must hold \(\(a, b\), count\) items$"),
+    ({}, {"P1": (1, 1, 1), "P2": (0, 1)},
+     r"^quotas at site 'P1' must be a pair \(to A, to B\)$"),
+    ({}, {"P1": None, "P2": (0, 1)},
+     r"^quotas at site 'P1' must be a pair \(to A, to B\)$"),
+    ({}, None, r"^quotas must map each site to \(to A, to B\)$"),
+], ids=["pair-key-string", "pair-item-short", "pairs-integer",
+        "quota-triple", "quota-none", "quotas-none"])
+def test_build_refuses_wrong_shapes(pairs, quotas, message):
+    with pytest.raises(ValidationError, match=message):
+        TransportInstance.build(["P1", "P2"], pairs, quotas)
+
+
+def test_build_reads_N_by_the_integer_rule():
+    # a numpy integer is an integer, as certify reads it; it is stored as int
+    instance = TransportInstance.build(["P1"], {}, {"P1": (1, 1)}, N=np.int64(3))
+    assert instance.N == 3 and type(instance.N) is int
+    assert instance == TransportInstance.build(["P1"], {}, {"P1": (1, 1)}, N=3)
