@@ -6,9 +6,9 @@ from) and schema-versioned; the tests hold the report schema.  Exit codes:
 0 success or verification pass, 1 verification or certificate failure,
 2 invalid input, 3 combinatorial limit exceeded, 4 resource guard, 5 internal
 error (an inconsistent flow or certificate, a failed eigensolver: a defect
-in this package, not in the input).  An argument the parser rejects is an
-input error too.  Every error is one stderr line: a newline or carriage
-return in its message is written escaped.
+in this package, not in the input).  An argument the parser rejects, or a
+closed stdout, is an input error too.  Every error is one stderr line: a
+newline or carriage return in its message is written escaped.
 
 Importing this module loads only the standard library and
 :mod:`arealaw.errors`.  Each command imports the layers it runs when it
@@ -425,7 +425,13 @@ def _fail(code: int, what: str, message) -> int:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at shutdown
+        return code
+    except BrokenPipeError as exc:
+        # the flush at shutdown then writes what is left to nowhere, silently
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _fail(2, "input error", f"cannot write stdout: {exc}")
     except (ParseError, ValidationError) as exc:
         return _fail(2, "input error", exc)
     except CombinatorialLimitError as exc:

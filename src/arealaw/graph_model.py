@@ -148,15 +148,14 @@ class Marginal:
     ``s_counts``, the number of *surviving* legs per vertex (the counting
     function ``s``), and ``crossed``, the vertices the partition crosses,
     ``0 < s(v) < deg(v)``: the only ones whose unitary can change the
-    spectrum.  ``counts`` is the ``s`` a counts-mode marginal was given,
-    kept for :meth:`to_document`; it is ``None`` in legs mode and equals
-    ``s_counts`` otherwise.  ``t(v) = deg(v) - s(v)`` is always the traced
-    count.
+    spectrum.  ``by_counts`` marks a marginal built from its counts:
+    :meth:`to_document` then writes ``s_counts`` in vertex order instead of
+    the traced legs.  ``t(v) = deg(v) - s(v)`` is always the traced count.
     """
 
     graph: Graph
     traced: frozenset[int]
-    counts: Mapping[str, int] | None = None
+    by_counts: bool = False
 
     def __post_init__(self):
         g = self.graph
@@ -167,18 +166,9 @@ class Marginal:
             if not 0 <= leg_id < g.n_legs:
                 raise ValidationError(f"traced leg id {leg_id} does not exist")
             s_counts[g.legs[leg_id].vertex] -= 1
-        if self.counts is not None and (dict(self.counts) != s_counts
-                                        or not all(map(is_int, self.counts.values()))):
-            raise ValidationError(f"counts {dict(self.counts)!r} are not the surviving-"
-                                  f"leg counts {s_counts!r} of the traced legs")
         object.__setattr__(self, "s_counts", s_counts)
         object.__setattr__(self, "crossed", frozenset(
             v for v, s in s_counts.items() if 0 < s < g.degree(v)))
-
-    def __hash__(self) -> int:
-        """Over the fields equality compares, ``counts`` as a set of items."""
-        counts = None if self.counts is None else frozenset(self.counts.items())
-        return hash((self.graph, self.traced, counts))
 
     @classmethod
     def from_counts(cls, graph: Graph, s: Mapping[str, int]) -> "Marginal":
@@ -199,7 +189,7 @@ class Marginal:
                 )
         traced = frozenset(leg for v in graph.vertices
                            for leg in graph.legs_of(v)[: graph.degree(v) - s[v]])
-        return cls(graph, traced, s)
+        return cls(graph, traced, by_counts=True)
 
     @classmethod
     def from_legs(cls, graph: Graph, traced: Iterable[int]) -> "Marginal":
@@ -222,8 +212,8 @@ class Marginal:
 
     def to_document(self) -> dict:
         doc = self.graph.to_document()
-        if self.counts is not None:
-            doc["trace"] = {"mode": "counts", "s": dict(self.counts)}
+        if self.by_counts:
+            doc["trace"] = {"mode": "counts", "s": dict(self.s_counts)}
         else:
             doc["trace"] = {"mode": "legs", "traced": sorted(self.traced)}
         return doc

@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .graph_model import Edge, Graph, Marginal, _load_document, check_integer, is_int
+from .graph_model import Edge, Graph, Marginal, _load_document, check_integer
 from .marking import Marking, marking_from_flow
 
 CERTIFICATE_CAVEAT = (
@@ -51,10 +51,13 @@ class TransportInstance:
     def build(cls, facilities, pairs, quotas, N=2) -> "TransportInstance":
         """Validate and canonicalize.  ``pairs`` maps ``(a, b)`` to a count,
         or lists ``((a, b), count)`` items; counts of one pair add up."""
-        facilities = tuple(facilities)
-        if len(set(facilities)) != len(facilities) or not facilities:
+        try:
+            facilities = tuple(facilities)
+            index = {f: i for i, f in enumerate(facilities)}
+        except TypeError:  # not iterable, or a name that cannot be hashed
+            raise ValidationError("facilities must be a sequence of site names") from None
+        if len(index) != len(facilities) or not facilities:
             raise ValidationError("facilities must be non-empty and unique")
-        index = {f: i for i, f in enumerate(facilities)}
         try:
             items = [((a, b), count) for (a, b), count in
                      (pairs.items() if isinstance(pairs, Mapping) else pairs)]
@@ -62,16 +65,17 @@ class TransportInstance:
             raise ValidationError("pairs must hold ((a, b), count) items") from None
         counts: dict[tuple[int, int], int] = {}
         for (a, b), count in items:
-            if a not in index or b not in index:
-                raise ValidationError(f"pair ({a!r}, {b!r}) names an unknown site")
+            try:
+                key = tuple(sorted((index[a], index[b])))
+            except (KeyError, TypeError):  # TypeError: a name that cannot be hashed
+                raise ValidationError(
+                    f"pair ({a!r}, {b!r}) names an unknown site") from None
             if a == b:
                 raise ValidationError(
                     f"self-pair at {a!r}: local singlets come from quota padding"
                 )
-            if not is_int(count) or count < 0:
-                raise ValidationError(
-                    f"pair count for ({a!r}, {b!r}) must be an integer >= 0")
-            key = tuple(sorted((index[a], index[b])))
+            count = check_integer(
+                count, 0, f"pair count for ({a!r}, {b!r}) must be an integer >= 0")
             counts[key] = counts.get(key, 0) + count
         if not isinstance(quotas, Mapping):
             raise ValidationError("quotas must map each site to (to A, to B)")
@@ -87,8 +91,8 @@ class TransportInstance:
             except (TypeError, ValueError):
                 raise ValidationError(
                     f"quotas at site {f!r} must be a pair (to A, to B)") from None
-            if not (is_int(to_a) and is_int(to_b)):
-                raise ValidationError(f"quotas at site {f!r} must be integers")
+            message = f"quotas at site {f!r} must be integers"  # the sign comes next
+            to_a, to_b = (check_integer(q, -math.inf, message) for q in (to_a, to_b))
             if to_a < 0 or to_b < 0:
                 raise ValidationError(f"negative quota at site {f!r}")
             clean_quotas[f] = (to_a, to_b)

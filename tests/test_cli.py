@@ -667,9 +667,7 @@ def test_area_disagreement_exit_code(write_doc, capsys, monkeypatch, tmp_path):
 
 def test_write_failure_after_the_check_exit_code(write_doc, capsys, monkeypatch,
                                                  tmp_path):
-    # the path passes _check_writable; the write itself fails (a full disk).
-    # The check's "permission denied" branch is not reachable when the tests
-    # run as root, who may write anywhere.
+    # the path passes _check_writable; the write itself fails (a full disk)
     def full_disk(path, *args, **kwargs):
         raise OSError(28, "No space left on device")
 
@@ -679,6 +677,17 @@ def test_write_failure_after_the_check_exit_code(write_doc, capsys, monkeypatch,
     assert main(["area", "-g", graph, "--flow-only", "--out", str(out_path)]) == 2
     assert capsys.readouterr().err == (
         f"input error: cannot write {out_path}: [Errno 28] No space left on device\n")
+
+
+def test_write_permission_denied_exit_code(write_doc, capsys, monkeypatch, tmp_path):
+    # run as root every path is writable, so the file system cannot refuse it
+    monkeypatch.setattr(arealaw.cli.os, "access", lambda path, mode: False)
+    out_path = tmp_path / "report.json"
+    graph = write_doc("loop.json", single_loop_doc())
+    assert main(["area", "-g", graph, "--flow-only", "--out", str(out_path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"input error: cannot write {out_path}: permission denied\n")
+    assert not out_path.exists()
 
 
 def test_eigensolver_failure_exit_code(write_doc, capsys, monkeypatch):
@@ -1160,14 +1169,14 @@ for step, argv in (
 """
 
 
-def _fresh_python(*argv) -> subprocess.CompletedProcess:
+def _fresh_python(*argv, stdout=subprocess.PIPE, **env) -> subprocess.CompletedProcess:
     """Run ``python argv...`` in a fresh interpreter that imports this
-    checkout's package."""
+    checkout's package, with the variables ``env`` sets (``None`` unsets)."""
     src = str(Path(arealaw.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
-                          text=True)
+        [src, os.environ.get("PYTHONPATH", "")]), **env)
+    return subprocess.run([sys.executable, *argv], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, env={k: v for k, v in env.items() if v is not None})
 
 
 def test_cli_import_leaves_scipy_unloaded(write_doc):
@@ -1311,3 +1320,23 @@ def test_help_text_unchanged(capsys, argv):
         assert exit_info.value.code == 0
         texts.append(capsys.readouterr().out)
     assert texts[0] and texts[1] == texts[0] and texts[2] == texts[0]
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", [["area"], ["predict", "-N", "8"]],
+                         ids=["area", "predict"])
+def test_closed_stdout_exit_code(write_doc, command, unbuffered):
+    # the reader is gone before the child writes: the first print fails
+    # (unbuffered), or the flush of the summary does (buffered); either ends
+    # in one line, not a traceback or the interpreter's message at shutdown
+    graph = write_doc("bh.json", black_hole2_doc())
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _fresh_python("-m", "arealaw.cli", command[0], "-g", graph, *command[1:],
+                             stdout=write_end, PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("input error: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1

@@ -12,9 +12,11 @@ from arealaw import (
 from arealaw.errors import ParseError
 
 from conftest import (
+    all_counting_functions,
     black_hole,
     black_hole_counts,
     doc,
+    enumerate_small_graphs,
     parse_graph,
     random_marginal,
     single_loop,
@@ -146,14 +148,10 @@ def test_bare_constructor_refuses_an_unknown_leg():
 
 
 def test_bare_constructor_refuses_counts_its_legs_do_not_give():
-    # a one-loop vertex with nothing traced keeps both legs: s = 2, not 0
+    # a counts-mode marginal holds no counts of its own: they are read off
+    # the traced legs, so none can disagree with them
     g = single_loop().graph
-    with pytest.raises(ValidationError, match=r"^counts \{'V': 0\} are not the "
-                                              r"surviving-leg counts \{'V': 2\}"):
-        Marginal(g, frozenset(), counts={"V": 0})
-    with pytest.raises(ValidationError, match="surviving-leg counts"):
-        Marginal(g, frozenset({0}), counts={"V": True})
-    assert Marginal(g, frozenset({0}), counts={"V": 1}) == single_loop()
+    assert Marginal(g, frozenset({0}), by_counts=True) == single_loop()
 
 
 def test_counts_mode_marginals_hash():
@@ -162,6 +160,17 @@ def test_counts_mode_marginals_hash():
     reordered = Marginal.from_counts(g, {"V3": 1, "V2": 1, "V1": 0})
     assert m == reordered and hash(m) == hash(reordered)
     assert len({m, reordered, Marginal.from_legs(g, m.traced)}) == 2
+
+
+def test_census_counts_documents_round_trip():
+    # every counts-mode census marginal, and the same built from s with its
+    # keys reversed, parses back from its document as itself
+    for g in enumerate_small_graphs(max_vertices=4, max_edges=5):
+        for s in all_counting_functions(g):
+            m = Marginal.from_counts(g, s)
+            for built in (m, Marginal.from_counts(g, dict(reversed(s.items())))):
+                back = parse_marginal(json.dumps(built.to_document()))
+                assert back == m and hash(back) == hash(m) == hash(built)
 
 
 def test_is_adapted_cases():
@@ -191,8 +200,8 @@ def test_completed_trace_is_lowest_legs():
     m = black_hole_counts(0, 1, 1)
     # t = (1, 1, 0): lowest legs of V1 and V2
     assert m.traced == frozenset({0, 1})
-    assert m.counts == {"V1": 0, "V2": 1, "V3": 1}
-    assert Marginal.from_legs(m.graph, [0, 1]).counts is None
+    assert m.s_counts == {"V1": 0, "V2": 1, "V3": 1} and m.by_counts
+    assert not Marginal.from_legs(m.graph, [0, 1]).by_counts
 
 
 def test_crossed_vertices():

@@ -296,3 +296,26 @@ def test_build_reads_N_by_the_integer_rule():
     instance = TransportInstance.build(["P1"], {}, {"P1": (1, 1)}, N=np.int64(3))
     assert instance.N == 3 and type(instance.N) is int
     assert instance == TransportInstance.build(["P1"], {}, {"P1": (1, 1)}, N=3)
+
+
+def test_build_reads_counts_and_quotas_by_the_integer_rule():
+    # the rule N is read by: a numpy integer is accepted and stored as int
+    instance = TransportInstance.build(["P1", "P2"], {("P1", "P2"): np.int64(1)},
+                                       {"P1": (np.int64(1), 0), "P2": (0, np.int64(1))})
+    assert instance == single_edge_instance()
+    assert type(instance.pairs["P1", "P2"]) is int
+    assert all(type(q) is int for quota in instance.quotas.values() for q in quota)
+    with pytest.raises(ValidationError, match="^negative quota at site 'P1'$"):
+        TransportInstance.build(["P1"], {}, {"P1": (np.int64(-1), 1)})
+
+
+@pytest.mark.parametrize("facilities, pairs, message", [
+    (5, {}, "^facilities must be a sequence of site names$"),
+    ([["P1"]], {}, "^facilities must be a sequence of site names$"),
+    (["P1", "P2"], [((["P1"], "P2"), 1)],
+     r"^pair \(\['P1'\], 'P2'\) names an unknown site$"),
+], ids=["facilities-integer", "facility-list", "pair-site-list"])
+def test_build_refuses_unhashable_or_non_iterable_names(facilities, pairs, message):
+    # a ValidationError of one line, where a bare TypeError escaped before
+    with pytest.raises(ValidationError, match=message):
+        TransportInstance.build(facilities, pairs, {})
